@@ -32,11 +32,10 @@ from .tabu import (
     evaluate_slice,
     initial_order,
     is_tabu,
-    merge_slice_results,
     run_search,
     tabu_push,
 )
-from .parallel import EvalEvent, EvaluationError, LaneEvaluator, evaluate_parallel, partition_equal
+from .parallel import EvaluationError, LaneEvaluator
 from .coordinator import (
     CalibrationError,
     Coordinator,
@@ -84,14 +83,10 @@ __all__ = [
     "evaluate_slice",
     "initial_order",
     "is_tabu",
-    "merge_slice_results",
     "run_search",
     "tabu_push",
-    "EvalEvent",
     "EvaluationError",
     "LaneEvaluator",
-    "evaluate_parallel",
-    "partition_equal",
     "CalibrationError",
     "Coordinator",
     "CoordinatorConfig",

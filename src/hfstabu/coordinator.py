@@ -14,10 +14,11 @@ nodes until the whole neighborhood is covered. A node that misses its
 deadline (or drops its connection) becomes suspect and gets one
 reconnect attempt; a second failure marks it dead for the run. A result
 arriving after its deadline is discarded, but its speed measurement is
-still recorded. The chosen move is always the argmin by (makespan, move
-index) over everything accepted, so any topology and any failure
-schedule that leaves one live node produces exactly the single-machine
-result.
+still recorded. The accepted intervals go through the shared prefix
+reducer (``tabu.merge_prefix``); they must tile the neighborhood from 0
+to its end, and the chosen move is the argmin by (makespan, move index)
+over them, so any topology and any failure schedule that leaves one
+live node produces exactly the single-machine result.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from dataclasses import dataclass, field
 
 from . import protocol
 from .instance import ProblemInstance, generate_instance, instance_digest
-from .neighborhood import Move, NeighborhoodSlice, decode_move, neighborhood_size
+from .neighborhood import NeighborhoodSlice, neighborhood_size
 from .protocol import PROTOCOL_VERSION
-from .tabu import EvalContext, SearchParams, SearchResult, SliceResult, run_search
+from .tabu import EvalContext, SearchParams, SearchResult, SliceResult, merge_prefix, run_search
 
 log = logging.getLogger(__name__)
 
@@ -53,12 +54,7 @@ class CalibrationError(RuntimeError):
 
 
 class CoverageError(RuntimeError):
-    """The neighborhood could not be fully covered; carries partial state."""
-
-    def __init__(self, message: str, covered=(), best=None):
-        super().__init__(message)
-        self.covered = tuple(covered)
-        self.best = best
+    """The neighborhood could not be fully covered."""
 
 
 @dataclass
@@ -73,13 +69,12 @@ class NodePerfHistory:
         self.entries.append((moves, speed))
 
 
-def predict(history: NodePerfHistory, window: int | None = None) -> float:
+def predict(history: NodePerfHistory) -> float:
     """Weighted average speed; each measurement is weighted by its move count."""
-    entries = history.entries if window is None else history.entries[-window:]
-    if not entries:
+    if not history.entries:
         raise ValueError("empty performance history; calibrate first")
-    weight = sum(n for n, _ in entries)
-    return sum(n * p for n, p in entries) / weight
+    weight = sum(n for n, _ in history.entries)
+    return sum(n * p for n, p in history.entries) / weight
 
 
 def plan_partition(speeds, total: int, begin: int = 0) -> list[NeighborhoodSlice]:
@@ -121,7 +116,6 @@ class CoordinatorConfig:
     response_grace: float = 1.0        # extra wall time allowed beyond the worker's deadline
     connect_timeout: float = 5.0
     calibration_grace: float = 10.0
-    history_window: int | None = None  # None: whole history
     send_latency: float = 0.0          # injected per outgoing message (benchmarks/tests)
     recv_latency: float = 0.0          # injected per incoming message
 
@@ -398,15 +392,14 @@ class DispatchPool:
             ready = self._ready_nodes()
             if not ready:
                 if budget_abs is None:
-                    raise CoverageError("all nodes dead with work remaining",
-                                        covered=results, best=_merge_best(results))
+                    raise CoverageError("all nodes dead with work remaining")
                 break
             begin, end = pending.popleft()
             if not first_range:
                 self.redistribution_rounds += 1
             first_range = False
 
-            speeds = [predict(self.histories[p.node_id], self.config.history_window) for p in ready]
+            speeds = [predict(self.histories[p.node_id]) for p in ready]
             slices = plan_partition(speeds, end - begin, begin)
             if plans_out is not None:
                 plans_out.append([(p.node_id, len(sl)) for p, sl in zip(ready, slices)])
@@ -433,8 +426,7 @@ class DispatchPool:
                 stalled += 1
                 if stalled > len(self.proxies) + 2:
                     if budget_abs is None:
-                        raise CoverageError("no progress over repeated dispatch rounds",
-                                            covered=results, best=_merge_best(results))
+                        raise CoverageError("no progress over repeated dispatch rounds")
                     break
             else:
                 stalled = 0
@@ -554,29 +546,6 @@ class DispatchPool:
         return True
 
 
-def _merge_best(results):
-    best = None
-    for _, _, idx, ms in results:
-        if idx is None:
-            continue
-        if best is None or (ms, idx) < best:
-            best = (ms, idx)
-    return best
-
-
-def verify_exact_cover(results, begin: int, end: int):
-    """Check accepted intervals tile [begin, end) with no gap or overlap."""
-    intervals = sorted((b, e) for b, e, _, _ in results if e > b)
-    cursor = begin
-    for b, e in intervals:
-        if b != cursor:
-            raise CoverageError(f"coverage gap or overlap at {cursor}: got interval [{b},{e})",
-                                covered=results)
-        cursor = e
-    if cursor != end:
-        raise CoverageError(f"coverage stops at {cursor}, expected {end}", covered=results)
-
-
 class Coordinator:
     """Distributed tabu search driver over a fixed set of worker addresses."""
 
@@ -613,26 +582,15 @@ class Coordinator:
         total = neighborhood_size(len(ctx.order))
         t0 = time.perf_counter()
         plans: list[list[tuple[int, int]]] = []
-        results, uncovered = self.pool.cover(
+        results, _ = self.pool.cover(
             [(0, total)], (self._digest, ctx.order, ctx.tabu, ctx.incumbent), None, plans_out=plans
         )
-        if uncovered:
-            raise CoverageError(f"uncovered ranges remain: {uncovered}",
-                                covered=results, best=_merge_best(results))
-        verify_exact_cover(results, 0, total)
+        frontier, best_idx, best_ms = merge_prefix(results, 0)
+        if frontier != total:
+            raise CoverageError(f"coverage stops at {frontier}, expected {total}")
         self.iteration_audits.append(sorted((b, e) for b, e, _, _ in results))
         self.iteration_plans.append(plans)
-        best = _merge_best(results)
-        if best is None:
-            return SliceResult(None, None, total, time.perf_counter() - t0)
-        return SliceResult(best[1], best[0], total, time.perf_counter() - t0)
-
-    def run_iteration(self, ctx: EvalContext) -> Move | None:
-        """Evaluate one round and return the chosen move (None if all tabu)."""
-        result = self.evaluate(ctx)
-        if result.best_index is None:
-            return None
-        return decode_move(result.best_index, len(ctx.order))
+        return SliceResult(best_idx, best_ms, total, time.perf_counter() - t0)
 
     # -- full runs ---------------------------------------------------------------
 

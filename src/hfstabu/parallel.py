@@ -1,20 +1,22 @@
 """Multi-lane neighborhood evaluation.
 
 One evaluation round freezes its inputs (instance, permutation, tabu
-snapshot, incumbent), splits the move-index range into equal contiguous
-slices, and scans each slice on its own lane. Lanes are separate
-processes holding a private copy of the context, so rounds run without
-shared mutable state; the instance itself is shipped once per pool, at
-lane startup. Each lane raises a result event when its slice is done
-and the global best move is reduced in the caller once the last result
-arrives. A lane failure is reported as an error event and its slice is
-re-scanned on the calling context before the round returns.
+snapshot, incumbent), splits the requested move-index range into
+contiguous blocks, and scans the blocks on a pool of lanes. Lanes are
+separate processes holding a private copy of the context, so rounds run
+without shared mutable state; the instance itself is shipped once per
+pool, at lane startup.
 
-``evaluate_blocks`` is the deadline-aware variant used by the worker
-daemon: the range is scanned as a sequence of small contiguous blocks
-so that, when the deadline passes, the evaluated portion can be reduced
-to an exact contiguous prefix of the requested range (results beyond
-the first gap are discarded and left for redispatch).
+There is one scheduling path, ``evaluate_blocks``; a full-neighborhood
+``evaluate`` is the same call over the whole range with no deadline.
+Without a deadline the range is cut into one block per lane. With one,
+it is cut into eight blocks per lane, so that when the deadline passes
+the scan stops close to an exact contiguous prefix of the range. Either
+way the outcomes go through the shared prefix reducer
+(``tabu.merge_prefix``): results beyond the first gap or partial block
+are discarded and left for redispatch. A block whose lane failed is
+re-scanned on the calling process with the same deadline before the
+round returns; only a failing re-scan aborts the round.
 """
 
 from __future__ import annotations
@@ -22,22 +24,10 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, CancelledError, ProcessPoolExecutor, wait
-from dataclasses import dataclass
 
 from .instance import ProblemInstance
 from .neighborhood import NeighborhoodSlice, neighborhood_size
-from .tabu import EvalContext, SliceResult, merge_slice_results, scan_slice
-
-PROGRESS = "progress"
-ERROR = "error"
-RESULT = "result"
-
-
-@dataclass(frozen=True)
-class EvalEvent:
-    kind: str  # progress | error | result
-    lane: int
-    payload: object
+from .tabu import EvalContext, SliceResult, merge_prefix, scan_slice
 
 
 class EvaluationError(RuntimeError):
@@ -57,22 +47,6 @@ def detected_lane_count() -> int:
     return os.cpu_count() or 1
 
 
-def partition_equal(total: int, lanes: int) -> list[NeighborhoodSlice]:
-    """Split [0, total) into ``lanes`` contiguous slices whose sizes differ by at most 1."""
-    if lanes < 1:
-        raise ValueError(f"lanes must be >= 1, got {lanes}")
-    if total < 0:
-        raise ValueError(f"total must be >= 0, got {total}")
-    base, extra = divmod(total, lanes)
-    slices = []
-    begin = 0
-    for lane in range(lanes):
-        size = base + (1 if lane < extra else 0)
-        slices.append(NeighborhoodSlice(begin, begin + size))
-        begin += size
-    return slices
-
-
 # Per-lane state, installed once by the pool initializer.
 _LANE_INSTANCE: ProblemInstance | None = None
 _LANE_SCAN = None
@@ -85,11 +59,7 @@ def _lane_init(instance: ProblemInstance, scan_fn):
 
 
 def _lane_task(order, tabu_entries, incumbent, begin, end, deadline, per_move_delay):
-    t0 = time.perf_counter()
-    best_idx, best_ms, evaluated = _LANE_SCAN(
-        _LANE_INSTANCE, order, tabu_entries, incumbent, begin, end, deadline, per_move_delay
-    )
-    return begin, end, best_idx, best_ms, evaluated, time.perf_counter() - t0
+    return _LANE_SCAN(_LANE_INSTANCE, order, tabu_entries, incumbent, begin, end, deadline, per_move_delay)
 
 
 class LaneEvaluator:
@@ -126,73 +96,16 @@ class LaneEvaluator:
         self.close()
         return False
 
-    # -- full-round evaluation ----------------------------------------------
+    # -- evaluation -----------------------------------------------------------
 
-    def evaluate(self, ctx: EvalContext, event_sink=None) -> SliceResult:
-        """Evaluate the full neighborhood of the context's permutation."""
-        total = neighborhood_size(len(ctx.order))
-        return self.evaluate_range(ctx, NeighborhoodSlice(0, total), event_sink)
+    def evaluate(self, ctx: EvalContext) -> SliceResult:
+        """Evaluate the full neighborhood of the context's permutation.
 
-    def evaluate_range(self, ctx: EvalContext, nslice: NeighborhoodSlice, event_sink=None) -> SliceResult:
-        """Evaluate [begin, end) split equally across the lanes.
-
-        Equivalent to a single evaluate_slice over the range: same best
-        index, same makespan, for any lane count.
+        Equivalent to a single evaluate_slice over the neighborhood: same
+        best index, same makespan, for any lane count.
         """
-        t0 = time.perf_counter()
-        if self._pool is None:
-            result = self._scan_local(ctx, nslice.begin, nslice.end)
-            if event_sink is not None and nslice:
-                event_sink(EvalEvent(PROGRESS, 0, 1.0))
-                event_sink(EvalEvent(RESULT, 0, result))
-            return SliceResult(result.best_index, result.best_makespan, result.moves_evaluated,
-                               time.perf_counter() - t0)
-
-        parts = partition_equal(len(nslice), self.lanes)
-        futures = {}
-        for lane, part in enumerate(parts):
-            if not part:
-                continue
-            begin = nslice.begin + part.begin
-            end = nslice.begin + part.end
-            fut = self._pool.submit(_lane_task, ctx.order, ctx.tabu.entries, ctx.incumbent,
-                                    begin, end, None, 0.0)
-            futures[fut] = (lane, begin, end)
-
-        results = []
-        done, _ = wait(futures)
-        for fut in done:
-            lane, begin, end = futures[fut]
-            exc = fut.exception()
-            if exc is not None:
-                if event_sink is not None:
-                    event_sink(EvalEvent(ERROR, lane, f"lane {lane} failed: {exc}"))
-                lane_result = self._retry_local(ctx, begin, end, lane, event_sink)
-            else:
-                _, _, best_idx, best_ms, evaluated, lane_elapsed = fut.result()
-                lane_result = SliceResult(best_idx, best_ms, evaluated, lane_elapsed)
-            if event_sink is not None:
-                event_sink(EvalEvent(PROGRESS, lane, 1.0))
-                event_sink(EvalEvent(RESULT, lane, lane_result))
-            results.append(lane_result)
-        return merge_slice_results(results, elapsed=time.perf_counter() - t0)
-
-    def _scan_local(self, ctx: EvalContext, begin: int, end: int) -> SliceResult:
-        t0 = time.perf_counter()
-        best_idx, best_ms, evaluated = self._scan(
-            self.instance, ctx.order, ctx.tabu.entries, ctx.incumbent, begin, end, None, 0.0
-        )
-        return SliceResult(best_idx, best_ms, evaluated, time.perf_counter() - t0)
-
-    def _retry_local(self, ctx, begin, end, lane, event_sink) -> SliceResult:
-        try:
-            return self._scan_local(ctx, begin, end)
-        except Exception as exc:
-            if event_sink is not None:
-                event_sink(EvalEvent(ERROR, lane, f"retry for lane {lane} failed: {exc}"))
-            raise EvaluationError(f"slice [{begin}, {end}) failed on lane {lane} and on retry") from exc
-
-    # -- deadline-bounded evaluation -----------------------------------------
+        result, _ = self.evaluate_blocks(ctx, NeighborhoodSlice(0, neighborhood_size(len(ctx.order))), None)
+        return result
 
     def evaluate_blocks(
         self,
@@ -208,32 +121,36 @@ class LaneEvaluator:
         evaluated portion is always contiguous from ``nslice.begin``;
         with lanes > 1, completed blocks beyond the first unfinished one
         are dropped so the prefix guarantee holds. ``deadline`` is an
-        absolute time.monotonic() value shared across lanes.
+        absolute time.monotonic() value shared across lanes, or None to
+        evaluate the whole range. A block whose lane raised is re-scanned
+        here; EvaluationError is raised only if that re-scan fails too.
         """
         t0 = time.perf_counter()
         if not nslice:
             return SliceResult(None, None, 0, 0.0), nslice.begin
 
+        def scan_here(begin, end):
+            return self._scan(self.instance, ctx.order, ctx.tabu.entries, ctx.incumbent,
+                              begin, end, deadline, per_move_delay)
+
         if self._pool is None:
-            scanned = self._scan(self.instance, ctx.order, ctx.tabu.entries, ctx.incumbent,
-                                 nslice.begin, nslice.end, deadline, per_move_delay)
-            best_idx, best_ms, evaluated = scanned
-            if progress is not None and len(nslice):
+            best_idx, best_ms, evaluated = scan_here(nslice.begin, nslice.end)
+            if progress is not None:
                 progress(evaluated / len(nslice))
             return (SliceResult(best_idx, best_ms, evaluated, time.perf_counter() - t0),
                     nslice.begin + evaluated)
 
-        block = max(1, -(-len(nslice) // (self.lanes * 8)))
+        # fine blocks only pay off when a deadline can cut the scan short
+        blocks = self.lanes if deadline is None else self.lanes * 8
+        size = -(-len(nslice) // blocks)
         futures = {}
-        begin = nslice.begin
-        while begin < nslice.end:
-            end = min(begin + block, nslice.end)
+        for begin in range(nslice.begin, nslice.end, size):
+            end = min(begin + size, nslice.end)
             fut = self._pool.submit(_lane_task, ctx.order, ctx.tabu.entries, ctx.incumbent,
                                     begin, end, deadline, per_move_delay)
             futures[fut] = (begin, end)
-            begin = end
 
-        outcomes: dict[int, tuple[int, int, int | None, int | None]] = {}
+        parts = []
         pending = set(futures)
         completed_moves = 0
         while pending:
@@ -241,10 +158,19 @@ class LaneEvaluator:
             for fut in done:
                 begin, end = futures[fut]
                 try:
-                    _, _, best_idx, best_ms, evaluated, _ = fut.result()
+                    best_idx, best_ms, evaluated = fut.result()
                 except CancelledError:
                     continue
-                outcomes[begin] = (end, evaluated, best_idx, best_ms)
+                except Exception as lane_exc:
+                    try:
+                        best_idx, best_ms, evaluated = scan_here(begin, end)
+                    except Exception as exc:
+                        for other in pending:
+                            other.cancel()
+                        raise EvaluationError(
+                            f"block [{begin}, {end}) failed on its lane ({lane_exc}) and on retry"
+                        ) from exc
+                parts.append((begin, begin + evaluated, best_idx, best_ms))
                 completed_moves += evaluated
             if progress is not None:
                 progress(completed_moves / len(nslice))
@@ -252,25 +178,5 @@ class LaneEvaluator:
                 for fut in pending:
                     fut.cancel()
 
-        # contiguous frontier: merge the fully ordered prefix, drop anything past a gap
-        frontier = nslice.begin
-        best_idx = None
-        best_ms = None
-        moves = 0
-        for begin in sorted(outcomes):
-            if begin != frontier:
-                break
-            end, evaluated, b_idx, b_ms = outcomes[begin]
-            moves += evaluated
-            frontier = begin + evaluated
-            if b_idx is not None and (best_ms is None or (b_ms, b_idx) < (best_ms, best_idx)):
-                best_idx, best_ms = b_idx, b_ms
-            if evaluated < end - begin:
-                break
-        return SliceResult(best_idx, best_ms, moves, time.perf_counter() - t0), frontier
-
-
-def evaluate_parallel(ctx: EvalContext, lanes: int | None = None, event_sink=None) -> SliceResult:
-    """One-shot full-neighborhood evaluation on a temporary lane pool."""
-    with LaneEvaluator(ctx.instance, lanes) as evaluator:
-        return evaluator.evaluate(ctx, event_sink)
+        frontier, best_idx, best_ms = merge_prefix(parts, nslice.begin)
+        return SliceResult(best_idx, best_ms, frontier - nslice.begin, time.perf_counter() - t0), frontier

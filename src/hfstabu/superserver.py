@@ -3,7 +3,10 @@
 The server speaks the ordinary worker protocol, but its evaluation
 backend fans every request out over child nodes using the same
 proportional planning, redistribution and fault handling as the top
-level coordinator. Children may themselves be super servers, so
+level coordinator. The accepted child results are reduced with the
+shared prefix reducer (``tabu.merge_prefix``): the reply covers the
+contiguous prefix of the request, and the rest goes back upstream as
+the remaining range. Children may themselves be super servers, so
 arbitrary trees compose; the client only ever balances over its direct
 children. Calibration forwards to all children concurrently and reports
 the sum of their speeds, and the speed reported with each evaluation is
@@ -19,6 +22,7 @@ import time
 from .coordinator import CoordinatorConfig, DispatchPool
 from .instance import ProblemInstance, instance_digest
 from .neighborhood import NeighborhoodSlice
+from .tabu import merge_prefix
 from .worker import EvalOutcome, WorkerServer
 
 log = logging.getLogger(__name__)
@@ -76,22 +80,14 @@ class FanoutBackend:
         if not results and not self.pool.live_nodes():
             raise RuntimeError("all child nodes dead")
 
-        # reduce to an exact contiguous prefix; anything past a gap is redispatched upstream
-        frontier = nslice.begin
-        best_idx = None
-        best_ms = None
-        for begin, end, b_idx, b_ms in sorted(results):
-            if begin != frontier:
-                break
-            frontier = end
-            if b_idx is not None and (best_ms is None or (b_ms, b_idx) < (best_ms, best_idx)):
-                best_idx, best_ms = b_idx, b_ms
+        # anything past the contiguous prefix is redispatched upstream
+        frontier, best_idx, best_ms = merge_prefix(results, nslice.begin)
         moves = frontier - nslice.begin
         complete = frontier >= nslice.end
         speed = moves / elapsed if elapsed > 0 else 0.0
         return EvalOutcome(
-            best_idx if moves else None,
-            best_ms if moves else None,
+            best_idx,
+            best_ms,
             moves,
             elapsed,
             speed,

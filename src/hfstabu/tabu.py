@@ -134,21 +134,28 @@ def evaluate_slice(
     return SliceResult(best_idx, best_ms, evaluated, time.perf_counter() - t0)
 
 
-def merge_slice_results(results, elapsed: float | None = None) -> SliceResult:
-    """Fold per-slice results into the global one: argmin by (makespan, index)."""
-    best_idx: int | None = None
-    best_ms: int | None = None
-    moves = 0
-    span = 0.0
-    for res in results:
-        moves += res.moves_evaluated
-        span = max(span, res.elapsed)
-        if res.best_index is None:
-            continue
-        if best_ms is None or (res.best_makespan, res.best_index) < (best_ms, best_idx):
-            best_idx = res.best_index
-            best_ms = res.best_makespan
-    return SliceResult(best_idx, best_ms, moves, span if elapsed is None else elapsed)
+def merge_prefix(parts, begin: int) -> tuple[int, int | None, int | None]:
+    """Reduce evaluated intervals to the contiguous prefix starting at ``begin``.
+
+    ``parts`` are (begin, evaluated_end, best_index, best_makespan)
+    tuples in any order. They are chained from ``begin``; the chain
+    stops at the first gap or overlap, and everything past it is
+    ignored. Returns (frontier, best_index, best_makespan) over
+    [begin, frontier), the argmin by (makespan, index) so that ties go
+    to the smallest index; this is the reduce every evaluation mode
+    shares.
+    """
+    frontier = begin
+    best = None
+    for part_begin, part_end, idx, ms in sorted(parts, key=lambda part: part[:2]):
+        if part_begin != frontier:
+            break
+        frontier = part_end
+        if idx is not None and (best is None or (ms, idx) < best):
+            best = (ms, idx)
+    if best is None:
+        return frontier, None, None
+    return frontier, best[1], best[0]
 
 
 def diversify(order, strength: int, rng: random.Random) -> tuple[int, ...]:

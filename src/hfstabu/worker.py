@@ -234,6 +234,8 @@ class WorkerServer:
             except OSError:
                 break
             thread = threading.Thread(target=self._serve_conn, args=(conn, addr), daemon=True)
+            # drop finished connections so a long-lived daemon keeps a bounded list
+            self._conn_threads = [t for t in self._conn_threads if t.is_alive()]
             self._conn_threads.append(thread)
             thread.start()
 

@@ -14,6 +14,7 @@ import heapq
 import itertools
 from fractions import Fraction
 
+from hfstabu.coordinator import CoverageError
 from hfstabu.instance import ProblemInstance
 from hfstabu.schedule import Schedule, evaluate_makespan
 
@@ -132,3 +133,15 @@ def largest_remainder_reference(speeds, total: int) -> list[int]:
     for i in order[:remainder]:
         sizes[i] += 1
     return sizes
+
+
+def verify_exact_cover(results, begin: int, end: int):
+    """Check accepted intervals tile [begin, end) with no gap or overlap."""
+    intervals = sorted((b, e) for b, e, _, _ in results if e > b)
+    cursor = begin
+    for b, e in intervals:
+        if b != cursor:
+            raise CoverageError(f"coverage gap or overlap at {cursor}: got interval [{b},{e})")
+        cursor = e
+    if cursor != end:
+        raise CoverageError(f"coverage stops at {cursor}, expected {end}")

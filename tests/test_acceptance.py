@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from hfstabu.coordinator import Coordinator, CoordinatorConfig, NodePerfHistory, predict, verify_exact_cover
+from hfstabu.coordinator import Coordinator, CoordinatorConfig, NodePerfHistory, predict
 from hfstabu.instance import generate_instance
 from hfstabu.neighborhood import NeighborhoodSlice, decode_move, neighborhood_size
 from hfstabu.parallel import LaneEvaluator
@@ -22,13 +22,13 @@ from hfstabu.tabu import (
     SearchParams,
     TabuList,
     evaluate_slice,
-    merge_slice_results,
+    merge_prefix,
     run_search,
 )
 from hfstabu.worker import WorkerServer
 
 from netharness import SubprocessWorker
-from oracles import random_small_instance, simulate
+from oracles import random_small_instance, simulate, verify_exact_cover
 
 
 def report(criterion, name, detail=""):
@@ -126,13 +126,11 @@ def test_criterion_3_partition_independence():
         for _ in range(20):
             cuts = sorted(rng.sample(range(total + 1), rng.randint(0, min(8, total))))
             bounds = [0] + cuts + [total]
-            parts = [
-                evaluate_slice(inst, order, tabu, incumbent, NeighborhoodSlice(b, e))
-                for b, e in zip(bounds, bounds[1:])
-            ]
-            merged = merge_slice_results(parts)
-            assert (merged.best_index, merged.best_makespan) == (whole.best_index, whole.best_makespan)
-            assert merged.moves_evaluated == total
+            parts = []
+            for b, e in zip(bounds, bounds[1:]):
+                res = evaluate_slice(inst, order, tabu, incumbent, NeighborhoodSlice(b, e))
+                parts.append((b, b + res.moves_evaluated, res.best_index, res.best_makespan))
+            assert merge_prefix(parts[::-1], 0) == (total, whole.best_index, whole.best_makespan)
     report(3, "partition independence", "50 contexts x 20 partitions exact")
 
 
@@ -305,7 +303,6 @@ def test_criterion_9_predictor_arithmetic():
     assert predict(NodePerfHistory([(7, 123.0)])) == 123.0
     assert predict(NodePerfHistory([(1, 4.0), (10**6, 4.0), (3, 4.0)])) == 4.0
     assert predict(NodePerfHistory([(50, 2.0), (50, 6.0)])) == 4.0
-    assert predict(NodePerfHistory([(100, 1.0), (100, 3.0), (100, 5.0)]), window=2) == 4.0
     with pytest.raises(ValueError):
         predict(NodePerfHistory())
     report(9, "predictor arithmetic", "weighted-average formula exact")

@@ -13,7 +13,6 @@ from hfstabu.coordinator import (
     plan_partition,
     predict,
     run_distributed_search,
-    verify_exact_cover,
 )
 from hfstabu.instance import generate_instance
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
@@ -21,7 +20,7 @@ from hfstabu.tabu import EvalContext, SearchParams, TabuList, evaluate_slice, ru
 from hfstabu.schedule import evaluate_makespan
 from hfstabu.worker import WorkerServer
 
-from oracles import largest_remainder_reference
+from oracles import largest_remainder_reference, verify_exact_cover
 
 INST = generate_instance(8, 3, 3, seed=42)
 N = neighborhood_size(8)
@@ -67,12 +66,6 @@ def test_predict_constant_speed():
 def test_predict_empty_history_unavailable():
     with pytest.raises(ValueError, match="calibrate"):
         predict(NodePerfHistory())
-
-
-def test_predict_window():
-    history = NodePerfHistory([(100, 1.0), (100, 3.0), (100, 5.0)])
-    assert predict(history, window=2) == pytest.approx(4.0)
-    assert predict(history) == pytest.approx(3.0)
 
 
 def test_history_rejects_non_positive():
@@ -382,21 +375,5 @@ def test_node_stats_track_assigned_moves():
             total = sum(s["moves"] for s in stats.values())
             assert total == N * 10
             assert all(s["mean_speed"] > 0 for s in stats.values())
-        finally:
-            coordinator.close()
-
-
-def test_run_iteration_returns_move():
-    with WorkerServer("127.0.0.1", 0, lanes=1) as worker:
-        coordinator = Coordinator([worker.address], fast_config())
-        try:
-            coordinator.calibrate(seed=3)
-            coordinator.set_problem(INST)
-            ctx = make_ctx(INST, seed=0)
-            move = coordinator.run_iteration(ctx)
-            want = sequential_reference(ctx)
-            from hfstabu.neighborhood import decode_move
-
-            assert move == decode_move(want.best_index, 8)
         finally:
             coordinator.close()

@@ -6,16 +6,7 @@ import pytest
 
 from hfstabu.instance import generate_instance
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
-from hfstabu.parallel import (
-    ERROR,
-    PROGRESS,
-    RESULT,
-    EvaluationError,
-    LaneEvaluator,
-    evaluate_parallel,
-    partition_equal,
-)
-from hfstabu.coordinator import plan_partition
+from hfstabu.parallel import EvaluationError, LaneEvaluator
 from hfstabu.tabu import EvalContext, TabuList, evaluate_slice, scan_slice
 from hfstabu.schedule import evaluate_makespan
 
@@ -28,47 +19,6 @@ def make_ctx(inst, seed=0):
     return EvalContext(inst, order, TabuList(), evaluate_makespan(inst, order))
 
 
-# -- partitioning ---------------------------------------------------------------
-
-
-def test_partition_exact_division():
-    parts = partition_equal(12, 4)
-    assert [(p.begin, p.end) for p in parts] == [(0, 3), (3, 6), (6, 9), (9, 12)]
-
-
-def test_partition_remainder_spread():
-    assert [len(p) for p in partition_equal(10, 4)] == [3, 3, 2, 2]
-
-
-def test_partition_degenerate():
-    parts = partition_equal(5, 8)
-    assert [len(p) for p in parts] == [1, 1, 1, 1, 1, 0, 0, 0]
-    assert parts[0].begin == 0 and parts[4].end == 5
-
-
-def test_partition_covers_disjointly():
-    for total, lanes in [(0, 3), (1, 1), (97, 6), (2450, 8)]:
-        parts = partition_equal(total, lanes)
-        cursor = 0
-        for p in parts:
-            assert p.begin == cursor
-            cursor = p.end
-        assert cursor == total
-        assert max(len(p) for p in parts) - min(len(p) for p in parts) <= 1
-
-
-def test_partition_matches_proportional_plan_with_equal_speeds():
-    for total, lanes in [(10, 4), (90, 3), (100, 7)]:
-        equal = [len(p) for p in partition_equal(total, lanes)]
-        planned = [len(p) for p in plan_partition([1.0] * lanes, total)]
-        assert equal == planned
-
-
-def test_partition_rejects_zero_lanes():
-    with pytest.raises(ValueError):
-        partition_equal(10, 0)
-
-
 # -- result equivalence -----------------------------------------------------------
 
 
@@ -77,7 +27,7 @@ def test_single_lane_matches_direct_slice():
     ctx = make_ctx(inst)
     total = neighborhood_size(8)
     direct = evaluate_slice(inst, ctx.order, ctx.tabu, ctx.incumbent, NeighborhoodSlice(0, total))
-    via = evaluate_parallel(ctx, lanes=1)
+    via = LaneEvaluator(inst, 1).evaluate(ctx)
     assert (via.best_index, via.best_makespan, via.moves_evaluated) == (
         direct.best_index,
         direct.best_makespan,
@@ -88,7 +38,7 @@ def test_single_lane_matches_direct_slice():
 def test_lane_counts_agree():
     inst = generate_instance(10, 2, 5, seed=17)
     ctx = make_ctx(inst, seed=3)
-    reference = evaluate_parallel(ctx, lanes=1)
+    reference = LaneEvaluator(inst, 1).evaluate(ctx)
     for lanes in (2, 3, 4):
         with LaneEvaluator(inst, lanes) as evaluator:
             result = evaluator.evaluate(ctx)
@@ -104,43 +54,29 @@ def test_random_contexts_agree_across_lanes():
     for _ in range(5):
         inst = random_small_instance(rng, max_jobs=7, min_jobs=4)
         ctx = make_ctx(inst, seed=rng.randrange(1000))
-        reference = evaluate_parallel(ctx, lanes=1)
+        reference = LaneEvaluator(inst, 1).evaluate(ctx)
         for lanes in (2, 5):
-            result = evaluate_parallel(ctx, lanes=lanes)
+            with LaneEvaluator(inst, lanes) as evaluator:
+                result = evaluator.evaluate(ctx)
             assert (result.best_index, result.best_makespan) == (
                 reference.best_index,
                 reference.best_makespan,
             )
 
 
-# -- events -----------------------------------------------------------------------
-
-
-def test_event_discipline():
-    inst = generate_instance(6, 2, 2, seed=8)
-    ctx = make_ctx(inst)
-    events = []
-    with LaneEvaluator(inst, 3) as evaluator:
-        evaluator.evaluate(ctx, event_sink=events.append)
-    results = [e for e in events if e.kind == RESULT]
-    nonempty = sum(1 for p in partition_equal(neighborhood_size(6), 3) if p)
-    assert len(results) == nonempty
-    assert {e.lane for e in results} == set(range(nonempty))
-    by_lane = {}
-    for e in events:
-        if e.kind == PROGRESS:
-            assert by_lane.get(e.lane, 0.0) <= e.payload
-            by_lane[e.lane] = e.payload
+# -- lane scheduling ----------------------------------------------------------------
 
 
 def test_more_lanes_than_moves():
     inst = generate_instance(3, 1, 2, seed=2)  # 6 moves
     ctx = make_ctx(inst)
-    events = []
     with LaneEvaluator(inst, 8) as evaluator:
-        result = evaluator.evaluate(ctx, event_sink=events.append)
+        result = evaluator.evaluate(ctx)
     assert result.moves_evaluated == 6
-    assert sum(1 for e in events if e.kind == RESULT) == 6  # six nonempty one-move slices
+    direct = evaluate_slice(inst, ctx.order, ctx.tabu, ctx.incumbent, NeighborhoodSlice(0, 6))
+    assert (result.best_index, result.best_makespan) == (direct.best_index, direct.best_makespan)
+    with pytest.raises(ValueError):
+        LaneEvaluator(inst, 0)
 
 
 # -- lane failure -------------------------------------------------------------------
@@ -159,22 +95,27 @@ def _always_failing_scan(inst, order, entries, incumbent, begin, end, deadline, 
 def test_lane_failure_retries_on_caller():
     inst = generate_instance(6, 2, 2, seed=12)
     ctx = make_ctx(inst)
-    reference = evaluate_parallel(ctx, lanes=1)
-    events = []
+    whole = NeighborhoodSlice(0, neighborhood_size(6))
+    reference = LaneEvaluator(inst, 1).evaluate(ctx)
     with LaneEvaluator(inst, 2, scan_fn=_failing_in_child_scan) as evaluator:
-        result = evaluator.evaluate(ctx, event_sink=events.append)
-    assert (result.best_index, result.best_makespan) == (reference.best_index, reference.best_makespan)
-    assert any(e.kind == ERROR for e in events)
+        result = evaluator.evaluate(ctx)
+        assert (result.best_index, result.best_makespan) == (reference.best_index, reference.best_makespan)
+        assert result.moves_evaluated == len(whole)
+        # the worker path: deadline-bounded blocks recover the same way
+        result, frontier = evaluator.evaluate_blocks(ctx, whole, time.monotonic() + 60.0)
+        assert frontier == len(whole)
+        assert (result.best_index, result.best_makespan) == (reference.best_index, reference.best_makespan)
 
 
 def test_unrecoverable_failure_raises():
     inst = generate_instance(5, 1, 2, seed=1)
     ctx = make_ctx(inst)
-    events = []
+    whole = NeighborhoodSlice(0, neighborhood_size(5))
     with LaneEvaluator(inst, 2, scan_fn=_always_failing_scan) as evaluator:
         with pytest.raises(EvaluationError):
-            evaluator.evaluate(ctx, event_sink=events.append)
-    assert sum(1 for e in events if e.kind == ERROR) >= 2
+            evaluator.evaluate(ctx)
+        with pytest.raises(EvaluationError):
+            evaluator.evaluate_blocks(ctx, whole, time.monotonic() + 60.0)
 
 
 # -- deadline-bounded blocks ----------------------------------------------------------

@@ -9,13 +9,12 @@ from hfstabu.tabu import (
     EvalContext,
     SearchError,
     SearchParams,
-    SliceResult,
     TabuList,
     diversify,
     evaluate_slice,
     initial_order,
     is_tabu,
-    merge_slice_results,
+    merge_prefix,
     run_search,
     tabu_push,
 )
@@ -121,18 +120,32 @@ def test_partition_independence_small():
         whole = evaluate_slice(inst, order, TabuList(), incumbent, NeighborhoodSlice(0, total))
         cuts = sorted(rng.sample(range(total + 1), min(3, total)))
         bounds = [0] + cuts + [total]
-        parts = [
-            evaluate_slice(inst, order, TabuList(), incumbent, NeighborhoodSlice(b, e))
-            for b, e in zip(bounds, bounds[1:])
-        ]
-        merged = merge_slice_results(parts)
-        assert (merged.best_index, merged.best_makespan) == (whole.best_index, whole.best_makespan)
-        assert merged.moves_evaluated == total
+        parts = []
+        for b, e in zip(bounds, bounds[1:]):
+            res = evaluate_slice(inst, order, TabuList(), incumbent, NeighborhoodSlice(b, e))
+            parts.append((b, b + res.moves_evaluated, res.best_index, res.best_makespan))
+        assert merge_prefix(parts[::-1], 0) == (total, whole.best_index, whole.best_makespan)
 
 
 def test_merge_handles_all_empty():
-    merged = merge_slice_results([SliceResult(None, None, 0, 0.0)])
-    assert merged.best_index is None and merged.moves_evaluated == 0
+    assert merge_prefix([], 7) == (7, None, None)
+    assert merge_prefix([(3, 3, None, None), (3, 5, None, None)], 3) == (5, None, None)
+
+
+@pytest.mark.parametrize(
+    "parts, begin, expected",
+    [
+        ([(0, 4, 1, 50), (5, 9, 6, 10)], 0, (4, 1, 50)),
+        ([(0, 4, 1, 50), (5, 9, 6, 10)], 2, (2, None, None)),
+        ([(0, 5, 2, 40), (4, 9, 6, 10), (9, 12, 10, 30)], 0, (5, 2, 40)),
+        # block [4, 8) evaluated only up to 6: the completed block [8, 12) is dropped
+        ([(8, 12, 9, 5), (0, 4, 3, 20), (4, 6, 5, 30)], 0, (6, 3, 20)),
+        ([(10, 20, 15, 7), (0, 10, 8, 7), (20, 30, 21, 9)], 0, (30, 8, 7)),
+    ],
+    ids=["gap", "nothing-at-begin", "overlap", "partial-block", "tie-across-parts"],
+)
+def test_merge_prefix_positions(parts, begin, expected):
+    assert merge_prefix(parts, begin) == expected
 
 
 # -- diversification ----------------------------------------------------------

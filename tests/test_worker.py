@@ -200,6 +200,14 @@ def test_protocol_error_closes_only_that_connection(server):
         good.close()
 
 
+def test_finished_connections_are_pruned(server):
+    for _ in range(50):
+        with WireClient(server.address) as client:
+            assert isinstance(client.hello(), protocol.Hello)
+    # each accept drops the threads of connections that have closed
+    assert len(server._conn_threads) <= 10
+
+
 def test_request_logging(server, caplog):
     with caplog.at_level("INFO", logger="hfstabu.worker"):
         with WireClient(server.address) as client:
