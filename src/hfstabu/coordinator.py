@@ -547,13 +547,21 @@ class DispatchPool:
 
 
 class Coordinator:
-    """Distributed tabu search driver over a fixed set of worker addresses."""
+    """Runs the distributed tabu search over a fixed set of worker addresses.
+
+    ``iteration_audits`` (the accepted intervals) and ``iteration_plans``
+    (each dispatch round's (node, moves) shares) keep one entry for each
+    of the last ``ITERATION_HISTORY`` iterations, so a long run holds
+    bounded memory.
+    """
+
+    ITERATION_HISTORY = 128
 
     def __init__(self, addresses, config: CoordinatorConfig | None = None):
         self.config = config or CoordinatorConfig()
         self.pool = DispatchPool(list(addresses), self.config)
-        self.iteration_audits: list[list[tuple[int, int]]] = []
-        self.iteration_plans: list[list[list[tuple[int, int]]]] = []
+        self.iteration_audits: deque[list[tuple[int, int]]] = deque(maxlen=self.ITERATION_HISTORY)
+        self.iteration_plans: deque[list[list[tuple[int, int]]]] = deque(maxlen=self.ITERATION_HISTORY)
         self._digest: str | None = None
 
     # -- setup ---------------------------------------------------------------

@@ -22,6 +22,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class InstanceError(ValueError):
@@ -92,6 +93,15 @@ class ProblemInstance:
                     raise InstanceValidationError(
                         f"widths[{j}][{i}]: {w} outside [1, {machines[i]}] for stage {i}"
                     )
+
+    @cached_property
+    def stage_columns(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+        """Per stage: (processors, durations by job, widths by job).
+
+        Laid out once per instance, so the decoder reads one column per
+        stage instead of indexing every job's row.
+        """
+        return tuple(zip(self.processors_per_stage, zip(*self.durations), zip(*self.widths)))
 
     def total_work(self, job: int) -> int:
         """Sum of the job's durations across all stages."""

@@ -16,7 +16,10 @@ way the outcomes go through the shared prefix reducer
 (``tabu.merge_prefix``): results beyond the first gap or partial block
 are discarded and left for redispatch. A block whose lane failed is
 re-scanned on the calling process with the same deadline before the
-round returns; only a failing re-scan aborts the round.
+round returns; only a failing re-scan aborts the round. A lane process
+that dies breaks the whole pool: its lost blocks are re-scanned the same
+way, and the pool is replaced by a fresh one. If the fresh pool breaks
+before it completes a round, the evaluator scans inline from then on.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, CancelledError, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 
 from .instance import ProblemInstance
 from .neighborhood import NeighborhoodSlice, neighborhood_size
@@ -67,7 +71,8 @@ class LaneEvaluator:
 
     Keep one evaluator alive for a whole search run; per-round inputs
     are cheap to ship, the instance is not re-sent. ``lanes=1`` runs
-    inline with no pool.
+    inline with no pool, and so does an evaluator whose replacement pool
+    broke too.
     """
 
     def __init__(self, instance: ProblemInstance, lanes: int | None = None, scan_fn=None):
@@ -76,11 +81,23 @@ class LaneEvaluator:
         if self.lanes < 1:
             raise ValueError(f"lanes must be >= 1, got {self.lanes}")
         self._scan = scan_fn if scan_fn is not None else scan_slice
+        self._pool = self._new_pool() if self.lanes > 1 else None
+        self._pool_replaced = False  # the pool is a replacement that has not completed a round yet
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=self.lanes, initializer=_lane_init,
+                                   initargs=(self.instance, self._scan))
+
+    def _replace_broken_pool(self):
+        """Shut the broken pool down; start one replacement, or go inline if that broke too."""
+        self._pool.shutdown(wait=True, cancel_futures=True)
         self._pool = None
-        if self.lanes > 1:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.lanes, initializer=_lane_init, initargs=(instance, self._scan)
-            )
+        if not self._pool_replaced:
+            self._pool_replaced = True
+            try:
+                self._pool = self._new_pool()
+            except OSError:
+                pass
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -122,8 +139,9 @@ class LaneEvaluator:
         with lanes > 1, completed blocks beyond the first unfinished one
         are dropped so the prefix guarantee holds. ``deadline`` is an
         absolute time.monotonic() value shared across lanes, or None to
-        evaluate the whole range. A block whose lane raised is re-scanned
-        here; EvaluationError is raised only if that re-scan fails too.
+        evaluate the whole range. A block whose lane raised, or that a
+        broken pool lost, is re-scanned here; EvaluationError is raised
+        only if that re-scan fails too.
         """
         t0 = time.perf_counter()
         if not nslice:
@@ -141,42 +159,60 @@ class LaneEvaluator:
                     nslice.begin + evaluated)
 
         # fine blocks only pay off when a deadline can cut the scan short
-        blocks = self.lanes if deadline is None else self.lanes * 8
-        size = -(-len(nslice) // blocks)
+        count = self.lanes if deadline is None else self.lanes * 8
+        size = -(-len(nslice) // count)
+        blocks = [(begin, min(begin + size, nslice.end)) for begin in range(nslice.begin, nslice.end, size)]
         futures = {}
-        for begin in range(nslice.begin, nslice.end, size):
-            end = min(begin + size, nslice.end)
-            fut = self._pool.submit(_lane_task, ctx.order, ctx.tabu.entries, ctx.incumbent,
-                                    begin, end, deadline, per_move_delay)
-            futures[fut] = (begin, end)
+        broken = False
+        try:
+            for begin, end in blocks:
+                fut = self._pool.submit(_lane_task, ctx.order, ctx.tabu.entries, ctx.incumbent,
+                                        begin, end, deadline, per_move_delay)
+                futures[fut] = (begin, end)
+        except (BrokenProcessPool, OSError):
+            broken = True
+        # blocks the pool refused, or whose lane failed, are scanned here
+        retry = [(begin, end, "lane pool broken") for begin, end in blocks[len(futures):]]
 
         parts = []
         pending = set(futures)
         completed_moves = 0
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                begin, end = futures[fut]
-                try:
-                    best_idx, best_ms, evaluated = fut.result()
-                except CancelledError:
-                    continue
-                except Exception as lane_exc:
+        while retry or pending:
+            if not retry:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    begin, end = futures[fut]
                     try:
-                        best_idx, best_ms, evaluated = scan_here(begin, end)
-                    except Exception as exc:
-                        for other in pending:
-                            other.cancel()
-                        raise EvaluationError(
-                            f"block [{begin}, {end}) failed on its lane ({lane_exc}) and on retry"
-                        ) from exc
+                        best_idx, best_ms, evaluated = fut.result()
+                    except CancelledError:
+                        continue
+                    except Exception as lane_exc:
+                        broken = broken or isinstance(lane_exc, BrokenProcessPool)
+                        retry.append((begin, end, lane_exc))
+                        continue
+                    parts.append((begin, begin + evaluated, best_idx, best_ms))
+                    completed_moves += evaluated
+            for begin, end, cause in retry:
+                try:
+                    best_idx, best_ms, evaluated = scan_here(begin, end)
+                except Exception as exc:
+                    for fut in pending:
+                        fut.cancel()
+                    raise EvaluationError(
+                        f"block [{begin}, {end}) failed on its lane ({cause}) and on retry"
+                    ) from exc
                 parts.append((begin, begin + evaluated, best_idx, best_ms))
                 completed_moves += evaluated
+            retry = []
             if progress is not None:
                 progress(completed_moves / len(nslice))
             if deadline is not None and time.monotonic() >= deadline:
                 for fut in pending:
                     fut.cancel()
 
+        if broken:
+            self._replace_broken_pool()
+        else:
+            self._pool_replaced = False
         frontier, best_idx, best_ms = merge_prefix(parts, nslice.begin)
         return SliceResult(best_idx, best_ms, frontier - nslice.begin, time.perf_counter() - t0), frontier

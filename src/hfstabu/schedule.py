@@ -10,13 +10,25 @@ broken by the lowest processor index. No backfilling: a task is never
 placed before an earlier-dispatched one releases enough capacity.
 
 The decoder is a pure function of (instance, permutation), so schedules
-are reproducible bit for bit. ``evaluate_makespan`` is the lean twin of
-``build_schedule`` used in inner search loops; it computes the same
-completion times without materializing the schedule matrices.
+are reproducible bit for bit. There are two implementations of it, one
+per purpose:
+
+- ``build_schedule`` reports the whole schedule, processor ids
+  included. For each task it orders the stage's processors by
+  (availability, index) and takes the first q.
+- ``evaluate_makespan`` computes only the makespan and is the one used
+  in inner search loops. It keeps each stage's availability times as a
+  sorted multiset. The q-th smallest time is where a task of width q
+  can start, and the q smallest are replaced by its completion time.
+  This is exact because the processors of a stage are identical: which
+  ones a task occupies never affects a later start time, only the
+  multiset of their availability times does. So both decoders give the
+  same completion times.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .instance import ProblemInstance
@@ -41,59 +53,38 @@ def validate_permutation(order, n: int) -> tuple[int, ...]:
 
 
 def evaluate_makespan(inst: ProblemInstance, order) -> int:
-    """Makespan of the decoded schedule, skipping matrix bookkeeping.
+    """Makespan of the decoded schedule, without building the schedule.
 
     Hot path: called once per candidate move during neighborhood
     evaluation. The caller must supply a valid permutation.
+
+    Between stages a job is the single integer ``ready * n + position``,
+    so sorting these keys gives the next stage's dispatch order; stage 0
+    starts from each job's position alone. A stage's processors are the
+    sorted list of their availability times: a task needing q of them
+    starts at max(ready, avail[q - 1]) and replaces the q smallest
+    entries with q copies of its completion time.
     """
-    num_stages = inst.num_stages
-    durations = inst.durations
-    widths = inst.widths
-    machines = inst.processors_per_stage
     n = len(order)
-
-    pos = [0] * n
-    for idx, j in enumerate(order):
-        pos[j] = idx
-    ready = [0] * n
-
-    for i in range(num_stages):
-        mi = machines[i]
+    keys = list(range(n))
+    for mi, dur, width in inst.stage_columns:
         avail = [0] * mi
-        if i == 0:
-            seq = order
-        else:
-            keyed = [(ready[j], pos[j], j) for j in order]
-            keyed.sort()
-            seq = [item[2] for item in keyed]
-        if mi == 1:
-            t = 0
-            for j in seq:
-                r = ready[j]
-                if r > t:
-                    t = r
-                t += durations[j][i]
-                ready[j] = t
-        else:
-            for j in seq:
-                q = widths[j][i]
-                r = ready[j]
-                if q == mi:
-                    t = max(avail)
-                else:
-                    idxs = sorted(range(mi), key=avail.__getitem__)
-                    t = avail[idxs[q - 1]]
-                if r > t:
-                    t = r
-                done = t + durations[j][i]
-                if q == mi:
-                    for c in range(mi):
-                        avail[c] = done
-                else:
-                    for c in idxs[:q]:
-                        avail[c] = done
-                ready[j] = done
-    return max(ready)
+        done_keys = []
+        for key in keys:
+            ready, p = divmod(key, n)
+            j = order[p]
+            q = width[j]
+            t = avail[q - 1]
+            if ready > t:
+                t = ready
+            t += dur[j]
+            del avail[:q]
+            at = bisect_right(avail, t)
+            avail[at:at] = [t] * q
+            done_keys.append(t * n + p)
+        done_keys.sort()
+        keys = done_keys
+    return keys[-1] // n
 
 
 def build_schedule(inst: ProblemInstance, order) -> Schedule:

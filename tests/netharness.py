@@ -1,15 +1,17 @@
-"""Test-side networking helpers: a minimal blocking wire client and
-subprocess worker management."""
+"""Test-side networking helpers: a minimal blocking wire client,
+subprocess worker management, and lane process failure injection."""
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
 import subprocess
 import sys
 import time
+from multiprocessing.connection import wait as wait_for_exit
 
 from hfstabu import protocol
 from hfstabu.instance import ProblemInstance, instance_digest
@@ -134,3 +136,15 @@ def wait_until(predicate, timeout=10.0, interval=0.01):
             return True
         time.sleep(interval)
     return False
+
+
+def kill_lane_child(known) -> int:
+    """SIGKILL one multiprocessing child of this process not in ``known``.
+
+    Waits for the child to exit but leaves reaping it to its owner (the
+    lane pool). Returns the killed pid.
+    """
+    victim = next(p for p in multiprocessing.active_children() if p not in known)
+    os.kill(victim.pid, signal.SIGKILL)
+    assert wait_for_exit([victim.sentinel], timeout=10), "lane child survived SIGKILL"
+    return victim.pid

@@ -1,5 +1,8 @@
 """Independent reference implementations used only by the tests.
 
+``reference_scan`` is the plain form of a neighborhood scan: apply each
+move, decode the full schedule, then apply the tabu and aspiration rule.
+
 The simulator here is an event-queue list scheduler written separately
 from the library decoder: per stage it keeps an arrival queue ordered by
 (ready time, permutation position) and starts the head job whenever
@@ -16,7 +19,8 @@ from fractions import Fraction
 
 from hfstabu.coordinator import CoverageError
 from hfstabu.instance import ProblemInstance
-from hfstabu.schedule import Schedule, evaluate_makespan
+from hfstabu.neighborhood import apply_move, decode_move
+from hfstabu.schedule import Schedule, build_schedule, evaluate_makespan
 
 
 def simulate(inst: ProblemInstance, order):
@@ -105,6 +109,24 @@ def audit_schedule(inst: ProblemInstance, schedule: Schedule):
         assert busy == 0
 
     assert schedule.makespan == max(max(row) for row in schedule.completion)
+
+
+def reference_scan(inst: ProblemInstance, order, tabu_entries, incumbent: int, begin: int, end: int):
+    """(best_index, best_makespan, evaluated) over move indices [begin, end).
+
+    A move that puts its job back at a recorded (job, position) pair is
+    admissible only when it beats the incumbent; ties go to the
+    smallest index.
+    """
+    best_index = best_makespan = None
+    for k in range(begin, end):
+        mv = decode_move(k, len(order))
+        ms = build_schedule(inst, apply_move(order, mv)).makespan
+        if (order[mv.from_pos], mv.to_pos) in tabu_entries and not ms < incumbent:
+            continue
+        if best_makespan is None or ms < best_makespan:
+            best_index, best_makespan = k, ms
+    return best_index, best_makespan, end - begin
 
 
 def exhaustive_optimum(inst: ProblemInstance) -> int:

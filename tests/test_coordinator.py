@@ -260,6 +260,17 @@ def test_graceful_worker_exit_mid_run_redistributes():
             s.shutdown()
 
 
+def test_iteration_history_is_bounded():
+    inst = generate_instance(3, 1, 2, seed=9)
+    iterations = Coordinator.ITERATION_HISTORY + 12
+    with WorkerServer("127.0.0.1", 0, lanes=1) as worker:
+        with Coordinator([worker.address], fast_config()) as coordinator:
+            coordinator.run(inst, SearchParams(iterations=iterations, seed=9))
+            assert len(coordinator.iteration_audits) == Coordinator.ITERATION_HISTORY
+            assert len(coordinator.iteration_plans) == Coordinator.ITERATION_HISTORY
+            assert coordinator.iteration_audits[-1] == [(0, neighborhood_size(3))]
+
+
 def test_timeout_suspect_and_late_sample():
     servers = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(2)]
     for s in servers:

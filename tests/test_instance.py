@@ -109,3 +109,12 @@ def test_total_work():
     inst = ProblemInstance(2, 2, (1, 2), ((2, 3), (4, 1)), ((1, 1), (1, 2)))
     assert inst.total_work(0) == 5
     assert inst.total_work(1) == 5
+
+
+def test_stage_columns_are_the_transposed_rows():
+    inst = ProblemInstance(2, 3, (1, 2, 3), ((1, 2, 3), (4, 5, 6)), ((1, 2, 1), (1, 1, 3)))
+    digest = instance_digest(inst)
+    assert inst.stage_columns == ((1, (1, 4), (1, 1)), (2, (2, 5), (2, 1)), (3, (3, 6), (1, 3)))
+    # the cached layout is not part of the instance's identity
+    assert inst == ProblemInstance(2, 3, (1, 2, 3), ((1, 2, 3), (4, 5, 6)), ((1, 2, 1), (1, 1, 3)))
+    assert instance_digest(inst) == digest

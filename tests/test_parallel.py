@@ -1,15 +1,19 @@
 import multiprocessing
+import os
 import random
+import signal
 import time
 
 import pytest
 
+import hfstabu.parallel
 from hfstabu.instance import generate_instance
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.parallel import EvaluationError, LaneEvaluator
 from hfstabu.tabu import EvalContext, TabuList, evaluate_slice, scan_slice
 from hfstabu.schedule import evaluate_makespan
 
+from netharness import kill_lane_child
 from oracles import random_small_instance
 
 
@@ -88,6 +92,12 @@ def _failing_in_child_scan(inst, order, entries, incumbent, begin, end, deadline
     return scan_slice(inst, order, entries, incumbent, begin, end, deadline, delay)
 
 
+def _dying_in_child_scan(inst, order, entries, incumbent, begin, end, deadline, delay):
+    if multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return scan_slice(inst, order, entries, incumbent, begin, end, deadline, delay)
+
+
 def _always_failing_scan(inst, order, entries, incumbent, begin, end, deadline, delay):
     raise RuntimeError("injected failure everywhere")
 
@@ -116,6 +126,62 @@ def test_unrecoverable_failure_raises():
             evaluator.evaluate(ctx)
         with pytest.raises(EvaluationError):
             evaluator.evaluate_blocks(ctx, whole, time.monotonic() + 60.0)
+
+
+def _full_scan(inst, ctx):
+    return scan_slice(inst, ctx.order, ctx.tabu.entries, ctx.incumbent, 0, neighborhood_size(len(ctx.order)))
+
+
+def test_killed_lane_process_is_replaced():
+    inst = generate_instance(7, 2, 3, seed=5)
+    ctx = make_ctx(inst, seed=2)
+    want = _full_scan(inst, ctx)
+    known = set(multiprocessing.active_children())
+    with LaneEvaluator(inst, 2) as evaluator:
+        evaluator.evaluate(ctx)  # starts the lanes
+        killed = kill_lane_child(known)
+        for _ in range(2):
+            result = evaluator.evaluate(ctx)
+            assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
+        lanes = {p.pid for p in multiprocessing.active_children() if p not in known}
+        assert lanes and killed not in lanes  # a fresh pool is serving
+
+
+def test_lanes_that_keep_dying_fall_back_inline():
+    inst = generate_instance(6, 2, 2, seed=12)
+    ctx = make_ctx(inst)
+    want = _full_scan(inst, ctx)
+    known = set(multiprocessing.active_children())
+    with LaneEvaluator(inst, 2, scan_fn=_dying_in_child_scan) as evaluator:
+        # the first pool and its replacement both die mid-round; then the caller scans alone
+        for _ in range(3):
+            result = evaluator.evaluate(ctx)
+            assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
+        assert evaluator._pool is None
+        assert not [p for p in multiprocessing.active_children() if p not in known]
+
+
+def test_lanes_run_inline_when_pool_cannot_be_replaced(monkeypatch):
+    inst = generate_instance(7, 2, 3, seed=6)
+    ctx = make_ctx(inst, seed=4)
+    whole = NeighborhoodSlice(0, neighborhood_size(7))
+    want = _full_scan(inst, ctx)
+    known = set(multiprocessing.active_children())
+    with LaneEvaluator(inst, 2) as evaluator:
+        evaluator.evaluate(ctx)
+
+        def refuse(*args, **kwargs):
+            raise OSError("no resources for a new pool")
+
+        monkeypatch.setattr(hfstabu.parallel, "ProcessPoolExecutor", refuse)
+        kill_lane_child(known)
+        result = evaluator.evaluate(ctx)
+        assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
+        result, frontier = evaluator.evaluate_blocks(ctx, whole, time.monotonic() + 60.0)
+        assert frontier == len(whole)
+        assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
+        assert evaluator._pool is None
+        assert not [p for p in multiprocessing.active_children() if p not in known]
 
 
 # -- deadline-bounded blocks ----------------------------------------------------------

@@ -65,6 +65,15 @@ def test_lean_twin_agrees_with_full_decoder():
         assert evaluate_makespan(inst, order) == build_schedule(inst, order).makespan
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+def test_lean_twin_agrees_on_30x5(seed):
+    inst = generate_instance(30, 5, 5, seed)
+    rng = random.Random(seed)
+    for _ in range(200):
+        order = rng.sample(range(30), 30)
+        assert evaluate_makespan(inst, order) == build_schedule(inst, order).makespan
+
+
 def test_lower_bounds_hold():
     rng = random.Random(4451)
     for _ in range(100):

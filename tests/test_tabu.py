@@ -16,10 +16,11 @@ from hfstabu.tabu import (
     is_tabu,
     merge_prefix,
     run_search,
+    scan_slice,
     tabu_push,
 )
 
-from oracles import exhaustive_optimum, random_small_instance
+from oracles import exhaustive_optimum, random_small_instance, reference_scan
 
 
 def full_slice(n):
@@ -107,6 +108,32 @@ def test_aspiration_overrides_tabu():
     tabu = TabuList(entries, tenure=4)
     res = evaluate_slice(inst, order, tabu, 10**9, full_slice(2))
     assert res.best_index is not None  # every move beats an infinite incumbent
+
+
+def test_scan_matches_reference_scan():
+    rng = random.Random(2024)
+    seen = set()
+    for trial in range(250):
+        # durations of 1-2 make many processors free at the same time
+        inst = random_small_instance(rng, max_jobs=6, max_stages=3, max_machines=4, min_jobs=2,
+                                     duration_cap=2 if trial % 2 else 9)
+        for i, mi in enumerate(inst.processors_per_stage):
+            if mi == 1:
+                seen.add("mi == 1")
+            elif any(w[i] == mi for w in inst.widths):
+                seen.add("q == mi > 1")
+        n = inst.num_jobs
+        order = tuple(rng.sample(range(n), n))
+        total = neighborhood_size(n)
+        moves = [decode_move(k, n) for k in rng.sample(range(total), min(total, 4))]
+        tabu = tuple((order[mv.from_pos], mv.to_pos) for mv in moves) + ((rng.randrange(n), rng.randrange(n)),)
+        incumbent = evaluate_makespan(inst, order) + rng.randint(-2, 1)
+        begin = rng.randrange(total)
+        for lo, hi in ((0, total), (begin, rng.randint(begin + 1, total))):
+            assert scan_slice(inst, order, tabu, incumbent, lo, hi) == reference_scan(
+                inst, order, tabu, incumbent, lo, hi
+            )
+    assert {"mi == 1", "q == mi > 1"} <= seen
 
 
 def test_partition_independence_small():

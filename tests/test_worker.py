@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 import time
 
@@ -10,7 +11,7 @@ from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.tabu import evaluate_slice
 from hfstabu.worker import LocalBackend, WorkerServer
 
-from netharness import WireClient, empty_tabu
+from netharness import WireClient, empty_tabu, kill_lane_child
 
 INST = generate_instance(8, 3, 3, seed=42)
 DIGEST = instance_digest(INST)
@@ -226,6 +227,30 @@ def test_multi_lane_worker_matches_single_lane():
             local = evaluate_slice(INST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N))
             assert (reply.best_index, reply.best_makespan) == (local.best_index, local.best_makespan)
             assert reply.complete
+
+
+def test_worker_recovers_from_killed_lane():
+    local = evaluate_slice(INST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N))
+    want = (local.best_index, local.best_makespan, N)
+    known = set(multiprocessing.active_children())
+    backend = LocalBackend(lanes=2)
+    with WorkerServer("127.0.0.1", 0, backend=backend) as server:
+        backend.set_problem(INST)
+        outcome = backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 60.0)
+        assert (outcome.best_index, outcome.best_makespan, outcome.moves_evaluated) == want
+        kill_lane_child(known)
+        outcome = backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 60.0)
+        assert (outcome.best_index, outcome.best_makespan, outcome.moves_evaluated) == want
+        assert outcome.complete
+        with WireClient(server.address) as client:
+            client.hello()
+            for kill_after in (True, False):
+                reply, _ = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
+                assert isinstance(reply, protocol.EvalResult)
+                assert (reply.best_index, reply.best_makespan, reply.moves_evaluated) == want
+                if kill_after:
+                    # the replacement pool has served a round; it is replaced again
+                    kill_lane_child(known)
 
 
 def test_problem_cache_eviction():
