@@ -47,7 +47,7 @@ from .coordinator import (
     predict,
     run_distributed_search,
 )
-from .worker import WorkerServer, serve
+from .worker import WorkerServer
 from .superserver import FanoutBackend, serve_as_super_server
 
 __version__ = "0.1.0"
@@ -97,7 +97,6 @@ __all__ = [
     "predict",
     "run_distributed_search",
     "WorkerServer",
-    "serve",
     "FanoutBackend",
     "serve_as_super_server",
 ]

@@ -110,8 +110,7 @@ def cmd_worker(args) -> int:
     if lanes is None:
         env = os.environ.get("HFSTABU_LANES")
         lanes = int(env) if env else None
-    server = WorkerServer(host, port, lanes=lanes, per_move_delay=args.per_move_delay,
-                          progress_updates=args.progress_updates)
+    server = WorkerServer(host, port, lanes=lanes, per_move_delay=args.per_move_delay)
     log.info("worker listening on %s:%d with %d lane(s)", *server.address, server.lanes)
     print(json.dumps({"event": "ready", "host": server.address[0], "port": server.address[1],
                       "lanes": server.lanes}), flush=True)
@@ -180,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lane count (default: HFSTABU_LANES env var, else detected cores)")
     p.add_argument("--per-move-delay", type=float, default=0.0,
                    help="inject a delay into every move evaluation (testing aid)")
-    p.add_argument("--progress-updates", type=int, default=0,
-                   help="PROGRESS frames to emit per evaluation request")
     p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser("bench", help="timing grids; CSV on stdout or --output")

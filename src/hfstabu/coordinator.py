@@ -8,22 +8,37 @@ neighborhood proportionally to the predicted node speeds, dispatches
 one EVAL per node with a deadline derived from the prediction, and
 collects results through per-node proxies feeding one completion queue.
 
-Fault handling: a slice that comes back incomplete, errors out, or
-times out is fed into extra dispatch rounds over the remaining live
-nodes until the whole neighborhood is covered. A node that misses its
-deadline (or drops its connection) becomes suspect and gets one
-reconnect attempt; a second failure marks it dead for the run. A result
-arriving after its deadline is discarded, but its speed measurement is
-still recorded. The accepted intervals go through the shared prefix
-reducer (``tabu.merge_prefix``); they must tile the neighborhood from 0
-to its end, and the chosen move is the argmin by (makespan, move index)
-over them, so any topology and any failure schedule that leaves one
-live node produces exactly the single-machine result.
+The pool talks to nodes one way. ``_connect`` is the only place a
+connection is opened; calibration and evaluation pick their nodes with
+the same ``_ready_nodes``, so a suspect node gets its reconnect before
+CALIBRATE as before EVAL. ``_collect`` is the only reader of the
+completion queue: it resolves each outstanding request as a reply or a
+failure (lost connection, ERROR, EXIT_REPORT, timeout, budget cut) and
+reports replies to requests no longer outstanding as late. Each kind of
+request keeps its own failure policy on top of it:
+
+* CALIBRATE: any failure, or a zero speed, marks the node dead.
+* EVAL: the slice goes back into the queue. EXIT_REPORT marks the node
+  dead, a budget cut marks it suspect (its reply may still be in
+  flight), and any other failure or an inconsistent result is a strike:
+  a node with one strike is suspect and gets one reconnect attempt, a
+  second strike marks it dead for the run. A late result is discarded,
+  but its speed measurement is still recorded.
+
+Failed and incomplete slices are fed into extra dispatch rounds over the
+remaining live nodes until the slice is covered, no node is ready, the
+rounds stop making progress, or the caller's budget runs out. The
+accepted intervals go through the shared prefix reducer
+(``tabu.merge_prefix``); they must tile the neighborhood from 0 to its
+end, and the chosen move is the argmin by (makespan, move index) over
+them, so any topology and any failure schedule that leaves one live node
+produces exactly the single-machine result.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import queue
 import socket
 import threading
@@ -43,6 +58,13 @@ IDLE = "idle"
 BUSY = "busy"
 SUSPECT = "suspect"
 DEAD = "dead"
+
+# how DispatchPool._collect reports a request that got no reply
+LOST = "connection lost"
+ERROR = "remote error"
+EXIT = "exited"
+TIMEOUT = "timed out"
+CUT = "budget cut"
 
 
 class PlanningError(RuntimeError):
@@ -153,11 +175,16 @@ class NodeProxy:
     def connect(self):
         """Open a fresh connection and perform the HELLO handshake.
 
-        Any previous connection is abandoned, not closed: a reply that is
+        The previous connection is abandoned, not closed: a reply that is
         still in flight on it can then be drained and its speed sample
         recorded, even though its slice has already been re-dispatched.
+        Only that newest abandoned connection is kept; older ones are
+        closed here, so reconnecting a node over and over holds at most
+        two of its connections open.
         """
-        self.abandon()
+        _close_all(self._drained)
+        self._drained = [self._sock] if self._sock is not None else []
+        self._sock = None
         sock = socket.create_connection(self.address, timeout=self._config.connect_timeout)
         reader = sock.makefile("rb")
         try:
@@ -205,25 +232,24 @@ class NodeProxy:
             time.sleep(self._config.send_latency)
         self._sock.sendall(protocol.encode(msg))
 
-    def abandon(self):
-        if self._sock is not None:
-            self._drained.append(self._sock)
-            self._sock = None
-
     def disconnect(self):
-        self.abandon()
-        for sock in self._drained:
-            # shutdown() wakes the reader thread even though its makefile
-            # object still references the socket; close() alone would not
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
-        self._drained.clear()
+        _close_all([sock for sock in (*self._drained, self._sock) if sock is not None])
+        self._drained = []
+        self._sock = None
+
+
+def _close_all(sockets):
+    for sock in sockets:
+        # shutdown() wakes the reader thread even though its makefile
+        # object still references the socket; close() alone would not
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            sock.close()
+        except OSError:
+            pass
 
 
 class DispatchPool:
@@ -242,14 +268,22 @@ class DispatchPool:
 
     # -- connection management ----------------------------------------------
 
+    def _connect(self, proxy: NodeProxy) -> bool:
+        """(Re)connect a node and resend the current problem; an unreachable node is dead."""
+        try:
+            proxy.connect()
+            proxy.state = IDLE
+            if self._problem is not None:
+                proxy.send(protocol.SetProblem(proxy.next_rid(), self._problem[0]))
+            return True
+        except (OSError, ConnectionError, protocol.ProtocolError) as exc:
+            log.warning("node %d (%s) unreachable: %s", proxy.node_id, proxy.address, exc)
+            proxy.state = DEAD
+            return False
+
     def connect_all(self):
         for proxy in self.proxies:
-            try:
-                proxy.connect()
-                proxy.state = IDLE
-            except (OSError, ConnectionError, protocol.ProtocolError) as exc:
-                log.warning("node %d (%s) unreachable: %s", proxy.node_id, proxy.address, exc)
-                proxy.state = DEAD
+            self._connect(proxy)
 
     def close(self):
         for proxy in self.proxies:
@@ -263,26 +297,59 @@ class DispatchPool:
         proxy.state = DEAD if proxy.strikes >= 2 else SUSPECT
         log.warning("node %d %s (strike %d -> %s)", proxy.node_id, reason, proxy.strikes, proxy.state)
 
-    def _ready_nodes(self) -> list[NodeProxy]:
-        """Live calibrated nodes with a usable connection; suspects get one reconnect."""
-        ready = []
-        for proxy in self.proxies:
-            if proxy.state == DEAD or proxy.state == BUSY:
+    def _ready_nodes(self, candidates) -> list[NodeProxy]:
+        """The live, idle candidates with a usable connection; a suspect gets one reconnect."""
+        return [p for p in candidates if p.state not in (DEAD, BUSY)
+                and ((p.connected and p.state != SUSPECT) or self._connect(p))]
+
+    # -- the request loop --------------------------------------------------------
+
+    def _collect(self, requests: dict[int, tuple[NodeProxy, float]], cutoff: float = math.inf):
+        """Read the completion queue until every request in ``requests`` is resolved.
+
+        ``requests`` maps rid -> (proxy, absolute deadline), at most one per
+        node, and is emptied. The queue is read with the nearest deadline as
+        its timeout; at ``cutoff`` every request still outstanding is cut.
+        Yields (rid, proxy, reply, failure), one of:
+
+        * a reply (EVAL_RESULT or CALIBRATE_RESULT), failure None;
+        * a failure: reply None and one of LOST, ERROR, EXIT, TIMEOUT, CUT.
+          A lost connection or EXIT_REPORT of a live node with nothing
+          outstanding comes with rid None;
+        * a late reply, whose rid is no longer outstanding: rid None.
+
+        Only a node's current connection can be lost or report its exit; an
+        abandoned connection can deliver nothing but a late reply. PROGRESS
+        and any other message are skipped.
+        """
+        while requests:
+            now = time.monotonic()
+            for rid, (proxy, deadline) in list(requests.items()):
+                if now >= deadline or now >= cutoff:
+                    del requests[rid]
+                    yield rid, proxy, None, TIMEOUT if now >= deadline else CUT
+            if not requests:
+                return
+            wake = min(cutoff, *(deadline for _, deadline in requests.values()))
+            try:
+                kind, node_id, gen, payload = self.inbox.get(timeout=wake - now)
+            except queue.Empty:
                 continue
-            if not self.histories[proxy.node_id].entries:
-                continue  # never calibrated: no speed to plan with
-            if proxy.state == SUSPECT or not proxy.connected:
-                try:
-                    proxy.connect()
-                    proxy.state = IDLE
-                    if self._problem is not None:
-                        proxy.send(protocol.SetProblem(proxy.next_rid(), self._problem[0]))
-                except (OSError, ConnectionError, protocol.ProtocolError) as exc:
-                    log.warning("node %d reconnect failed: %s", proxy.node_id, exc)
-                    proxy.state = DEAD
-                    continue
-            ready.append(proxy)
-        return ready
+            proxy = self.proxies[node_id]
+            if kind == "lost" or isinstance(payload, protocol.ExitReport):
+                failure, why = (LOST, payload) if kind == "lost" else (EXIT, payload.reason)
+                rid = next((r for r, (p, _) in requests.items() if p is proxy), None)
+                if gen == proxy.generation and (rid is not None or proxy.state != DEAD):
+                    requests.pop(rid, None)
+                    log.info("node %d %s: %s", node_id, failure, why)
+                    yield rid, proxy, None, failure
+            elif isinstance(payload, protocol.Error):
+                if requests.pop(payload.rid, None) is not None:
+                    log.info("node %d %s: %s", node_id, ERROR, payload.message)
+                    yield payload.rid, proxy, None, ERROR
+            elif isinstance(payload, (protocol.EvalResult, protocol.CalibrateResult)):
+                outstanding = requests.pop(payload.rid, None) is not None
+                yield payload.rid if outstanding else None, proxy, payload, None
 
     # -- problem transfer and calibration -------------------------------------
 
@@ -299,100 +366,60 @@ class DispatchPool:
         return digest
 
     def calibrate(self, inst: ProblemInstance, budget: float) -> dict[int, float]:
-        """Time-boxed speed measurement on every reachable node, concurrently."""
-        outstanding: dict[int, NodeProxy] = {}
-        candidates = [p for p in self.proxies if p.state not in (DEAD, BUSY)]
-        for proxy in candidates:
-            if not proxy.connected:
-                try:
-                    proxy.connect()
-                    proxy.state = IDLE
-                except (OSError, ConnectionError, protocol.ProtocolError) as exc:
-                    log.warning("node %d unreachable for calibration: %s", proxy.node_id, exc)
-                    proxy.state = DEAD
-                    continue
+        """Time-boxed speed measurement on every ready node, concurrently.
+
+        A node that fails the round in any way, or measures zero speed, is
+        dead for the run.
+        """
+        deadline = time.monotonic() + budget + self.config.calibration_grace
+        requests: dict[int, tuple[NodeProxy, float]] = {}
+        for proxy in self._ready_nodes(self.proxies):
             rid = proxy.next_rid()
             try:
                 proxy.send(protocol.Calibrate(rid, inst, budget))
-            except (OSError, ConnectionError):
-                self._strike(proxy, "send failed during calibration")
+            except (OSError, ConnectionError) as exc:
+                proxy.state = DEAD
+                log.warning("node %d dropped from calibration: send failed: %s", proxy.node_id, exc)
                 continue
             proxy.state = BUSY
-            outstanding[rid] = proxy
+            requests[rid] = (proxy, deadline)
         speeds: dict[int, float] = {}
-        deadline = time.monotonic() + budget + self.config.calibration_grace
-        while outstanding:
-            timeout = deadline - time.monotonic()
-            if timeout <= 0:
-                break
-            try:
-                kind, node_id, gen, payload = self.inbox.get(timeout=timeout)
-            except queue.Empty:
-                break
-            proxy = self.proxies[node_id]
-            if gen != proxy.generation:
-                continue
-            if kind == "lost":
-                for rid, p in list(outstanding.items()):
-                    if p.node_id == node_id:
-                        del outstanding[rid]
-                proxy.state = DEAD
-                log.warning("node %d lost during calibration (%s); dropping it", node_id, payload)
-                continue
-            msg = payload
-            if isinstance(msg, protocol.CalibrateResult) and msg.rid in outstanding:
-                del outstanding[msg.rid]
+        for rid, proxy, reply, failure in self._collect(requests):
+            if rid is None and failure is None:
+                continue  # late reply to an earlier request
+            if isinstance(reply, protocol.CalibrateResult) and reply.speed > 0:
                 proxy.state = IDLE
                 proxy.strikes = 0
-                if msg.speed > 0:
-                    speeds[node_id] = msg.speed
-                    weight = max(1, round(msg.speed * budget))
-                    self.histories[node_id].entries.clear()
-                    self.histories[node_id].record(weight, msg.speed)
-                else:
-                    proxy.state = DEAD
-                    log.warning("node %d calibrated at zero speed; dropping it", node_id)
-            elif isinstance(msg, protocol.Error) and msg.rid in outstanding:
-                del outstanding[msg.rid]
+                speeds[proxy.node_id] = reply.speed
+                history = self.histories[proxy.node_id]
+                history.entries.clear()
+                history.record(max(1, round(reply.speed * budget)), reply.speed)
+            else:
                 proxy.state = DEAD
-                log.warning("node %d failed calibration (%s); dropping it", node_id, msg.message)
-            elif isinstance(msg, protocol.ExitReport):
-                for rid, p in list(outstanding.items()):
-                    if p.node_id == node_id:
-                        del outstanding[rid]
-                proxy.state = DEAD
-                log.info("node %d exited during calibration: %s", node_id, msg.reason)
-        for proxy in outstanding.values():
-            proxy.state = DEAD
-            log.warning("node %d calibration timed out; dropping it", proxy.node_id)
+                log.warning("node %d dropped from calibration: %s", proxy.node_id,
+                            failure or "no speed measured")
         return speeds
 
     # -- the dispatch cycle ----------------------------------------------------
 
-    def cover(self, ranges, ctx_payload, budget_abs: float | None = None, plans_out=None):
-        """Dispatch rounds until the given ranges are fully evaluated.
+    def cover(self, nslice: NeighborhoodSlice, ctx_payload, budget_abs: float, plans_out=None):
+        """Dispatch rounds over ``nslice`` until it is evaluated or the budget passes.
 
-        ``ctx_payload`` is (digest, order, tabu, incumbent). Returns
-        (results, uncovered) where results are accepted evaluated
-        intervals (begin, end, best_index, best_makespan). Without a
-        budget the call either covers everything or raises
-        CoverageError; with ``budget_abs`` (absolute monotonic time) it
-        stops dispatching when the budget runs out and reports what is
-        left as uncovered.
+        ``ctx_payload`` is (digest, order, tabu, incumbent); ``budget_abs``
+        is an absolute time.monotonic() value, ``math.inf`` for no budget.
+        Returns the accepted evaluated intervals (begin, end, best_index,
+        best_makespan). Never raises for want of coverage: it also stops
+        when no node is ready or dispatch rounds stop making progress, and
+        the caller finds the gap with ``tabu.merge_prefix``.
         """
         digest, order, tabu, incumbent = ctx_payload
-        pending = deque((b, e) for b, e in ranges if e > b)
+        pending = deque([(nslice.begin, nslice.end)] if nslice else [])
         results: list[tuple[int, int, int | None, int | None]] = []
         first_range = True
         stalled = 0
-
-        while pending:
-            if budget_abs is not None and time.monotonic() >= budget_abs:
-                break
-            ready = self._ready_nodes()
+        while pending and time.monotonic() < budget_abs and stalled <= len(self.proxies) + 2:
+            ready = self._ready_nodes(p for p in self.proxies if self.histories[p.node_id].entries)
             if not ready:
-                if budget_abs is None:
-                    raise CoverageError("all nodes dead with work remaining")
                 break
             begin, end = pending.popleft()
             if not first_range:
@@ -404,132 +431,73 @@ class DispatchPool:
             if plans_out is not None:
                 plans_out.append([(p.node_id, len(sl)) for p, sl in zip(ready, slices)])
 
-            outstanding: dict[int, tuple[NodeProxy, NeighborhoodSlice, float]] = {}
-            for proxy, speed, nslice in zip(ready, speeds, slices):
-                if not nslice:
+            requests: dict[int, tuple[NodeProxy, float]] = {}
+            sent: dict[int, NeighborhoodSlice] = {}
+            for proxy, speed, part in zip(ready, speeds, slices):
+                if not part:
                     continue
-                deadline = len(nslice) / speed * self.config.deadline_slack + self.config.deadline_floor
-                if budget_abs is not None:
-                    deadline = min(deadline, max(budget_abs - time.monotonic(), 0.05))
+                deadline = min(len(part) / speed * self.config.deadline_slack + self.config.deadline_floor,
+                               max(budget_abs - time.monotonic(), 0.05))
                 rid = proxy.next_rid()
                 try:
-                    proxy.send(protocol.Eval(rid, digest, order, tabu, incumbent, nslice, deadline))
+                    proxy.send(protocol.Eval(rid, digest, order, tabu, incumbent, part, deadline))
                 except (OSError, ConnectionError):
                     self._strike(proxy, "send failed")
-                    pending.append((nslice.begin, nslice.end))
+                    pending.append((part.begin, part.end))
                     continue
                 proxy.state = BUSY
-                outstanding[rid] = (proxy, nslice, time.monotonic() + deadline + self.config.response_grace)
+                requests[rid] = (proxy, time.monotonic() + deadline + self.config.response_grace)
+                sent[rid] = part
 
-            round_moves = self._collect(outstanding, pending, results, budget_abs)
-            if round_moves == 0:
-                stalled += 1
-                if stalled > len(self.proxies) + 2:
-                    if budget_abs is None:
-                        raise CoverageError("no progress over repeated dispatch rounds")
-                    break
-            else:
-                stalled = 0
-        return results, list(pending)
+            round_moves = 0
+            for rid, proxy, reply, failure in self._collect(requests, budget_abs + 0.1):
+                if rid is None and failure is None:
+                    self._record_late(proxy, reply)
+                    continue
+                part = sent.pop(rid, None)  # None: a node failure with nothing outstanding
+                if failure is None and self._result_consistent(reply, part):
+                    round_moves += self._accept(proxy, reply, part, results, pending)
+                    continue
+                if part is not None:
+                    pending.append((part.begin, part.end))
+                if failure == EXIT:
+                    proxy.state = DEAD
+                elif failure == CUT:
+                    proxy.state = SUSPECT  # its reply may still be in flight; reconnect before reuse
+                else:
+                    self._strike(proxy, failure or "inconsistent result")
+            stalled = stalled + 1 if round_moves == 0 else 0
+        return results
 
-    def _collect(self, outstanding, pending, results, budget_abs) -> int:
-        """Drain one round's outstanding requests; returns moves accepted."""
-        round_moves = 0
-        while outstanding:
-            now = time.monotonic()
-            next_deadline = min(item[2] for item in outstanding.values())
-            if budget_abs is not None:
-                next_deadline = min(next_deadline, budget_abs + 0.1)
-            timeout = next_deadline - now
-            msg_item = None
-            if timeout > 0:
-                try:
-                    msg_item = self.inbox.get(timeout=timeout)
-                except queue.Empty:
-                    pass
-            if msg_item is not None:
-                round_moves += self._handle_item(msg_item, outstanding, pending, results)
-            now = time.monotonic()
-            for rid, (proxy, nslice, deadline) in list(outstanding.items()):
-                if now >= deadline:
-                    del outstanding[rid]
-                    pending.append((nslice.begin, nslice.end))
-                    self._strike(proxy, f"timed out on [{nslice.begin},{nslice.end})")
-            if budget_abs is not None and now >= budget_abs + 0.1:
-                for rid, (proxy, nslice, _) in list(outstanding.items()):
-                    del outstanding[rid]
-                    pending.append((nslice.begin, nslice.end))
-                    proxy.state = SUSPECT  # response may still be in flight; reconnect before reuse
-                break
-        return round_moves
-
-    def _handle_item(self, item, outstanding, pending, results) -> int:
-        kind, node_id, gen, payload = item
-        proxy = self.proxies[node_id]
-        stale = gen != proxy.generation
-
-        if kind == "lost":
-            if stale:
-                return 0
-            for rid, (p, nslice, _) in list(outstanding.items()):
-                if p.node_id == node_id:
-                    del outstanding[rid]
-                    pending.append((nslice.begin, nslice.end))
-            if proxy.state != DEAD:
-                self._strike(proxy, f"connection lost: {payload}")
-            return 0
-
-        msg = payload
-        if isinstance(msg, protocol.Progress):
-            log.debug("node %d progress %.2f", node_id, msg.fraction)
-            return 0
-        if isinstance(msg, protocol.ExitReport):
-            for rid, (p, nslice, _) in list(outstanding.items()):
-                if p.node_id == node_id:
-                    del outstanding[rid]
-                    pending.append((nslice.begin, nslice.end))
-            proxy.state = DEAD
-            log.info("node %d reported exit (%s); excluding it", node_id, msg.reason)
-            return 0
-        if isinstance(msg, protocol.Error):
-            entry = outstanding.pop(msg.rid, None)
-            if entry is not None:
-                p, nslice, _ = entry
-                pending.append((nslice.begin, nslice.end))
-                self._strike(p, f"remote error: {msg.message}")
-            return 0
-        if not isinstance(msg, protocol.EvalResult):
-            return 0
-
-        entry = outstanding.pop(msg.rid, None)
-        if entry is None:
-            # answered after its deadline: the slice is being re-covered, keep the measurement
-            self.late_results += 1
-            if msg.moves_evaluated > 0 and msg.speed > 0:
-                self.histories[node_id].record(msg.moves_evaluated, msg.speed)
-            log.info("node %d late result discarded (rid %d)", node_id, msg.rid)
-            return 0
-
-        p, nslice, _ = entry
-        if not self._result_consistent(msg, nslice):
-            pending.append((nslice.begin, nslice.end))
-            self._strike(p, "inconsistent result")
-            return 0
-        accepted_end = nslice.begin + msg.moves_evaluated
+    def _accept(self, proxy: NodeProxy, msg: protocol.EvalResult, nslice: NeighborhoodSlice,
+                results, pending) -> int:
+        """Take a consistent EVAL_RESULT; queue its remaining range. Returns moves accepted."""
         if msg.moves_evaluated > 0:
-            results.append((nslice.begin, accepted_end, msg.best_index, msg.best_makespan))
+            end = nslice.begin + msg.moves_evaluated
+            results.append((nslice.begin, end, msg.best_index, msg.best_makespan))
             if msg.speed > 0:
-                self.histories[node_id].record(msg.moves_evaluated, msg.speed)
-            self.node_moves[node_id] += msg.moves_evaluated
-            self.node_elapsed[node_id] += msg.elapsed
+                self.histories[proxy.node_id].record(msg.moves_evaluated, msg.speed)
+            self.node_moves[proxy.node_id] += msg.moves_evaluated
+            self.node_elapsed[proxy.node_id] += msg.elapsed
         if not msg.complete:
             pending.append((msg.remaining.begin, msg.remaining.end))
-        p.state = IDLE
-        p.strikes = 0
+        proxy.state = IDLE
+        proxy.strikes = 0
         return msg.moves_evaluated
 
+    def _record_late(self, proxy: NodeProxy, msg):
+        """A result that came after its deadline: its slice is being re-covered, keep the measurement."""
+        if not isinstance(msg, protocol.EvalResult):
+            return
+        self.late_results += 1
+        if msg.moves_evaluated > 0 and msg.speed > 0:
+            self.histories[proxy.node_id].record(msg.moves_evaluated, msg.speed)
+        log.info("node %d late result discarded (rid %d)", proxy.node_id, msg.rid)
+
     @staticmethod
-    def _result_consistent(msg: protocol.EvalResult, nslice: NeighborhoodSlice) -> bool:
+    def _result_consistent(msg, nslice: NeighborhoodSlice) -> bool:
+        if not isinstance(msg, protocol.EvalResult):
+            return False
         evaluated_end = nslice.begin + msg.moves_evaluated
         if msg.moves_evaluated > len(nslice):
             return False
@@ -570,7 +538,6 @@ class Coordinator:
         """Connect every node and measure its speed; requires one survivor."""
         inst = generate_instance(self.config.calibration_jobs, self.config.calibration_stages,
                                  self.config.calibration_machines, seed)
-        self.pool.connect_all()
         speeds = self.pool.calibrate(inst, self.config.calibration_budget)
         if not speeds:
             raise CalibrationError("no node completed calibration")
@@ -590,9 +557,8 @@ class Coordinator:
         total = neighborhood_size(len(ctx.order))
         t0 = time.perf_counter()
         plans: list[list[tuple[int, int]]] = []
-        results, _ = self.pool.cover(
-            [(0, total)], (self._digest, ctx.order, ctx.tabu, ctx.incumbent), None, plans_out=plans
-        )
+        ctx_payload = (self._digest, ctx.order, ctx.tabu, ctx.incumbent)
+        results = self.pool.cover(NeighborhoodSlice(0, total), ctx_payload, math.inf, plans_out=plans)
         frontier, best_idx, best_ms = merge_prefix(results, 0)
         if frontier != total:
             raise CoverageError(f"coverage stops at {frontier}, expected {total}")

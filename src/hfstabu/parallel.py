@@ -130,7 +130,6 @@ class LaneEvaluator:
         nslice: NeighborhoodSlice,
         deadline: float | None,
         per_move_delay: float = 0.0,
-        progress=None,
     ) -> tuple[SliceResult, int]:
         """Evaluate as much of [begin, end) as the deadline allows.
 
@@ -153,8 +152,6 @@ class LaneEvaluator:
 
         if self._pool is None:
             best_idx, best_ms, evaluated = scan_here(nslice.begin, nslice.end)
-            if progress is not None:
-                progress(evaluated / len(nslice))
             return (SliceResult(best_idx, best_ms, evaluated, time.perf_counter() - t0),
                     nslice.begin + evaluated)
 
@@ -176,7 +173,6 @@ class LaneEvaluator:
 
         parts = []
         pending = set(futures)
-        completed_moves = 0
         while retry or pending:
             if not retry:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
@@ -191,7 +187,6 @@ class LaneEvaluator:
                         retry.append((begin, end, lane_exc))
                         continue
                     parts.append((begin, begin + evaluated, best_idx, best_ms))
-                    completed_moves += evaluated
             for begin, end, cause in retry:
                 try:
                     best_idx, best_ms, evaluated = scan_here(begin, end)
@@ -202,10 +197,7 @@ class LaneEvaluator:
                         f"block [{begin}, {end}) failed on its lane ({cause}) and on retry"
                     ) from exc
                 parts.append((begin, begin + evaluated, best_idx, best_ms))
-                completed_moves += evaluated
             retry = []
-            if progress is not None:
-                progress(completed_moves / len(nslice))
             if deadline is not None and time.monotonic() >= deadline:
                 for fut in pending:
                     fut.cancel()

@@ -4,7 +4,8 @@ Framing: one UTF-8 JSON object per message, newline-terminated, no
 embedded newlines. Every frame carries a ``type`` and, except for
 EXIT_REPORT, a ``rid`` (request id); replies echo the rid of the request
 they answer. One connection carries at most one outstanding EVAL or
-CALIBRATE at a time; PROGRESS frames may interleave with the reply.
+CALIBRATE at a time. PROGRESS is defined in 1.0 and may interleave with
+the reply; workers no longer send it, and clients ignore it.
 
 Message types and bodies
 ------------------------
@@ -16,7 +17,7 @@ EVAL             digest, order, tabu {entries, tenure}, incumbent,
                  slice [begin, end), deadline (seconds of compute budget)
 EVAL_RESULT      best_index, best_makespan, moves_evaluated, elapsed,
                  speed, complete, remaining [begin, end) when incomplete
-PROGRESS         fraction in [0, 1]
+PROGRESS         fraction in [0, 1]   (not sent; ignored on receipt)
 ERROR            message
 EXIT_REPORT      reason, requests_served, moves_evaluated   (no rid)
 

@@ -21,9 +21,8 @@ import time
 
 from .coordinator import CoordinatorConfig, DispatchPool
 from .instance import ProblemInstance, instance_digest
-from .neighborhood import NeighborhoodSlice
-from .tabu import merge_prefix
-from .worker import EvalOutcome, WorkerServer
+from .tabu import SliceResult, merge_prefix
+from .worker import WorkerServer
 
 log = logging.getLogger(__name__)
 
@@ -37,19 +36,17 @@ class FanoutBackend:
         self._connected = False
         self._lock = threading.Lock()
 
-    def _ensure_connected(self):
+    @property
+    def lanes(self) -> int:
+        # upstream's HELLO asks first; every child is connected once to answer it,
+        # later requests connect (or reconnect) the children they pick
         with self._lock:
             if not self._connected:
                 self.pool.connect_all()
                 self._connected = True
-
-    @property
-    def lanes(self) -> int:
-        self._ensure_connected()
         return sum(p.lanes for p in self.pool.live_nodes())
 
     def set_problem(self, inst: ProblemInstance) -> str:
-        self._ensure_connected()
         digest = instance_digest(inst)
         self._problems[digest] = inst
         self.pool.set_problem(inst)
@@ -59,7 +56,6 @@ class FanoutBackend:
         return digest in self._problems
 
     def calibrate(self, inst: ProblemInstance, budget: float) -> float:
-        self._ensure_connected()
         speeds = self.pool.calibrate(inst, budget)
         if not speeds:
             raise RuntimeError("no child node completed calibration")
@@ -67,33 +63,16 @@ class FanoutBackend:
                  len(speeds), sum(speeds.values()))
         return sum(speeds.values())
 
-    def evaluate(self, digest, order, tabu, incumbent, nslice, deadline, progress=None) -> EvalOutcome:
-        self._ensure_connected()
+    def evaluate(self, digest, order, tabu, incumbent, nslice, deadline) -> tuple[SliceResult, int]:
         if not self.pool.live_nodes():
             raise RuntimeError("all child nodes dead")
         t0 = time.perf_counter()
-        budget_abs = time.monotonic() + deadline
-        results, _ = self.pool.cover(
-            [(nslice.begin, nslice.end)], (digest, order, tabu, incumbent), budget_abs
-        )
-        elapsed = time.perf_counter() - t0
+        results = self.pool.cover(nslice, (digest, order, tabu, incumbent), time.monotonic() + deadline)
         if not results and not self.pool.live_nodes():
             raise RuntimeError("all child nodes dead")
-
         # anything past the contiguous prefix is redispatched upstream
         frontier, best_idx, best_ms = merge_prefix(results, nslice.begin)
-        moves = frontier - nslice.begin
-        complete = frontier >= nslice.end
-        speed = moves / elapsed if elapsed > 0 else 0.0
-        return EvalOutcome(
-            best_idx,
-            best_ms,
-            moves,
-            elapsed,
-            speed,
-            complete,
-            None if complete else NeighborhoodSlice(frontier, nslice.end),
-        )
+        return SliceResult(best_idx, best_ms, frontier - nslice.begin, time.perf_counter() - t0), frontier
 
     def close(self):
         self.pool.close()

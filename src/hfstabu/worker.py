@@ -20,7 +20,6 @@ import logging
 import socket
 import threading
 import time
-from dataclasses import dataclass
 
 from . import protocol
 from .instance import ProblemInstance, instance_digest
@@ -28,22 +27,9 @@ from .neighborhood import NeighborhoodSlice, neighborhood_size
 from .parallel import LaneEvaluator
 from .protocol import PROTOCOL_VERSION
 from .schedule import evaluate_makespan
-from .tabu import EvalContext, TabuList, initial_order, scan_slice
+from .tabu import EvalContext, SliceResult, TabuList, initial_order, scan_slice
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class EvalOutcome:
-    """Backend-level result of one EVAL request."""
-
-    best_index: int | None
-    best_makespan: int | None
-    moves_evaluated: int
-    elapsed: float
-    speed: float
-    complete: bool
-    remaining: NeighborhoodSlice | None
 
 
 class LocalBackend:
@@ -88,25 +74,12 @@ class LocalBackend:
         with self._lock:
             return digest in self._problems
 
-    def evaluate(self, digest, order, tabu: TabuList, incumbent, nslice, deadline, progress=None) -> EvalOutcome:
+    def evaluate(self, digest, order, tabu: TabuList, incumbent, nslice, deadline) -> tuple[SliceResult, int]:
+        """Evaluate as much of ``nslice`` as ``deadline`` seconds allow: (result, prefix end)."""
         with self._lock:
             inst, evaluator = self._problems[digest]
-        ctx = EvalContext(inst, order, tabu, incumbent)
-        t0 = time.perf_counter()
-        abs_deadline = time.monotonic() + deadline
-        result, frontier = evaluator.evaluate_blocks(ctx, nslice, abs_deadline, self.per_move_delay, progress)
-        elapsed = time.perf_counter() - t0
-        complete = frontier >= nslice.end
-        speed = result.moves_evaluated / elapsed if elapsed > 0 else 0.0
-        return EvalOutcome(
-            result.best_index,
-            result.best_makespan,
-            result.moves_evaluated,
-            elapsed,
-            speed,
-            complete,
-            None if complete else NeighborhoodSlice(frontier, nslice.end),
-        )
+        return evaluator.evaluate_blocks(EvalContext(inst, order, tabu, incumbent), nslice,
+                                         time.monotonic() + deadline, self.per_move_delay)
 
     def calibrate(self, inst: ProblemInstance, budget: float) -> float:
         """Measure this host's evaluation speed in moves/second.
@@ -146,16 +119,11 @@ class LocalBackend:
 
 
 class WorkerServer:
-    """TCP daemon speaking the line-JSON protocol.
-
-    ``progress_updates`` > 0 makes EVAL handling emit that many PROGRESS
-    frames per request (at evenly spaced completion fractions).
-    """
+    """TCP daemon speaking the line-JSON protocol."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, lanes: int | None = None,
-                 per_move_delay: float = 0.0, progress_updates: int = 0, backend=None):
+                 per_move_delay: float = 0.0, backend=None):
         self._backend = backend if backend is not None else LocalBackend(lanes, per_move_delay)
-        self.progress_updates = progress_updates
         self._listener = socket.create_server((host, port))
         self._listener.settimeout(0.25)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
@@ -323,54 +291,24 @@ class WorkerServer:
             if not self._backend.has_problem(msg.digest):
                 send(protocol.Error(msg.rid, "unknown problem"))
                 return True
-            progress = self._progress_emitter(msg.rid, send)
             with self._eval_lock:
                 try:
-                    outcome = self._backend.evaluate(msg.digest, msg.order, msg.tabu, msg.incumbent,
-                                                     msg.nslice, msg.deadline, progress)
+                    result, frontier = self._backend.evaluate(msg.digest, msg.order, msg.tabu, msg.incumbent,
+                                                              msg.nslice, msg.deadline)
                 except Exception as exc:
                     send(protocol.Error(msg.rid, f"evaluation failed: {exc}"))
                     return True
             with self._stats_lock:
                 self.requests_served += 1
-                self.moves_evaluated += outcome.moves_evaluated
+                self.moves_evaluated += result.moves_evaluated
+            complete = frontier >= msg.nslice.end
             log.info("EVAL [%d,%d) moves=%d complete=%s %.3fs",
-                     msg.nslice.begin, msg.nslice.end, outcome.moves_evaluated,
-                     outcome.complete, outcome.elapsed)
-            send(protocol.EvalResult(msg.rid, outcome.best_index, outcome.best_makespan,
-                                     outcome.moves_evaluated, outcome.elapsed, outcome.speed,
-                                     outcome.complete, outcome.remaining))
+                     msg.nslice.begin, msg.nslice.end, result.moves_evaluated, complete, result.elapsed)
+            speed = result.moves_evaluated / result.elapsed if result.elapsed > 0 else 0.0
+            send(protocol.EvalResult(msg.rid, result.best_index, result.best_makespan, result.moves_evaluated,
+                                     result.elapsed, speed, complete,
+                                     None if complete else NeighborhoodSlice(frontier, msg.nslice.end)))
             return True
 
         send(protocol.Error(getattr(msg, "rid", 0) or 0, f"unexpected message type {msg.TYPE}"))
         return True
-
-    def _progress_emitter(self, rid, send):
-        if self.progress_updates < 1:
-            return None
-        steps = self.progress_updates
-        sent = [0]
-
-        def emit(fraction):
-            while sent[0] < steps and fraction >= (sent[0] + 1) / steps:
-                sent[0] += 1
-                send(protocol.Progress(rid, sent[0] / steps))
-
-        return emit
-
-
-def serve(host: str, port: int, lanes: int | None = None, on_start=None, **kwargs):
-    """Blocking convenience wrapper: construct a WorkerServer and serve forever.
-
-    ``on_start`` receives the server once it is listening (useful for
-    embedders that need the bound address or a shutdown handle).
-    """
-    server = WorkerServer(host, port, lanes, **kwargs)
-    server.start()
-    if on_start is not None:
-        on_start(server)
-    try:
-        server.serve_forever()
-    finally:
-        server.shutdown()
-    return server

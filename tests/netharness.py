@@ -59,14 +59,9 @@ class WireClient:
         rid = self.next_rid()
         self.send(protocol.Eval(rid, digest, tuple(order), tabu, incumbent,
                                 NeighborhoodSlice(begin, end), deadline))
-        progress = []
-        while True:
-            reply = self.recv()
-            if isinstance(reply, protocol.Progress):
-                progress.append(reply)
-                continue
-            assert getattr(reply, "rid", None) == rid, f"unexpected reply {reply}"
-            return reply, progress
+        reply = self.recv()
+        assert getattr(reply, "rid", None) == rid, f"unexpected reply {reply}"
+        return reply
 
     def calibrate(self, inst, budget):
         rid = self.next_rid()

@@ -1,8 +1,11 @@
 import random
+import socket
+import threading
 import time
 
 import pytest
 
+from hfstabu import protocol
 from hfstabu.coordinator import (
     CalibrationError,
     Coordinator,
@@ -16,6 +19,7 @@ from hfstabu.coordinator import (
 )
 from hfstabu.instance import generate_instance
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
+from hfstabu.protocol import PROTOCOL_VERSION
 from hfstabu.tabu import EvalContext, SearchParams, TabuList, evaluate_slice, run_search
 from hfstabu.schedule import evaluate_makespan
 from hfstabu.worker import WorkerServer
@@ -161,6 +165,63 @@ def test_calibrate_marks_unreachable_node_dead():
             coordinator.close()
 
 
+class FaultyNode:
+    """A node that completes the HELLO handshake, then fails its CALIBRATE as told."""
+
+    def __init__(self, fault: str):
+        self.fault = fault
+        self.release = threading.Event()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()[:2]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        conn, _ = self._listener.accept()
+        with conn, conn.makefile("rb") as reader:
+            for line in reader:
+                msg = protocol.decode(line)
+                if isinstance(msg, protocol.Hello):
+                    conn.sendall(protocol.encode(protocol.Hello(msg.rid, PROTOCOL_VERSION, 1)))
+                elif isinstance(msg, protocol.Calibrate):
+                    break
+            else:
+                return  # closed before calibration
+            if self.fault == "error":
+                conn.sendall(protocol.encode(protocol.Error(msg.rid, "calibration failed: boom")))
+            elif self.fault == "exit":
+                conn.sendall(protocol.encode(protocol.ExitReport("maintenance", 0, 0)))
+            elif self.fault == "zero speed":
+                conn.sendall(protocol.encode(protocol.CalibrateResult(msg.rid, 0.0)))
+            elif self.fault == "silent":
+                self.release.wait(timeout=30)
+            # "drop": leaving this block closes the connection
+
+    def close(self):
+        self.release.set()
+        self._listener.close()
+        self._thread.join(timeout=5)
+
+
+@pytest.mark.parametrize("fault", ["error", "drop", "exit", "silent", "zero speed"])
+def test_calibration_failure_marks_node_dead(fault):
+    faulty = FaultyNode(fault)
+    with WorkerServer("127.0.0.1", 0, lanes=1) as healthy:
+        # "silent" answers nothing within calibration_budget + calibration_grace
+        coordinator = Coordinator([healthy.address, faulty.address], fast_config(calibration_grace=1.0))
+        try:
+            speeds = coordinator.calibrate(seed=5)
+            assert set(speeds) == {0} and speeds[0] > 0
+            assert coordinator.pool.proxies[0].state == "idle"
+            assert len(coordinator.pool.histories[0].entries) == 1
+            assert coordinator.pool.proxies[1].state == "dead"
+            assert not coordinator.pool.histories[1].entries
+        finally:
+            coordinator.close()
+            faulty.close()
+    assert not faulty._thread.is_alive()
+
+
 def test_calibration_instance_deterministic():
     cfg = fast_config()
     a = generate_instance(cfg.calibration_jobs, cfg.calibration_stages, cfg.calibration_machines, 99)
@@ -296,13 +357,12 @@ def test_timeout_suspect_and_late_sample():
         want = sequential_reference(ctx)
         assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
         verify_exact_cover([(b, e, None, None) for b, e in coordinator.iteration_audits[0]], 0, N)
-        # the timed-out node's answer eventually lands and its sample is kept
+        # the timed-out node's answer eventually lands, and a later evaluation reads it as late
         deadline = time.monotonic() + 5.0
         while coordinator.pool.late_results == 0 and time.monotonic() < deadline:
             time.sleep(0.05)
-            coordinator.pool.inbox.qsize()  # reader threads push independently
-            while not coordinator.pool.inbox.empty():
-                coordinator.pool._handle_item(coordinator.pool.inbox.get(), {}, [], [])
+            got = coordinator.evaluate(ctx)
+            assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
         assert coordinator.pool.late_results >= 1
     finally:
         coordinator.close()

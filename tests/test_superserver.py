@@ -7,7 +7,7 @@ from hfstabu.superserver import FanoutBackend, serve_as_super_server
 from hfstabu.tabu import SearchParams, evaluate_slice, run_search
 from hfstabu.worker import WorkerServer
 
-from netharness import WireClient, empty_tabu
+from netharness import WireClient, empty_tabu, wait_until
 
 INST = generate_instance(8, 3, 3, seed=42)
 DIGEST = instance_digest(INST)
@@ -41,7 +41,7 @@ def test_super_server_answers_like_its_children():
             calib = client.calibrate(generate_instance(6, 2, 2, seed=1), 0.2)
             assert calib.speed > 0
             client.set_problem(INST)
-            reply, _ = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 120.0)
+            reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 120.0)
             local = evaluate_slice(INST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N))
             assert (reply.best_index, reply.best_makespan) == (local.best_index, local.best_makespan)
             assert reply.complete and reply.moves_evaluated == N
@@ -168,10 +168,30 @@ def test_super_with_all_children_dead_errors_upstream():
             client.calibrate(generate_instance(6, 2, 2, seed=1), 0.15)
             client.set_problem(INST)
             w.shutdown(reason="gone")
-            reply, _ = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 10.0)
+            reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 10.0)
             from hfstabu import protocol
 
             assert isinstance(reply, protocol.Error)
     finally:
         sup.shutdown()
         w.shutdown()
+
+
+def test_reconnects_keep_at_most_one_abandoned_socket():
+    child = WorkerServer("127.0.0.1", 0, lanes=1)
+    child.start()
+    # replies are read 0.15 s late, so every 0.03 s evaluation is cut by its
+    # budget and the child is reconnected before the next one
+    backend = FanoutBackend([child.address], fast_config(recv_latency=0.15))
+    try:
+        backend.calibrate(generate_instance(6, 2, 2, seed=1), 0.15)
+        backend.set_problem(INST)
+        proxy = backend.pool.proxies[0]
+        for _ in range(8):
+            backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 0.03)
+            assert len(proxy._drained) <= 1
+        assert proxy.generation >= 8
+        assert wait_until(lambda: len(child._conns) <= 2)
+    finally:
+        backend.close()
+        child.shutdown()

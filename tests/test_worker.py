@@ -45,7 +45,7 @@ def test_version_major_mismatch_refused(server):
 def test_eval_unknown_digest(server):
     with WireClient(server.address) as client:
         client.hello()
-        reply, _ = client.eval("0" * 64, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
+        reply = client.eval("0" * 64, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
         assert isinstance(reply, protocol.Error)
         assert "unknown problem" in reply.message
 
@@ -60,7 +60,7 @@ def test_loopback_transparency(server):
             end = rng.randint(begin + 1, N)
             order = tuple(rng.sample(range(8), 8))
             incumbent = rng.randint(1, 500)
-            reply, _ = client.eval(DIGEST, order, empty_tabu(), incumbent, begin, end, 60.0)
+            reply = client.eval(DIGEST, order, empty_tabu(), incumbent, begin, end, 60.0)
             assert isinstance(reply, protocol.EvalResult)
             local = evaluate_slice(INST, order, empty_tabu(), incumbent, NeighborhoodSlice(begin, end))
             assert (reply.best_index, reply.best_makespan) == (local.best_index, local.best_makespan)
@@ -72,7 +72,7 @@ def test_generous_deadline_completes(server):
     with WireClient(server.address) as client:
         client.hello()
         client.set_problem(INST)
-        reply, _ = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 120.0)
+        reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 120.0)
         assert reply.complete is True
         assert reply.remaining is None
         assert reply.moves_evaluated == N
@@ -85,7 +85,7 @@ def test_zero_deadline_returns_everything_as_remaining(server):
     with WireClient(server.address) as client:
         client.hello()
         client.set_problem(INST)
-        reply, _ = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 0.0)
+        reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 0.0)
         assert reply.complete is False
         assert reply.moves_evaluated == 0
         assert (reply.remaining.begin, reply.remaining.end) == (0, N)
@@ -97,7 +97,7 @@ def test_deadline_prefix_soundness_and_equivalence():
         with WireClient(server.address) as client:
             client.hello()
             client.set_problem(INST)
-            reply, _ = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 0.05)
+            reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 0.05)
             assert reply.complete is False
             assert 0 < reply.moves_evaluated < N
             # evaluated prefix and remaining tile the requested slice exactly
@@ -115,23 +115,11 @@ def test_deadline_compliance():
             client.set_problem(INST)
             deadline = 0.08
             t0 = time.monotonic()
-            reply, _ = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, deadline)
+            reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, deadline)
             wall = time.monotonic() - t0
             assert reply.complete is False
             # deadline + one move's evaluation time + protocol latency
             assert wall < deadline + 0.15
-
-
-def test_progress_frames_emitted():
-    with WorkerServer("127.0.0.1", 0, lanes=1, progress_updates=4) as server:
-        with WireClient(server.address) as client:
-            client.hello()
-            client.set_problem(INST)
-            reply, progress = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
-            assert reply.complete
-            fractions = [p.fraction for p in progress]
-            assert fractions == sorted(fractions)
-            assert fractions and fractions[-1] == pytest.approx(1.0)
 
 
 def test_calibrate_positive_speed(server):
@@ -194,7 +182,7 @@ def test_protocol_error_closes_only_that_connection(server):
             bad.recv()
         # the other connection keeps working
         good.set_problem(INST)
-        reply, _ = good.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, 10, 60.0)
+        reply = good.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, 10, 60.0)
         assert isinstance(reply, protocol.EvalResult)
     finally:
         bad.close()
@@ -223,7 +211,7 @@ def test_multi_lane_worker_matches_single_lane():
         with WireClient(server.address) as client:
             client.hello()
             client.set_problem(INST)
-            reply, _ = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 120.0)
+            reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 120.0)
             local = evaluate_slice(INST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N))
             assert (reply.best_index, reply.best_makespan) == (local.best_index, local.best_makespan)
             assert reply.complete
@@ -236,16 +224,16 @@ def test_worker_recovers_from_killed_lane():
     backend = LocalBackend(lanes=2)
     with WorkerServer("127.0.0.1", 0, backend=backend) as server:
         backend.set_problem(INST)
-        outcome = backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 60.0)
-        assert (outcome.best_index, outcome.best_makespan, outcome.moves_evaluated) == want
+        result, _ = backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 60.0)
+        assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
         kill_lane_child(known)
-        outcome = backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 60.0)
-        assert (outcome.best_index, outcome.best_makespan, outcome.moves_evaluated) == want
-        assert outcome.complete
+        result, frontier = backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 60.0)
+        assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
+        assert frontier == N
         with WireClient(server.address) as client:
             client.hello()
             for kill_after in (True, False):
-                reply, _ = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
+                reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
                 assert isinstance(reply, protocol.EvalResult)
                 assert (reply.best_index, reply.best_makespan, reply.moves_evaluated) == want
                 if kill_after:
@@ -261,27 +249,3 @@ def test_problem_cache_eviction():
     assert not backend.has_problem(digests[0])  # oldest evicted
     assert all(backend.has_problem(d) for d in digests[1:])
     backend.close()
-
-
-def test_blocking_serve_wrapper():
-    import threading
-
-    from hfstabu.worker import serve
-
-    started = threading.Event()
-    box = {}
-
-    def capture(server):
-        box["server"] = server
-        started.set()
-
-    thread = threading.Thread(target=serve, args=("127.0.0.1", 0, 1),
-                              kwargs={"on_start": capture}, daemon=True)
-    thread.start()
-    assert started.wait(timeout=5)
-    server = box["server"]
-    with WireClient(server.address) as client:
-        assert client.hello().lanes == 1
-    server.shutdown()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
