@@ -44,7 +44,7 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import protocol
 from .instance import ProblemInstance, generate_instance, instance_digest
@@ -79,24 +79,36 @@ class CoverageError(RuntimeError):
     """The neighborhood could not be fully covered."""
 
 
-@dataclass
 class NodePerfHistory:
-    """Per-node measurement log of (moves completed, speed) pairs."""
+    """Per-node (moves completed, speed) measurements, kept as running totals.
 
-    entries: list[tuple[int, float]] = field(default_factory=list)
+    It holds the number of measurements, their summed moves and their
+    summed moves * speed, added in record order. So its size is constant
+    however long the run, ``predict`` costs the same after any number of
+    records, and its value is the left-to-right weighted sum over every
+    measurement.
+    """
+
+    def __init__(self, entries=()):
+        self.count = 0
+        self.moves = 0
+        self.weighted = 0
+        for moves, speed in entries:
+            self.record(moves, speed)
 
     def record(self, moves: int, speed: float):
         if moves <= 0 or speed <= 0:
             raise ValueError(f"history entries need moves > 0 and speed > 0, got ({moves}, {speed})")
-        self.entries.append((moves, speed))
+        self.count += 1
+        self.moves += moves
+        self.weighted += moves * speed
 
 
 def predict(history: NodePerfHistory) -> float:
     """Weighted average speed; each measurement is weighted by its move count."""
-    if not history.entries:
+    if not history.count:
         raise ValueError("empty performance history; calibrate first")
-    weight = sum(n for n, _ in history.entries)
-    return sum(n * p for n, p in history.entries) / weight
+    return history.weighted / history.moves
 
 
 def plan_partition(speeds, total: int, begin: int = 0) -> list[NeighborhoodSlice]:
@@ -391,9 +403,8 @@ class DispatchPool:
                 proxy.state = IDLE
                 proxy.strikes = 0
                 speeds[proxy.node_id] = reply.speed
-                history = self.histories[proxy.node_id]
-                history.entries.clear()
-                history.record(max(1, round(reply.speed * budget)), reply.speed)
+                moves = max(1, round(reply.speed * budget))
+                self.histories[proxy.node_id] = NodePerfHistory([(moves, reply.speed)])
             else:
                 proxy.state = DEAD
                 log.warning("node %d dropped from calibration: %s", proxy.node_id,
@@ -418,7 +429,7 @@ class DispatchPool:
         first_range = True
         stalled = 0
         while pending and time.monotonic() < budget_abs and stalled <= len(self.proxies) + 2:
-            ready = self._ready_nodes(p for p in self.proxies if self.histories[p.node_id].entries)
+            ready = self._ready_nodes(p for p in self.proxies if self.histories[p.node_id].count)
             if not ready:
                 break
             begin, end = pending.popleft()
@@ -584,7 +595,7 @@ class Coordinator:
                 "state": proxy.state,
                 "moves": moves,
                 "busy_seconds": round(elapsed, 6),
-                "mean_speed": predict(history) if history.entries else 0.0,
+                "mean_speed": predict(history) if history.count else 0.0,
             }
         return stats
 

@@ -103,6 +103,19 @@ class ProblemInstance:
         """
         return tuple(zip(self.processors_per_stage, zip(*self.durations), zip(*self.widths)))
 
+    @cached_property
+    def stage_tails(self) -> tuple[tuple[int, ...], ...]:
+        """Per stage: each job's summed durations at the later stages, by job.
+
+        A task that completes at t at stage i ends its job no earlier
+        than t + stage_tails[i][job], which bounds the makespan from
+        below. Laid out once per instance, like ``stage_columns``.
+        """
+        tails = [(0,) * self.num_jobs]
+        for dur in reversed(tuple(zip(*self.durations))[1:]):
+            tails.append(tuple(map(int.__add__, tails[-1], dur)))
+        return tuple(reversed(tails))
+
     def total_work(self, job: int) -> int:
         """Sum of the job's durations across all stages."""
         return sum(self.durations[job])

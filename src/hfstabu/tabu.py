@@ -11,13 +11,14 @@ bit-reproducible no matter how the neighborhood was partitioned.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
 
 from .instance import ProblemInstance
 from .neighborhood import Move, NeighborhoodSlice, apply_move, decode_move, neighborhood_size
-from .schedule import evaluate_makespan
+from .schedule import evaluate_makespan, insertion_decoder
 
 
 @dataclass(frozen=True)
@@ -88,14 +89,23 @@ def scan_slice(
     index. ``deadline`` is an absolute time.monotonic() value; the scan
     stops at a move boundary once it passes, so the evaluated portion is
     always the prefix [begin, begin + evaluated).
+
+    Moves with the same ``from_pos`` are contiguous in the index space,
+    so each group shares one ``schedule.insertion_decoder``. Each move
+    is decoded against the bound that decides it: the best makespan so
+    far, or for a tabu move that or the incumbent, whichever is smaller.
+    A move whose makespan reaches that bound cannot be chosen: it does
+    not beat the current best, which has a smaller index and wins the
+    tie, and a tabu one does not beat the incumbent either. So stopping
+    its decode there changes no result, and it still counts as
+    evaluated.
     """
-    n = len(order)
-    base = list(order)
     tabu_set = set(tabu_entries)
     best_idx: int | None = None
-    best_ms: int | None = None
+    best_ms = math.inf
     evaluated = 0
-    span = n - 1
+    span = len(order) - 1
+    group = None
     monotonic = time.monotonic
     sleep = time.sleep
     for k in range(begin, end):
@@ -104,18 +114,20 @@ def scan_slice(
         if per_move_delay:
             sleep(per_move_delay)
         from_pos, r = divmod(k, span)
+        if from_pos != group:
+            group = from_pos
+            job = order[from_pos]
+            makespan_below = insertion_decoder(inst, order, from_pos)
         to_pos = r if r < from_pos else r + 1
-        cand = base.copy()
-        job = cand.pop(from_pos)
-        cand.insert(to_pos, job)
-        ms = evaluate_makespan(inst, cand)
         evaluated += 1
-        if (job, to_pos) in tabu_set and ms >= incumbent:
-            continue
-        if best_ms is None or ms < best_ms:
+        bound = best_ms
+        if (job, to_pos) in tabu_set and incumbent < bound:
+            bound = incumbent
+        ms = makespan_below(to_pos, bound)
+        if ms is not None and ms < bound:
             best_idx = k
             best_ms = ms
-    return best_idx, best_ms, evaluated
+    return best_idx, None if best_idx is None else best_ms, evaluated
 
 
 def evaluate_slice(

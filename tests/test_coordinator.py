@@ -80,6 +80,25 @@ def test_history_rejects_non_positive():
         history.record(5, 0.0)
 
 
+def test_history_size_is_constant_and_predict_is_the_left_to_right_sum():
+    rng = random.Random(11)
+    history = NodePerfHistory([(100, 10.0)])
+    fields = set(vars(history))
+    for _ in range(10_000):
+        history.record(rng.randint(1, 1000), rng.uniform(0.1, 1e5))
+    # running totals only: no attribute appears, and none is a container that grows
+    assert set(vars(history)) == fields
+    assert all(isinstance(value, (int, float)) for value in vars(history).values())
+    assert history.count == 10_001
+    for _ in range(200):
+        entries = [(rng.randint(1, 10**6), rng.uniform(1e-3, 1e6)) for _ in range(rng.randint(1, 60))]
+        weight = weighted = 0
+        for moves, speed in entries:
+            weight += moves
+            weighted += moves * speed
+        assert predict(NodePerfHistory(entries)) == weighted / weight
+
+
 # -- partition planning -----------------------------------------------------------
 
 
@@ -143,9 +162,8 @@ def test_calibrate_initializes_histories():
             assert set(speeds) == {0, 1}
             assert all(v > 0 for v in speeds.values())
             for history in coordinator.pool.histories.values():
-                assert len(history.entries) == 1
-                moves, speed = history.entries[0]
-                assert moves > 0 and speed > 0
+                assert history.count == 1
+                assert history.moves > 0 and predict(history) > 0
         finally:
             coordinator.close()
 
@@ -213,9 +231,9 @@ def test_calibration_failure_marks_node_dead(fault):
             speeds = coordinator.calibrate(seed=5)
             assert set(speeds) == {0} and speeds[0] > 0
             assert coordinator.pool.proxies[0].state == "idle"
-            assert len(coordinator.pool.histories[0].entries) == 1
+            assert coordinator.pool.histories[0].count == 1
             assert coordinator.pool.proxies[1].state == "dead"
-            assert not coordinator.pool.histories[1].entries
+            assert not coordinator.pool.histories[1].count
         finally:
             coordinator.close()
             faulty.close()

@@ -115,6 +115,9 @@ def test_stage_columns_are_the_transposed_rows():
     inst = ProblemInstance(2, 3, (1, 2, 3), ((1, 2, 3), (4, 5, 6)), ((1, 2, 1), (1, 1, 3)))
     digest = instance_digest(inst)
     assert inst.stage_columns == ((1, (1, 4), (1, 1)), (2, (2, 5), (2, 1)), (3, (3, 6), (1, 3)))
+    # each job's work at the stages after this one
+    assert inst.stage_tails == ((5, 11), (3, 6), (0, 0))
+    assert ProblemInstance(2, 1, (1,), ((7,), (9,)), ((1,), (1,))).stage_tails == ((0, 0),)
     # the cached layout is not part of the instance's identity
     assert inst == ProblemInstance(2, 3, (1, 2, 3), ((1, 2, 3), (4, 5, 6)), ((1, 2, 1), (1, 1, 3)))
     assert instance_digest(inst) == digest

@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 
 from hfstabu.instance import ProblemInstance, generate_instance
-from hfstabu.schedule import Schedule, build_schedule, evaluate_makespan, lower_bound, makespan
+from hfstabu.neighborhood import Move, apply_move
+from hfstabu.schedule import Schedule, build_schedule, evaluate_makespan, insertion_decoder, lower_bound, makespan
 
 from oracles import audit_schedule, random_small_instance, simulate
 
@@ -72,6 +74,31 @@ def test_lean_twin_agrees_on_30x5(seed):
     for _ in range(200):
         order = rng.sample(range(30), 30)
         assert evaluate_makespan(inst, order) == build_schedule(inst, order).makespan
+
+
+def test_insertion_decoder_matches_full_decodes():
+    rng = random.Random(31)
+    seen = set()
+    for trial in range(300):
+        # durations of 1-2 make many tasks ready, and processors free, at the same time
+        inst = random_small_instance(rng, max_jobs=12, max_stages=5, max_machines=4, min_jobs=2,
+                                     duration_cap=2 if trial % 2 else 30)
+        n = inst.num_jobs
+        seen.update(name for name, hit in (("n == 2", n == 2), ("one stage", inst.num_stages == 1),
+                                           ("mi == 1", 1 in inst.processors_per_stage)) if hit)
+        order = tuple(rng.sample(range(n), n))
+        for from_pos in range(n):
+            makespan_below = insertion_decoder(inst, order, from_pos)
+            for to_pos in range(n):
+                if to_pos == from_pos:
+                    continue
+                exact = evaluate_makespan(inst, apply_move(order, Move(from_pos, to_pos)))
+                assert makespan_below(to_pos, math.inf) == exact
+                bound = exact + rng.randint(-3, 3)
+                got = makespan_below(to_pos, bound)
+                # exact below the bound; at or above it, either exact or stopped
+                assert got == exact or (got is None and exact >= bound)
+    assert seen == {"n == 2", "one stage", "mi == 1"}
 
 
 def test_lower_bounds_hold():

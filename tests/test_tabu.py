@@ -1,9 +1,10 @@
 import random
+import time
 
 import pytest
 
 from hfstabu.instance import ProblemInstance, generate_instance
-from hfstabu.neighborhood import Move, NeighborhoodSlice, apply_move, decode_move, neighborhood_size
+from hfstabu.neighborhood import Move, NeighborhoodSlice, apply_move, decode_move, encode_move, neighborhood_size
 from hfstabu.schedule import build_schedule, evaluate_makespan
 from hfstabu.tabu import (
     EvalContext,
@@ -134,6 +135,72 @@ def test_scan_matches_reference_scan():
                 inst, order, tabu, incumbent, lo, hi
             )
     assert {"mi == 1", "q == mi > 1"} <= seen
+
+
+def _trajectory_contexts(inst, iterations):
+    contexts = []
+
+    def record(ctx):
+        contexts.append(ctx)
+        return sequential_evaluator(ctx)
+
+    run_search(inst, SearchParams(iterations=iterations, seed=1), record)
+    return contexts
+
+
+def _inner(rng, group, span):
+    """A move index strictly inside the from-position group ``group``."""
+    return group * span + rng.randint(1, span - 1)
+
+
+def test_scan_matches_reference_on_a_search_trajectory():
+    # contexts of a real search: the tabu entries are moves the search made
+    inst = generate_instance(10, 5, 5, seed=1)
+    n, span = 10, 9
+    total = neighborhood_size(n)
+    rng = random.Random(99)
+    aspired = 0
+    for it, ctx in enumerate(_trajectory_contexts(inst, 60)):
+        first = rng.randrange(n)
+        last = rng.randrange(first, n)
+        scans = [(*sorted((_inner(rng, first, span), _inner(rng, last, span))), ctx.incumbent)]
+        if it % 5 == 0:
+            scans.append((0, total, ctx.incumbent))
+        # a few moves around each move back to a tabu position, also scanned against the
+        # current makespan, which that move beats whenever it improves on it
+        current = evaluate_makespan(inst, ctx.order)
+        for job, pos in ctx.tabu.entries:
+            if ctx.order.index(job) != pos:
+                k = encode_move(Move(ctx.order.index(job), pos), n)
+                lo, hi = max(0, k - rng.randint(0, 4)), min(total, k + rng.randint(1, 5))
+                scans += [(lo, hi, ctx.incumbent), (lo, hi, current)]
+        for lo, hi, incumbent in scans:
+            expected = reference_scan(inst, ctx.order, ctx.tabu.entries, incumbent, lo, hi)
+            assert scan_slice(inst, ctx.order, ctx.tabu.entries, incumbent, lo, hi) == expected
+            if expected[0] is not None:
+                mv = decode_move(expected[0], n)
+                aspired += (ctx.order[mv.from_pos], mv.to_pos) in ctx.tabu.entries
+    assert aspired >= 5
+
+
+def test_scan_cut_by_deadline_is_a_prefix():
+    inst = generate_instance(10, 5, 5, seed=1)
+    rng = random.Random(5)
+    cut = 0
+    for ctx in _trajectory_contexts(inst, 60)[::6]:
+        begin = _inner(rng, rng.randrange(3), 9)
+        end = neighborhood_size(10)
+        deadline = time.monotonic() + 0.03
+        best_index, best_makespan, evaluated = scan_slice(
+            inst, ctx.order, ctx.tabu.entries, ctx.incumbent, begin, end, deadline, per_move_delay=0.001
+        )
+        # the sleeps alone outlast the deadline
+        assert evaluated < end - begin
+        cut += evaluated > 0
+        assert (best_index, best_makespan, evaluated) == reference_scan(
+            inst, ctx.order, ctx.tabu.entries, ctx.incumbent, begin, begin + evaluated
+        )
+    assert cut
 
 
 def test_partition_independence_small():
