@@ -18,8 +18,8 @@ from .instance import (
     parse_instance,
     serialize_instance,
 )
-from .neighborhood import Move, NeighborhoodSlice, apply_move, decode_move, encode_move, neighborhood_size
-from .schedule import Schedule, build_schedule, evaluate_makespan, lower_bound, makespan
+from .neighborhood import Move, NeighborhoodSlice, apply_move, decode_move, neighborhood_size
+from .schedule import Schedule, build_schedule, evaluate_makespan
 from .tabu import (
     EvalContext,
     IterationRecord,
@@ -31,7 +31,6 @@ from .tabu import (
     diversify,
     evaluate_slice,
     initial_order,
-    is_tabu,
     run_search,
     tabu_push,
 )
@@ -65,13 +64,10 @@ __all__ = [
     "NeighborhoodSlice",
     "apply_move",
     "decode_move",
-    "encode_move",
     "neighborhood_size",
     "Schedule",
     "build_schedule",
     "evaluate_makespan",
-    "lower_bound",
-    "makespan",
     "EvalContext",
     "IterationRecord",
     "SearchError",
@@ -82,7 +78,6 @@ __all__ = [
     "diversify",
     "evaluate_slice",
     "initial_order",
-    "is_tabu",
     "run_search",
     "tabu_push",
     "EvaluationError",

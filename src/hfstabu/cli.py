@@ -170,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tenure", type=int, default=7)
     p.add_argument("--diversify-after", type=int, default=20)
     p.add_argument("--diversify-strength", type=int, default=None)
-    p.add_argument("--calibration-budget", type=float, default=2.0)
+    p.add_argument("--calibration-budget", type=float, default=2.0,
+                   help="upper bound on calibration seconds; nodes answer once their speed settles")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("worker", help="run an evaluation worker daemon")
@@ -191,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--machines", type=int, default=5)
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--calibration-budget", type=float, default=2.0)
+    p.add_argument("--calibration-budget", type=float, default=2.0,
+                   help="upper bound on calibration seconds; nodes answer once their speed settles")
     p.add_argument("-o", "--output", help="CSV output file (default stdout)")
     p.set_defaults(func=cmd_bench)
     return parser

@@ -1,12 +1,14 @@
 """Load-balancing coordinator for distributed neighborhood evaluation.
 
 The coordinator owns the search state and drives a set of remote
-workers. A run starts with a calibration round that measures every
-node's speed on a generated mid-complexity instance; those measurements
-seed a per-node performance history. Each iteration then splits the
-neighborhood proportionally to the predicted node speeds, dispatches
-one EVAL per node with a deadline derived from the prediction, and
-collects results through per-node proxies feeding one completion queue.
+workers. A run starts with a time-boxed calibration round that measures
+every node's speed on a generated mid-complexity instance; a node
+answers once its speed settles, at the latest when the budget elapses.
+Those measurements seed a per-node performance history. Each iteration
+then splits the neighborhood proportionally to the predicted node
+speeds, dispatches one EVAL per node with a deadline derived from the
+prediction, and collects results through per-node proxies feeding one
+completion queue.
 
 The pool talks to nodes one way. ``_connect`` is the only place a
 connection is opened; calibration and evaluation pick their nodes with
@@ -381,12 +383,17 @@ class DispatchPool:
         """Time-boxed speed measurement on every ready node, concurrently.
 
         A node that fails the round in any way, or measures zero speed, is
-        dead for the run.
+        dead for the run. A node answers once its speed settles, or at the
+        latest when ``budget`` elapses; its history starts with one entry
+        weighted by speed x the request's send-to-reply time, about the
+        moves it scanned, so real iterations outweigh it within a few rounds.
         """
         deadline = time.monotonic() + budget + self.config.calibration_grace
         requests: dict[int, tuple[NodeProxy, float]] = {}
+        sent: dict[int, float] = {}
         for proxy in self._ready_nodes(self.proxies):
             rid = proxy.next_rid()
+            sent[rid] = time.monotonic()
             try:
                 proxy.send(protocol.Calibrate(rid, inst, budget))
             except (OSError, ConnectionError) as exc:
@@ -403,7 +410,7 @@ class DispatchPool:
                 proxy.state = IDLE
                 proxy.strikes = 0
                 speeds[proxy.node_id] = reply.speed
-                moves = max(1, round(reply.speed * budget))
+                moves = max(1, round(reply.speed * (time.monotonic() - sent[rid])))
                 self.histories[proxy.node_id] = NodePerfHistory([(moves, reply.speed)])
             else:
                 proxy.state = DEAD

@@ -55,14 +55,6 @@ def decode_move(k: int, n: int) -> Move:
     return Move(from_pos, to_pos)
 
 
-def encode_move(mv: Move, n: int) -> int:
-    """Inverse of decode_move."""
-    if not (0 <= mv.from_pos < n and 0 <= mv.to_pos < n) or mv.from_pos == mv.to_pos:
-        raise ValueError(f"invalid move {mv!r} for n={n}")
-    r = mv.to_pos if mv.to_pos < mv.from_pos else mv.to_pos - 1
-    return mv.from_pos * (n - 1) + r
-
-
 def apply_move(order, mv: Move) -> tuple[int, ...]:
     """Remove the job at from_pos and reinsert it at to_pos."""
     n = len(order)

@@ -234,19 +234,3 @@ def build_schedule(inst: ProblemInstance, order) -> Schedule:
         assignment=tuple(tuple(row) for row in assignment),
         makespan=max(ready),
     )
-
-
-def makespan(schedule: Schedule) -> int:
-    """Maximum completion time over all tasks."""
-    return max(max(row) for row in schedule.completion)
-
-
-def lower_bound(inst: ProblemInstance) -> int:
-    """max(longest job chain, per-stage area bound); valid for every schedule."""
-    chain = max(inst.total_work(j) for j in range(inst.num_jobs))
-    area = 0
-    for i in range(inst.num_stages):
-        load = sum(inst.durations[j][i] * inst.widths[j][i] for j in range(inst.num_jobs))
-        mi = inst.processors_per_stage[i]
-        area = max(area, -(-load // mi))
-    return max(chain, area)

@@ -47,11 +47,6 @@ def tabu_push(tabu: TabuList, mv: Move, order) -> TabuList:
     return TabuList(entries, tabu.tenure)
 
 
-def is_tabu(tabu: TabuList, mv: Move, order) -> bool:
-    """True when the move would return its job to a recorded position."""
-    return (order[mv.from_pos], mv.to_pos) in tabu.entries
-
-
 @dataclass(frozen=True)
 class SliceResult:
     """Outcome of evaluating one slice of the neighborhood."""

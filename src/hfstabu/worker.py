@@ -16,6 +16,7 @@ a predictable, reduced speed.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import socket
 import threading
@@ -41,6 +42,11 @@ class LocalBackend:
     """
 
     MAX_CACHED_PROBLEMS = 4
+    # calibration answers once this much time has passed and CALIBRATION_ROUNDS
+    # full rounds agree within CALIBRATION_SPREAD (slowest over fastest)
+    CALIBRATION_MIN_S = 0.2
+    CALIBRATION_ROUNDS = 3
+    CALIBRATION_SPREAD = 1.10
 
     def __init__(self, lanes: int | None = None, per_move_delay: float = 0.0):
         self._lanes = lanes
@@ -84,30 +90,54 @@ class LocalBackend:
     def calibrate(self, inst: ProblemInstance, budget: float) -> float:
         """Measure this host's evaluation speed in moves/second.
 
-        Scans neighborhood moves of the given instance, wrapping around
-        as needed, until the budget elapses. At least one move is always
-        evaluated, so the returned speed is positive.
+        Scans the full neighborhood of the instance's initial order round
+        after round. Once ``CALIBRATION_MIN_S`` has passed and any
+        ``CALIBRATION_ROUNDS`` full rounds agree (max/min speed at most
+        ``CALIBRATION_SPREAD``), it answers with their speed. ``budget``
+        is the cap: when it elapses first, the answer is the speed over
+        everything scanned so far. At least one move is always evaluated,
+        so the returned speed is positive. The instance is scanned on a
+        temporary evaluator unless it is already cached, so calibration
+        leaves the problem cache as it found it.
         """
         if budget <= 0:
             raise ValueError(f"calibration budget must be > 0, got {budget}")
         total = neighborhood_size(inst.num_jobs)
         if total == 0:
             raise ValueError("calibration instance needs at least 2 jobs")
-        digest = self.set_problem(inst)
         with self._lock:
-            _, evaluator = self._problems[digest]
+            cached = self._problems.get(instance_digest(inst))
+        evaluator = cached[1] if cached is not None else LaneEvaluator(inst, self.lanes)
+        try:
+            return self._measure(evaluator, inst, total, budget)
+        finally:
+            if cached is None:
+                evaluator.close()
+
+    def _measure(self, evaluator: LaneEvaluator, inst: ProblemInstance, total: int, budget: float) -> float:
         order = initial_order(inst)
         incumbent = evaluate_makespan(inst, order)
         ctx = EvalContext(inst, order, TabuList(), incumbent)
+        whole = NeighborhoodSlice(0, total)
 
-        t0 = time.perf_counter()
-        deadline = time.monotonic() + budget
+        t0 = time.monotonic()
+        deadline = t0 + budget
         _, _, moves = scan_slice(inst, order, (), incumbent, 0, 1, None, self.per_move_delay)
+        rounds: list[float] = []  # seconds per full round, sorted
+        k = self.CALIBRATION_ROUNDS
         while time.monotonic() < deadline:
-            result, _ = evaluator.evaluate_blocks(ctx, NeighborhoodSlice(0, total), deadline,
-                                                  self.per_move_delay)
+            result, _ = evaluator.evaluate_blocks(ctx, whole, deadline, self.per_move_delay)
             moves += result.moves_evaluated
-        elapsed = time.perf_counter() - t0
+            if result.moves_evaluated < total:
+                continue  # cut by the budget
+            bisect.insort(rounds, result.elapsed)
+            if time.monotonic() - t0 < self.CALIBRATION_MIN_S:
+                continue
+            # any k rounds that agree: a round slowed by other load on the host is outvoted
+            for i in range(len(rounds) - k + 1):
+                if rounds[i + k - 1] <= self.CALIBRATION_SPREAD * rounds[i]:
+                    return total * k / sum(rounds[i:i + k])
+        elapsed = time.monotonic() - t0
         return moves / elapsed if elapsed > 0 else float(moves)
 
     def close(self):

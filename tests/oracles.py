@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from hfstabu.coordinator import CoverageError
 from hfstabu.instance import ProblemInstance
-from hfstabu.neighborhood import apply_move, decode_move
+from hfstabu.neighborhood import Move, apply_move, decode_move
 from hfstabu.schedule import Schedule, build_schedule, evaluate_makespan
 
 
@@ -108,7 +108,36 @@ def audit_schedule(inst: ProblemInstance, schedule: Schedule):
             assert busy <= inst.processors_per_stage[i], f"stage {i} over capacity"
         assert busy == 0
 
-    assert schedule.makespan == max(max(row) for row in schedule.completion)
+    assert schedule.makespan == max_completion(schedule)
+
+
+def max_completion(schedule: Schedule) -> int:
+    """Maximum completion time over all tasks."""
+    return max(max(row) for row in schedule.completion)
+
+
+def lower_bound(inst: ProblemInstance) -> int:
+    """max(longest job chain, per-stage area bound); valid for every schedule."""
+    chain = max(inst.total_work(j) for j in range(inst.num_jobs))
+    area = 0
+    for i in range(inst.num_stages):
+        load = sum(inst.durations[j][i] * inst.widths[j][i] for j in range(inst.num_jobs))
+        mi = inst.processors_per_stage[i]
+        area = max(area, -(-load // mi))
+    return max(chain, area)
+
+
+def encode_move(mv: Move, n: int) -> int:
+    """Inverse of ``decode_move``."""
+    if not (0 <= mv.from_pos < n and 0 <= mv.to_pos < n) or mv.from_pos == mv.to_pos:
+        raise ValueError(f"invalid move {mv!r} for n={n}")
+    r = mv.to_pos if mv.to_pos < mv.from_pos else mv.to_pos - 1
+    return mv.from_pos * (n - 1) + r
+
+
+def is_tabu(tabu_entries, mv: Move, order) -> bool:
+    """True when the move would return its job to a recorded (job, position) pair."""
+    return (order[mv.from_pos], mv.to_pos) in tabu_entries
 
 
 def reference_scan(inst: ProblemInstance, order, tabu_entries, incumbent: int, begin: int, end: int):
@@ -122,7 +151,7 @@ def reference_scan(inst: ProblemInstance, order, tabu_entries, incumbent: int, b
     for k in range(begin, end):
         mv = decode_move(k, len(order))
         ms = build_schedule(inst, apply_move(order, mv)).makespan
-        if (order[mv.from_pos], mv.to_pos) in tabu_entries and not ms < incumbent:
+        if is_tabu(tabu_entries, mv, order) and not ms < incumbent:
             continue
         if best_makespan is None or ms < best_makespan:
             best_index, best_makespan = k, ms

@@ -168,6 +168,26 @@ def test_calibrate_initializes_histories():
             coordinator.close()
 
 
+def test_calibration_entry_is_weighted_by_request_time():
+    budget = 2.0
+    with WorkerServer("127.0.0.1", 0, lanes=1) as w1, WorkerServer("127.0.0.1", 0, lanes=1) as w2:
+        coordinator = Coordinator([w1.address, w2.address], fast_config(calibration_budget=budget))
+        try:
+            t0 = time.monotonic()
+            speeds = coordinator.calibrate(seed=5)
+            wall = time.monotonic() - t0
+            assert set(speeds) == {0, 1}
+            assert wall < budget / 2  # the nodes' speeds settled before the budget
+            for node, speed in speeds.items():
+                history = coordinator.pool.histories[node]
+                assert history.count == 1
+                # weighted by the moves scanned in the request's time, not by the budget
+                assert history.moves < 0.5 * speed * budget
+                assert 0.5 * speed * wall <= history.moves <= speed * wall + 1
+        finally:
+            coordinator.close()
+
+
 def test_calibrate_marks_unreachable_node_dead():
     with WorkerServer("127.0.0.1", 0, lanes=1) as w1:
         # second address points at a closed port

@@ -7,9 +7,10 @@ from hfstabu.neighborhood import (
     NeighborhoodSlice,
     apply_move,
     decode_move,
-    encode_move,
     neighborhood_size,
 )
+
+from oracles import encode_move
 
 
 @pytest.mark.parametrize("n,expected", [(2, 2), (4, 12), (50, 2450)])

@@ -5,9 +5,9 @@ import pytest
 
 from hfstabu.instance import ProblemInstance, generate_instance
 from hfstabu.neighborhood import Move, apply_move
-from hfstabu.schedule import Schedule, build_schedule, evaluate_makespan, insertion_decoder, lower_bound, makespan
+from hfstabu.schedule import Schedule, build_schedule, evaluate_makespan, insertion_decoder
 
-from oracles import audit_schedule, random_small_instance, simulate
+from oracles import audit_schedule, lower_bound, max_completion, random_small_instance, simulate
 
 
 def test_single_task():
@@ -42,7 +42,7 @@ def test_makespan_is_max_completion():
         assignment=(((0,), (0,)), ((0,), (0,))),
         makespan=9,
     )
-    assert makespan(sched) == 9
+    assert max_completion(sched) == 9
 
 
 def test_decoder_matches_simulator_and_audits():

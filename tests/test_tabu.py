@@ -4,7 +4,7 @@ import time
 import pytest
 
 from hfstabu.instance import ProblemInstance, generate_instance
-from hfstabu.neighborhood import Move, NeighborhoodSlice, apply_move, decode_move, encode_move, neighborhood_size
+from hfstabu.neighborhood import Move, NeighborhoodSlice, apply_move, decode_move, neighborhood_size
 from hfstabu.schedule import build_schedule, evaluate_makespan
 from hfstabu.tabu import (
     EvalContext,
@@ -14,14 +14,13 @@ from hfstabu.tabu import (
     diversify,
     evaluate_slice,
     initial_order,
-    is_tabu,
     merge_prefix,
     run_search,
     scan_slice,
     tabu_push,
 )
 
-from oracles import exhaustive_optimum, random_small_instance, reference_scan
+from oracles import encode_move, exhaustive_optimum, is_tabu, random_small_instance, reference_scan
 
 
 def full_slice(n):
@@ -40,8 +39,8 @@ def test_reverse_insertion_is_tabu():
     mv = Move(0, 2)
     tabu = tabu_push(TabuList(), mv, order)
     moved = apply_move(order, mv)  # (1, 2, 0, 3)
-    assert is_tabu(tabu, Move(2, 0), moved)
-    assert not is_tabu(tabu, Move(2, 1), moved)
+    assert is_tabu(tabu.entries, Move(2, 0), moved)
+    assert not is_tabu(tabu.entries, Move(2, 1), moved)
 
 
 def test_fifo_eviction_beyond_tenure():
@@ -59,7 +58,7 @@ def test_fifo_eviction_beyond_tenure():
 def test_empty_list_nothing_tabu():
     order = (0, 1, 2)
     for k in range(neighborhood_size(3)):
-        assert not is_tabu(TabuList(), decode_move(k, 3), order)
+        assert not is_tabu(TabuList().entries, decode_move(k, 3), order)
 
 
 def test_tabu_list_validation():

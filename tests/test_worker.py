@@ -8,7 +8,8 @@ from hfstabu import protocol
 from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.protocol import ProtocolError
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
-from hfstabu.tabu import evaluate_slice
+from hfstabu.schedule import evaluate_makespan
+from hfstabu.tabu import evaluate_slice, initial_order, scan_slice
 from hfstabu.worker import LocalBackend, WorkerServer
 
 from netharness import WireClient, empty_tabu, kill_lane_child
@@ -139,6 +140,61 @@ def test_calibrate_speed_stability():
             a = client.calibrate(inst, 0.3).speed
             b = client.calibrate(inst, 0.3).speed
             assert abs(a - b) / max(a, b) < 0.25
+
+
+def test_calibrate_stops_once_speed_settles():
+    # delay-dominated worker: a full round of the 30-move neighborhood takes about 60 ms
+    inst = generate_instance(6, 2, 2, seed=9)
+    order = initial_order(inst)
+    incumbent = evaluate_makespan(inst, order)
+    # reference: the whole-round speed over 0.6 s of back-to-back rounds
+    moves, t0 = 0, time.monotonic()
+    while time.monotonic() < t0 + 0.6:
+        moves += scan_slice(inst, order, (), incumbent, 0, neighborhood_size(6), None, 0.002)[2]
+    reference = moves / (time.monotonic() - t0)
+    with WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002) as server:
+        with WireClient(server.address) as client:
+            client.hello()
+            t0 = time.monotonic()
+            speed = client.calibrate(inst, 3.0).speed
+            wall = time.monotonic() - t0
+    assert wall < 1.0
+    assert abs(speed - reference) / reference < 0.25
+
+
+def test_calibration_budget_caps_a_round_that_does_not_fit():
+    # one round takes about 0.6 s, so no full round fits in the budget
+    with WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.02) as server:
+        with WireClient(server.address) as client:
+            client.hello()
+            t0 = time.monotonic()
+            speed = client.calibrate(generate_instance(6, 2, 2, seed=9), 0.3).speed
+            wall = time.monotonic() - t0
+    assert 0.3 <= wall < 0.5
+    assert speed > 0
+
+
+def test_calibration_leaves_problem_cache_alone():
+    calibration = generate_instance(6, 2, 2, seed=9)
+    known = set(multiprocessing.active_children())
+    backend = LocalBackend(lanes=2)
+    try:
+        backend.set_problem(INST)
+        backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 60.0)
+        lanes = {p.pid for p in multiprocessing.active_children() if p not in known}
+        assert len(lanes) == 2
+        assert backend.calibrate(calibration, 0.3) > 0
+        assert not backend.has_problem(instance_digest(calibration))
+        assert backend.has_problem(DIGEST)
+        # the temporary evaluator's lanes are gone; the real problem's are untouched
+        assert {p.pid for p in multiprocessing.active_children() if p not in known} == lanes
+        # calibrating on a cached instance uses its evaluator and keeps it cached
+        assert backend.calibrate(INST, 0.3) > 0
+        assert backend.has_problem(DIGEST)
+        result, frontier = backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 60.0)
+        assert frontier == N and result.moves_evaluated == N
+    finally:
+        backend.close()
 
 
 def test_calibrate_rejects_zero_budget(server):
