@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lanes", type=int, default=None,
                    help="lane count (default: HFSTABU_LANES env var, else detected cores)")
     p.add_argument("--per-move-delay", type=float, default=0.0,
-                   help="inject a delay into every move evaluation (testing aid)")
+                   help="pace every scan at one move per SECONDS (testing aid)")
     p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser("bench", help="timing grids; CSV on stdout or --output")

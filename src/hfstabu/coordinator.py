@@ -7,17 +7,16 @@ answers once its speed settles, at the latest when the budget elapses.
 Those measurements seed a per-node performance history. Each iteration
 then splits the neighborhood proportionally to the predicted node
 speeds, dispatches one EVAL per node with a deadline derived from the
-prediction, and collects results through per-node proxies feeding one
-completion queue.
+prediction, and waits for the replies.
 
-The pool talks to nodes one way. ``_connect`` is the only place a
-connection is opened; calibration and evaluation pick their nodes with
-the same ``_ready_nodes``, so a suspect node gets its reconnect before
-CALIBRATE as before EVAL. ``_collect`` is the only reader of the
-completion queue: it resolves each outstanding request as a reply or a
-failure (lost connection, ERROR, EXIT_REPORT, timeout, budget cut) and
-reports replies to requests no longer outstanding as late. Each kind of
-request keeps its own failure policy on top of it:
+The pool talks to nodes one way, on the thread that uses it. ``_connect``
+is the only place a connection is opened; calibration and evaluation
+pick their nodes with the same ``_ready_nodes``, so a suspect node gets
+its reconnect before CALIBRATE as before EVAL. ``_collect`` reads every
+node socket through one selector: it resolves each outstanding request
+as a reply or a failure (lost connection, ERROR, EXIT_REPORT, timeout,
+budget cut) and reports replies to requests no longer outstanding as
+late. Each kind of request keeps its own failure policy on top of it:
 
 * CALIBRATE: any failure, or a zero speed, marks the node dead.
 * EVAL: the slice goes back into the queue. EXIT_REPORT marks the node
@@ -41,9 +40,8 @@ from __future__ import annotations
 
 import logging
 import math
-import queue
+import selectors
 import socket
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -67,6 +65,8 @@ ERROR = "remote error"
 EXIT = "exited"
 TIMEOUT = "timed out"
 CUT = "budget cut"
+
+_READ_SIZE = 65536
 
 
 class PlanningError(RuntimeError):
@@ -152,28 +152,24 @@ class CoordinatorConfig:
     response_grace: float = 1.0        # extra wall time allowed beyond the worker's deadline
     connect_timeout: float = 5.0
     calibration_grace: float = 10.0
-    send_latency: float = 0.0          # injected per outgoing message (benchmarks/tests)
-    recv_latency: float = 0.0          # injected per incoming message
 
 
 class NodeProxy:
-    """One remote node: connection, handshake, and an asynchronous reader.
+    """One remote node: its current connection and at most one abandoned one.
 
-    The reader thread pushes every decoded message into the shared
-    completion queue as (kind, node_id, generation, payload); all state
-    transitions happen on the control thread that owns the pool.
+    Each socket is registered on the pool's selector, with its read buffer,
+    from its handshake until ``close_socket``; ``DispatchPool._collect`` reads them.
     """
 
-    def __init__(self, node_id: int, address: tuple[str, int], inbox: queue.Queue,
+    def __init__(self, node_id: int, address: tuple[str, int], selector: selectors.BaseSelector,
                  config: CoordinatorConfig):
         self.node_id = node_id
         self.address = address
-        self._inbox = inbox
+        self._selector = selector
         self._config = config
         self.state = IDLE
         self.strikes = 0
         self.lanes = 0
-        self.generation = 0
         self._sock: socket.socket | None = None
         self._drained: list[socket.socket] = []
         self._rid = node_id * 1_000_000  # disjoint rid ranges ease log reading
@@ -194,19 +190,24 @@ class NodeProxy:
         recorded, even though its slice has already been re-dispatched.
         Only that newest abandoned connection is kept; older ones are
         closed here, so reconnecting a node over and over holds at most
-        two of its connections open.
+        two of its connections open. Bytes that follow the HELLO reply
+        stay in the new socket's read buffer.
         """
-        _close_all(self._drained)
+        for old in self._drained[:]:  # close_socket forgets each one
+            self.close_socket(old)
         self._drained = [self._sock] if self._sock is not None else []
         self._sock = None
         sock = socket.create_connection(self.address, timeout=self._config.connect_timeout)
-        reader = sock.makefile("rb")
         try:
             rid = self.next_rid()
             sock.sendall(protocol.encode(protocol.Hello(rid, PROTOCOL_VERSION, 0)))
-            line = reader.readline()
-            if not line:
-                raise ConnectionError("connection closed during handshake")
+            buffer = b""
+            while b"\n" not in buffer:
+                chunk = sock.recv(_READ_SIZE)
+                if not chunk:
+                    raise ConnectionError("connection closed during handshake")
+                buffer += chunk
+            line, _, rest = buffer.partition(b"\n")
             reply = protocol.decode(line)
             if isinstance(reply, protocol.Error):
                 raise ConnectionError(f"handshake refused: {reply.message}")
@@ -219,60 +220,40 @@ class NodeProxy:
             sock.close()
             raise
         sock.settimeout(None)
+        self._selector.register(sock, selectors.EVENT_READ, (self, bytearray(rest)))
         self._sock = sock
-        self.generation += 1
-        thread = threading.Thread(target=self._read_loop, args=(reader, self.generation), daemon=True)
-        thread.start()
-
-    def _read_loop(self, reader, generation: int):
-        try:
-            for line in reader:
-                if self._config.recv_latency:
-                    time.sleep(self._config.recv_latency)
-                try:
-                    msg = protocol.decode(line)
-                except protocol.ProtocolError as exc:
-                    self._inbox.put(("lost", self.node_id, generation, f"protocol error: {exc}"))
-                    return
-                self._inbox.put(("msg", self.node_id, generation, msg))
-        except (OSError, ValueError):
-            pass
-        self._inbox.put(("lost", self.node_id, generation, "connection closed"))
 
     def send(self, msg):
         if self._sock is None:
             raise ConnectionError(f"node {self.node_id} is not connected")
-        if self._config.send_latency:
-            time.sleep(self._config.send_latency)
         self._sock.sendall(protocol.encode(msg))
 
+    def close_socket(self, sock: socket.socket):
+        """Unregister ``sock`` from the selector, then close it and forget it."""
+        if sock is self._sock:
+            self._sock = None
+        elif sock in self._drained:
+            self._drained.remove(sock)
+        self._selector.unregister(sock)
+        sock.close()
+
     def disconnect(self):
-        _close_all([sock for sock in (*self._drained, self._sock) if sock is not None])
-        self._drained = []
-        self._sock = None
-
-
-def _close_all(sockets):
-    for sock in sockets:
-        # shutdown() wakes the reader thread even though its makefile
-        # object still references the socket; close() alone would not
-        try:
-            sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            sock.close()
-        except OSError:
-            pass
+        for sock in (*self._drained, self._sock):
+            if sock is not None:
+                self.close_socket(sock)
 
 
 class DispatchPool:
-    """Connection pool plus the dispatch/collect/redistribute machinery."""
+    """Connection pool plus the dispatch/collect/redistribute machinery.
+
+    Use it from one thread at a time: it starts no thread, and reads every
+    node socket on the caller's thread through its one selector.
+    """
 
     def __init__(self, addresses, config: CoordinatorConfig | None = None):
         self.config = config or CoordinatorConfig()
-        self.inbox: queue.Queue = queue.Queue()
-        self.proxies = [NodeProxy(i, addr, self.inbox, self.config) for i, addr in enumerate(addresses)]
+        self._selector = selectors.DefaultSelector()
+        self.proxies = [NodeProxy(i, addr, self._selector, self.config) for i, addr in enumerate(addresses)]
         self.histories = {p.node_id: NodePerfHistory() for p in self.proxies}
         self.node_moves = {p.node_id: 0 for p in self.proxies}
         self.node_elapsed = {p.node_id: 0.0 for p in self.proxies}
@@ -302,6 +283,7 @@ class DispatchPool:
     def close(self):
         for proxy in self.proxies:
             proxy.disconnect()
+        self._selector.close()
 
     def live_nodes(self) -> list[NodeProxy]:
         return [p for p in self.proxies if p.state != DEAD]
@@ -319,10 +301,10 @@ class DispatchPool:
     # -- the request loop --------------------------------------------------------
 
     def _collect(self, requests: dict[int, tuple[NodeProxy, float]], cutoff: float = math.inf):
-        """Read the completion queue until every request in ``requests`` is resolved.
+        """Read the node sockets until every request in ``requests`` is resolved.
 
         ``requests`` maps rid -> (proxy, absolute deadline), at most one per
-        node, and is emptied. The queue is read with the nearest deadline as
+        node, and is emptied. The selector waits with the nearest deadline as
         its timeout; at ``cutoff`` every request still outstanding is cut.
         Yields (rid, proxy, reply, failure), one of:
 
@@ -332,7 +314,8 @@ class DispatchPool:
           outstanding comes with rid None;
         * a late reply, whose rid is no longer outstanding: rid None.
 
-        Only a node's current connection can be lost or report its exit; an
+        A message is the node's own only if it arrived on the node's current
+        connection: only that one can be lost or report its exit, and an
         abandoned connection can deliver nothing but a late reply. PROGRESS
         and any other message are skipped.
         """
@@ -345,25 +328,53 @@ class DispatchPool:
             if not requests:
                 return
             wake = min(cutoff, *(deadline for _, deadline in requests.values()))
+            for key, _ in self._selector.select(wake - now):
+                proxy = key.data[0]
+                current = key.fileobj is proxy._sock
+                for msg in self._read(key):
+                    if isinstance(msg, (str, protocol.ExitReport)):  # a str says why the socket closed
+                        failure, why = (LOST, msg) if isinstance(msg, str) else (EXIT, msg.reason)
+                        rid = next((r for r, (p, _) in requests.items() if p is proxy), None)
+                        if current and (rid is not None or proxy.state != DEAD):
+                            requests.pop(rid, None)
+                            log.info("node %d %s: %s", proxy.node_id, failure, why)
+                            yield rid, proxy, None, failure
+                    elif isinstance(msg, protocol.Error):
+                        if requests.pop(msg.rid, None) is not None:
+                            log.info("node %d %s: %s", proxy.node_id, ERROR, msg.message)
+                            yield msg.rid, proxy, None, ERROR
+                    elif isinstance(msg, (protocol.EvalResult, protocol.CalibrateResult)):
+                        outstanding = requests.pop(msg.rid, None) is not None
+                        yield msg.rid if outstanding else None, proxy, msg, None
+
+    @staticmethod
+    def _read(key: selectors.SelectorKey) -> list:
+        """Read a ready socket's complete messages; a str at the end says why it closed.
+
+        Partial lines stay in the socket's buffer. A socket that reached EOF
+        or sent a malformed frame is unregistered and closed at once, so it
+        cannot keep the selector awake.
+        """
+        sock = key.fileobj
+        proxy, buffer = key.data
+        try:
+            chunk = sock.recv(_READ_SIZE)
+        except OSError:
+            chunk = b""  # a reset connection is a closed one
+        buffer += chunk
+        *lines, buffer[:] = buffer.split(b"\n")
+        messages: list = []
+        closed = None if chunk else "connection closed"
+        for line in lines:
             try:
-                kind, node_id, gen, payload = self.inbox.get(timeout=wake - now)
-            except queue.Empty:
-                continue
-            proxy = self.proxies[node_id]
-            if kind == "lost" or isinstance(payload, protocol.ExitReport):
-                failure, why = (LOST, payload) if kind == "lost" else (EXIT, payload.reason)
-                rid = next((r for r, (p, _) in requests.items() if p is proxy), None)
-                if gen == proxy.generation and (rid is not None or proxy.state != DEAD):
-                    requests.pop(rid, None)
-                    log.info("node %d %s: %s", node_id, failure, why)
-                    yield rid, proxy, None, failure
-            elif isinstance(payload, protocol.Error):
-                if requests.pop(payload.rid, None) is not None:
-                    log.info("node %d %s: %s", node_id, ERROR, payload.message)
-                    yield payload.rid, proxy, None, ERROR
-            elif isinstance(payload, (protocol.EvalResult, protocol.CalibrateResult)):
-                outstanding = requests.pop(payload.rid, None) is not None
-                yield payload.rid if outstanding else None, proxy, payload, None
+                messages.append(protocol.decode(bytes(line)))
+            except protocol.ProtocolError as exc:
+                closed = f"protocol error: {exc}"
+                break
+        if closed:
+            proxy.close_socket(sock)
+            messages.append(closed)
+        return messages
 
     # -- problem transfer and calibration -------------------------------------
 
@@ -420,7 +431,7 @@ class DispatchPool:
 
     # -- the dispatch cycle ----------------------------------------------------
 
-    def cover(self, nslice: NeighborhoodSlice, ctx_payload, budget_abs: float, plans_out=None):
+    def cover(self, nslice: NeighborhoodSlice, ctx_payload, budget_abs: float):
         """Dispatch rounds over ``nslice`` until it is evaluated or the budget passes.
 
         ``ctx_payload`` is (digest, order, tabu, incumbent); ``budget_abs``
@@ -446,8 +457,6 @@ class DispatchPool:
 
             speeds = [predict(self.histories[p.node_id]) for p in ready]
             slices = plan_partition(speeds, end - begin, begin)
-            if plans_out is not None:
-                plans_out.append([(p.node_id, len(sl)) for p, sl in zip(ready, slices)])
 
             requests: dict[int, tuple[NodeProxy, float]] = {}
             sent: dict[int, NeighborhoodSlice] = {}
@@ -533,21 +542,11 @@ class DispatchPool:
 
 
 class Coordinator:
-    """Runs the distributed tabu search over a fixed set of worker addresses.
-
-    ``iteration_audits`` (the accepted intervals) and ``iteration_plans``
-    (each dispatch round's (node, moves) shares) keep one entry for each
-    of the last ``ITERATION_HISTORY`` iterations, so a long run holds
-    bounded memory.
-    """
-
-    ITERATION_HISTORY = 128
+    """Runs the distributed tabu search over a fixed set of worker addresses."""
 
     def __init__(self, addresses, config: CoordinatorConfig | None = None):
         self.config = config or CoordinatorConfig()
         self.pool = DispatchPool(list(addresses), self.config)
-        self.iteration_audits: deque[list[tuple[int, int]]] = deque(maxlen=self.ITERATION_HISTORY)
-        self.iteration_plans: deque[list[list[tuple[int, int]]]] = deque(maxlen=self.ITERATION_HISTORY)
         self._digest: str | None = None
 
     # -- setup ---------------------------------------------------------------
@@ -574,14 +573,11 @@ class Coordinator:
             self.set_problem(ctx.instance)
         total = neighborhood_size(len(ctx.order))
         t0 = time.perf_counter()
-        plans: list[list[tuple[int, int]]] = []
         ctx_payload = (self._digest, ctx.order, ctx.tabu, ctx.incumbent)
-        results = self.pool.cover(NeighborhoodSlice(0, total), ctx_payload, math.inf, plans_out=plans)
+        results = self.pool.cover(NeighborhoodSlice(0, total), ctx_payload, math.inf)
         frontier, best_idx, best_ms = merge_prefix(results, 0)
         if frontier != total:
             raise CoverageError(f"coverage stops at {frontier}, expected {total}")
-        self.iteration_audits.append(sorted((b, e) for b, e, _, _ in results))
-        self.iteration_plans.append(plans)
         return SliceResult(best_idx, best_ms, total, time.perf_counter() - t0)
 
     # -- full runs ---------------------------------------------------------------

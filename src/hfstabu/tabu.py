@@ -85,6 +85,9 @@ def scan_slice(
     stops at a move boundary once it passes, so the evaluated portion is
     always the prefix [begin, begin + evaluated).
 
+    ``per_move_delay`` paces the scan: move k of the call (from 0) waits
+    until ``start + (k + 1) * delay``, so it runs at 1/delay moves/s.
+
     Moves with the same ``from_pos`` are contiguous in the index space,
     so each group shares one ``schedule.insertion_decoder``. Each move
     is decoded against the bound that decides it: the best makespan so
@@ -102,12 +105,12 @@ def scan_slice(
     span = len(order) - 1
     group = None
     monotonic = time.monotonic
-    sleep = time.sleep
+    start = monotonic()
     for k in range(begin, end):
         if deadline is not None and monotonic() >= deadline:
             break
         if per_move_delay:
-            sleep(per_move_delay)
+            time.sleep(max(0.0, start + (evaluated + 1) * per_move_delay - monotonic()))
         from_pos, r = divmod(k, span)
         if from_pos != group:
             group = from_pos

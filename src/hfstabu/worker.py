@@ -4,14 +4,14 @@ The daemon wraps the multi-lane evaluator so that a remote client sees a
 single fast server, whatever the local lane count. Evaluation requests
 carry a compute deadline; when it elapses the worker stops at a move
 boundary and returns the best move over the evaluated prefix together
-with the untouched remaining range. One evaluation runs at a time per
-daemon; connection handling stays responsive while it runs, and on
-graceful shutdown every open connection receives an EXIT_REPORT before
-the socket closes.
+with the untouched remaining range. One request at a time reaches the
+backend (SET_PROBLEM, CALIBRATE or EVAL); connection handling stays
+responsive meanwhile, and on graceful shutdown every open connection
+receives an EXIT_REPORT before the socket closes.
 
-``per_move_delay`` injects an artificial pause into every move
-evaluation. It exists for benchmarks and tests that need a worker with
-a predictable, reduced speed.
+``per_move_delay`` paces every scan: move k of a scan waits until k + 1
+delays after the scan started, so a throttled worker runs at a steady
+1/delay moves per second, for benchmarks and tests.
 """
 
 from __future__ import annotations
@@ -163,8 +163,7 @@ class WorkerServer:
         self._conn_threads: list[threading.Thread] = []
         self._conns: dict[socket.socket, threading.Lock] = {}
         self._conns_lock = threading.Lock()
-        self._eval_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
+        self._eval_lock = threading.Lock()  # one backend request at a time; it guards the counters
         self.requests_served = 0
         self.moves_evaluated = 0
 
@@ -294,11 +293,12 @@ class WorkerServer:
             return True
 
         if isinstance(msg, protocol.SetProblem):
-            try:
-                digest = self._backend.set_problem(msg.instance)
-            except Exception as exc:
-                send(protocol.Error(msg.rid, f"set_problem failed: {exc}"))
-                return True
+            with self._eval_lock:  # a super server sends it on the sockets its evaluations use
+                try:
+                    digest = self._backend.set_problem(msg.instance)
+                except Exception as exc:
+                    send(protocol.Error(msg.rid, f"set_problem failed: {exc}"))
+                    return True
             log.info("SET_PROBLEM %s n=%d m=%d", digest[:12], msg.instance.num_jobs, msg.instance.num_stages)
             return True
 
@@ -310,7 +310,6 @@ class WorkerServer:
                 except Exception as exc:
                     send(protocol.Error(msg.rid, f"calibration failed: {exc}"))
                     return True
-            with self._stats_lock:
                 self.requests_served += 1
             log.info("CALIBRATE budget=%.3fs speed=%.1f moves/s (%.3fs)",
                      msg.budget, speed, time.perf_counter() - t0)
@@ -328,7 +327,6 @@ class WorkerServer:
                 except Exception as exc:
                     send(protocol.Error(msg.rid, f"evaluation failed: {exc}"))
                     return True
-            with self._stats_lock:
                 self.requests_served += 1
                 self.moves_evaluated += result.moves_evaluated
             complete = frontier >= msg.nslice.end

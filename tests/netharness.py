@@ -1,5 +1,6 @@
-"""Test-side networking helpers: a minimal blocking wire client,
-subprocess worker management, and lane process failure injection."""
+"""Test-side networking helpers: a minimal blocking wire client, a
+latency relay, subprocess worker management, a recorder of the
+coordinator's dispatch rounds, and lane process failure injection."""
 
 from __future__ import annotations
 
@@ -10,9 +11,11 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from multiprocessing.connection import wait as wait_for_exit
 
+from hfstabu import coordinator as coordinator_module
 from hfstabu import protocol
 from hfstabu.instance import ProblemInstance, instance_digest
 from hfstabu.neighborhood import NeighborhoodSlice
@@ -82,6 +85,102 @@ class WireClient:
     def __exit__(self, *exc):
         self.close()
         return False
+
+
+class LatencyRelay:
+    """A TCP relay to ``target`` that holds every line for a while.
+
+    Each line travelling to the target is forwarded ``up_s`` seconds after
+    it was read, each line coming back ``down_s`` seconds after, one line
+    at a time per direction. When either side of a relayed connection
+    closes, the relay closes both.
+    """
+
+    def __init__(self, target, up_s: float, down_s: float):
+        self.target = target
+        self.up_s = up_s
+        self.down_s = down_s
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()[:2]
+        self._sockets = [self._listener]
+        self._threads = [threading.Thread(target=self._accept_loop, daemon=True)]
+        self._threads[0].start()
+
+    def _accept_loop(self):
+        while True:
+            try:
+                client, _ = self._listener.accept()
+            except OSError:
+                return  # closed
+            try:
+                server = socket.create_connection(self.target)
+            except OSError:
+                client.close()
+                continue
+            self._sockets += [client, server]
+            for src, dst, delay in ((client, server, self.up_s), (server, client, self.down_s)):
+                thread = threading.Thread(target=self._pump, args=(src, dst, delay), daemon=True)
+                self._threads.append(thread)
+                thread.start()
+
+    @staticmethod
+    def _pump(src, dst, delay):
+        try:
+            with src.makefile("rb") as lines:
+                for line in lines:
+                    time.sleep(delay)
+                    dst.sendall(line)
+        except OSError:
+            pass
+        _shut(src, dst)
+
+    def close(self):
+        _shut(*self._sockets)
+        for thread in self._threads:
+            thread.join(timeout=5)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+
+def _shut(*sockets):
+    # shutdown() wakes a thread blocked on the socket; close() alone would not
+    for sock in sockets:
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        sock.close()
+
+
+def record_cover(monkeypatch, pool):
+    """Record what each ``pool.cover`` call dispatched and accepted.
+
+    Returns (audits, plans), each with one entry per call: the sorted
+    (begin, end) intervals it accepted, and the move counts of each of its
+    dispatch rounds in ready-node order.
+    """
+    audits, plans = [], []
+    cover, plan_partition = pool.cover, coordinator_module.plan_partition
+
+    def recording_cover(*args, **kwargs):
+        plans.append([])
+        results = cover(*args, **kwargs)
+        audits.append(sorted((begin, end) for begin, end, _, _ in results))
+        return results
+
+    def recording_plan(*args, **kwargs):
+        slices = plan_partition(*args, **kwargs)
+        plans[-1].append([len(s) for s in slices])
+        return slices
+
+    monkeypatch.setattr(pool, "cover", recording_cover)
+    monkeypatch.setattr(coordinator_module, "plan_partition", recording_plan)
+    return audits, plans
 
 
 def empty_tabu():

@@ -27,7 +27,7 @@ from hfstabu.tabu import (
 )
 from hfstabu.worker import WorkerServer
 
-from netharness import SubprocessWorker
+from netharness import LatencyRelay, SubprocessWorker, record_cover
 from oracles import random_small_instance, simulate, verify_exact_cover
 
 
@@ -233,16 +233,17 @@ def test_criterion_6_small_problem_threshold():
 # -- criterion 7 -----------------------------------------------------------------
 
 
-def test_criterion_7_proportional_balancing():
+def test_criterion_7_proportional_balancing(monkeypatch):
     inst = generate_instance(10, 2, 5, seed=7)
     fast = WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.004)
     slow = WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.016)
     fast.start()
     slow.start()
     coordinator = Coordinator([fast.address, slow.address], fast_config(calibration_budget=0.4))
+    _, plans = record_cover(monkeypatch, coordinator.pool)
     try:
         coordinator.run(inst, SearchParams(iterations=11, seed=7))
-        plan = dict(coordinator.iteration_plans[10][0])
+        plan = plans[10][0]  # first dispatch round of iteration 10, in node order
         ratio = plan[0] / plan[1]
         assert abs(ratio / 4.0 - 1.0) <= 0.10, f"plan ratio {ratio:.2f} not within 10% of 4:1"
         report(7, "proportional balancing",
@@ -272,8 +273,9 @@ def test_criterion_8_fault_tolerance():
                     workers[1].kill()
                     killed.append(True)
 
-            result = coordinator.run(inst, params, on_iteration=maybe_kill)
-            audits = list(coordinator.iteration_audits)
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                audits, _ = record_cover(monkeypatch, coordinator.pool)
+                result = coordinator.run(inst, params, on_iteration=maybe_kill)
             states = [p.state for p in coordinator.pool.proxies]
             return result, audits, states
         finally:
@@ -326,14 +328,14 @@ def test_criterion_10_hardware_bound_results_stated_and_latency_run():
             base_wall = time.perf_counter() - t0
         finally:
             plain.close()
-        lagged = Coordinator([worker.address],
-                             fast_config(send_latency=0.1, recv_latency=0.1))
-        try:
-            t0 = time.perf_counter()
-            slow = lagged.run(inst, params)
-            slow_wall = time.perf_counter() - t0
-        finally:
-            lagged.close()
+        with LatencyRelay(worker.address, up_s=0.1, down_s=0.1) as relay:
+            lagged = Coordinator([relay.address], fast_config())
+            try:
+                t0 = time.perf_counter()
+                slow = lagged.run(inst, params)
+                slow_wall = time.perf_counter() - t0
+            finally:
+                lagged.close()
     assert trace_key(slow) == trace_key(base)
     overhead = slow_wall - base_wall
     assert overhead >= 0.6, f"expected visible latency overhead, got {overhead:.2f}s"

@@ -24,6 +24,7 @@ from hfstabu.tabu import EvalContext, SearchParams, TabuList, evaluate_slice, ru
 from hfstabu.schedule import evaluate_makespan
 from hfstabu.worker import WorkerServer
 
+from netharness import SubprocessWorker, record_cover
 from oracles import largest_remainder_reference, verify_exact_cover
 
 INST = generate_instance(8, 3, 3, seed=42)
@@ -298,11 +299,12 @@ def test_single_worker_matches_local_evaluation():
             coordinator.close()
 
 
-def test_three_workers_match_local_and_audit():
+def test_three_workers_match_local_and_audit(monkeypatch):
     servers = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(3)]
     for s in servers:
         s.start()
     coordinator = Coordinator([s.address for s in servers], fast_config())
+    audits, _ = record_cover(monkeypatch, coordinator.pool)
     try:
         coordinator.calibrate(seed=3)
         coordinator.set_problem(INST)
@@ -311,8 +313,8 @@ def test_three_workers_match_local_and_audit():
             got = coordinator.evaluate(ctx)
             want = sequential_reference(ctx)
             assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
-        assert len(coordinator.iteration_audits) == 3
-        for audit in coordinator.iteration_audits:
+        assert len(audits) == 3
+        for audit in audits:
             cursor = 0
             for begin, end in audit:
                 assert begin == cursor
@@ -334,13 +336,14 @@ def test_distributed_search_equals_local_search():
     assert remote.best_makespan == local.best_makespan
 
 
-def test_graceful_worker_exit_mid_run_redistributes():
+def test_graceful_worker_exit_mid_run_redistributes(monkeypatch):
     params = SearchParams(iterations=24, seed=2)
     local = run_search(INST, params, sequential_reference)
     servers = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(3)]
     for s in servers:
         s.start()
     coordinator = Coordinator([s.address for s in servers], fast_config())
+    audits, _ = record_cover(monkeypatch, coordinator.pool)
     try:
         stopped = []
 
@@ -352,30 +355,20 @@ def test_graceful_worker_exit_mid_run_redistributes():
         result = coordinator.run(INST, params, on_iteration=stop_one)
         assert result.trace == local.trace
         assert coordinator.pool.proxies[1].state == "dead"
-        assert len(coordinator.iteration_audits) == 24
+        assert len(audits) == 24
     finally:
         coordinator.close()
         for s in servers:
             s.shutdown()
 
 
-def test_iteration_history_is_bounded():
-    inst = generate_instance(3, 1, 2, seed=9)
-    iterations = Coordinator.ITERATION_HISTORY + 12
-    with WorkerServer("127.0.0.1", 0, lanes=1) as worker:
-        with Coordinator([worker.address], fast_config()) as coordinator:
-            coordinator.run(inst, SearchParams(iterations=iterations, seed=9))
-            assert len(coordinator.iteration_audits) == Coordinator.ITERATION_HISTORY
-            assert len(coordinator.iteration_plans) == Coordinator.ITERATION_HISTORY
-            assert coordinator.iteration_audits[-1] == [(0, neighborhood_size(3))]
-
-
-def test_timeout_suspect_and_late_sample():
+def test_timeout_suspect_and_late_sample(monkeypatch):
     servers = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(2)]
     for s in servers:
         s.start()
     config = fast_config(deadline_slack=1.2, deadline_floor=0.05, response_grace=0.1)
     coordinator = Coordinator([s.address for s in servers], config)
+    audits, _ = record_cover(monkeypatch, coordinator.pool)
     try:
         coordinator.calibrate(seed=4)
         coordinator.set_problem(INST)
@@ -394,7 +387,7 @@ def test_timeout_suspect_and_late_sample():
         got = coordinator.evaluate(ctx)
         want = sequential_reference(ctx)
         assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
-        verify_exact_cover([(b, e, None, None) for b, e in coordinator.iteration_audits[0]], 0, N)
+        verify_exact_cover([(b, e, None, None) for b, e in audits[0]], 0, N)
         # the timed-out node's answer eventually lands, and a later evaluation reads it as late
         deadline = time.monotonic() + 5.0
         while coordinator.pool.late_results == 0 and time.monotonic() < deadline:
@@ -449,7 +442,7 @@ def test_all_workers_dying_mid_iteration_is_fatal():
         coordinator.close()
 
 
-def test_proportional_planning_follows_speed_ratio():
+def test_proportional_planning_follows_speed_ratio(monkeypatch):
     # one worker throttled to roughly a third of the other's speed
     fast = WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002)
     slow = WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.006)
@@ -457,14 +450,14 @@ def test_proportional_planning_follows_speed_ratio():
     slow.start()
     config = fast_config(calibration_budget=0.4)
     coordinator = Coordinator([fast.address, slow.address], config)
+    _, plans = record_cover(monkeypatch, coordinator.pool)
     try:
         coordinator.calibrate(seed=8)
         coordinator.set_problem(INST)
         ctx = make_ctx(INST, seed=2)
         for _ in range(5):
             coordinator.evaluate(ctx)
-        first_round = coordinator.iteration_plans[-1][0]
-        sizes = dict(first_round)
+        sizes = plans[-1][0]  # first dispatch round of the last evaluation, in node order
         assert sizes[0] > sizes[1] > 0
         ratio = sizes[0] / sizes[1]
         assert 1.8 < ratio < 5.0
@@ -472,6 +465,52 @@ def test_proportional_planning_follows_speed_ratio():
         coordinator.close()
         fast.shutdown()
         slow.shutdown()
+
+
+def test_coordinator_starts_no_thread():
+    with SubprocessWorker(lanes=1) as w1, SubprocessWorker(lanes=1) as w2:
+        threads = threading.active_count()
+        coordinator = Coordinator([w1.address, w2.address], fast_config())
+        try:
+            coordinator.calibrate(seed=3)
+            assert threading.active_count() == threads
+            coordinator.set_problem(INST)
+            ctx = make_ctx(INST, seed=1)
+            for _ in range(3):
+                coordinator.evaluate(ctx)
+            assert threading.active_count() == threads
+            # a suspect node is reconnected before its next request
+            coordinator.pool.proxies[1].state = "suspect"
+            got = coordinator.evaluate(ctx)
+            assert coordinator.pool.proxies[1].state == "idle"
+            assert threading.active_count() == threads
+            want = sequential_reference(ctx)
+            assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
+        finally:
+            coordinator.close()
+
+
+def test_dead_socket_does_not_keep_the_coordinator_busy():
+    # about 0.5 s per evaluation on the survivor: N moves paced at 0.5 / N s each
+    delay = 0.5 / N
+    with SubprocessWorker(lanes=1, per_move_delay=delay) as w1, \
+            SubprocessWorker(lanes=1, per_move_delay=delay) as w2:
+        coordinator = Coordinator([w1.address, w2.address], fast_config())
+        try:
+            coordinator.calibrate(seed=3)
+            coordinator.set_problem(INST)
+            w2.kill()
+            ctx = make_ctx(INST, seed=1)
+            t0, cpu0 = time.monotonic(), time.process_time()
+            got = coordinator.evaluate(ctx)
+            wall, cpu = time.monotonic() - t0, time.process_time() - cpu0
+            want = sequential_reference(ctx)
+            assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
+            assert coordinator.pool.proxies[1].state == "dead"
+            assert wall >= 0.4
+            assert cpu < 0.1, f"coordinator used {cpu:.3f} s of CPU over a {wall:.2f} s evaluation"
+        finally:
+            coordinator.close()
 
 
 def test_node_stats_track_assigned_moves():

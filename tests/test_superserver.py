@@ -1,13 +1,13 @@
 import pytest
 
-from hfstabu.coordinator import Coordinator, CoordinatorConfig, predict
+from hfstabu.coordinator import Coordinator, CoordinatorConfig, NodeProxy, predict
 from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.superserver import FanoutBackend, serve_as_super_server
 from hfstabu.tabu import SearchParams, evaluate_slice, run_search
 from hfstabu.worker import WorkerServer
 
-from netharness import WireClient, empty_tabu, wait_until
+from netharness import LatencyRelay, WireClient, empty_tabu, wait_until
 
 INST = generate_instance(8, 3, 3, seed=42)
 DIGEST = instance_digest(INST)
@@ -177,12 +177,21 @@ def test_super_with_all_children_dead_errors_upstream():
         w.shutdown()
 
 
-def test_reconnects_keep_at_most_one_abandoned_socket():
+def test_reconnects_keep_at_most_one_abandoned_socket(monkeypatch):
     child = WorkerServer("127.0.0.1", 0, lanes=1)
     child.start()
-    # replies are read 0.15 s late, so every 0.03 s evaluation is cut by its
-    # budget and the child is reconnected before the next one
-    backend = FanoutBackend([child.address], fast_config(recv_latency=0.15))
+    # replies reach the backend 0.15 s late, so every 0.03 s evaluation is cut
+    # by its budget and the child is reconnected before the next one
+    relay = LatencyRelay(child.address, up_s=0.0, down_s=0.15)
+    backend = FanoutBackend([relay.address], fast_config())
+    connects = []
+    connect = NodeProxy.connect
+
+    def counted_connect(proxy):
+        connects.append(proxy.node_id)
+        connect(proxy)
+
+    monkeypatch.setattr(NodeProxy, "connect", counted_connect)
     try:
         backend.calibrate(generate_instance(6, 2, 2, seed=1), 0.15)
         backend.set_problem(INST)
@@ -190,8 +199,9 @@ def test_reconnects_keep_at_most_one_abandoned_socket():
         for _ in range(8):
             backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 0.03)
             assert len(proxy._drained) <= 1
-        assert proxy.generation >= 8
+        assert len(connects) >= 8
         assert wait_until(lambda: len(child._conns) <= 2)
     finally:
         backend.close()
+        relay.close()
         child.shutdown()

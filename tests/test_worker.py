@@ -9,10 +9,10 @@ from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.protocol import ProtocolError
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.schedule import evaluate_makespan
-from hfstabu.tabu import evaluate_slice, initial_order, scan_slice
+from hfstabu.tabu import SliceResult, evaluate_slice, initial_order, scan_slice
 from hfstabu.worker import LocalBackend, WorkerServer
 
-from netharness import WireClient, empty_tabu, kill_lane_child
+from netharness import WireClient, empty_tabu, kill_lane_child, wait_until
 
 INST = generate_instance(8, 3, 3, seed=42)
 DIGEST = instance_digest(INST)
@@ -243,6 +243,52 @@ def test_protocol_error_closes_only_that_connection(server):
     finally:
         bad.close()
         good.close()
+
+
+class OverlapBackend:
+    """A backend whose evaluation takes 0.3 s and which notes a SET_PROBLEM during one."""
+
+    lanes = 1
+
+    def __init__(self):
+        self.evaluating = False
+        self.overlapped = False
+        self.problems = set()
+
+    def set_problem(self, inst):
+        if self.evaluating:
+            self.overlapped = True
+        self.problems.add(instance_digest(inst))
+        return instance_digest(inst)
+
+    def has_problem(self, digest):
+        return digest in self.problems
+
+    def evaluate(self, digest, order, tabu, incumbent, nslice, deadline):
+        self.evaluating = True
+        time.sleep(0.3)
+        self.evaluating = False
+        return SliceResult(None, None, len(nslice), 0.3), nslice.end
+
+    def close(self):
+        pass
+
+
+def test_set_problem_waits_for_a_running_evaluation():
+    backend = OverlapBackend()
+    with WorkerServer("127.0.0.1", 0, backend=backend) as server, \
+            WireClient(server.address) as first, WireClient(server.address) as second:
+        first.hello()
+        second.hello()
+        first.set_problem(INST)
+        first.send(protocol.Eval(first.next_rid(), DIGEST, ORDER, empty_tabu(), 10**6,
+                                 NeighborhoodSlice(0, N), 10.0))
+        assert wait_until(lambda: backend.evaluating, timeout=5.0)
+        other = generate_instance(6, 2, 2, seed=3)
+        second.set_problem(other)
+        assert isinstance(first.recv(), protocol.EvalResult)
+        assert wait_until(lambda: backend.has_problem(instance_digest(other)), timeout=5.0)
+        assert not backend.overlapped
 
 
 def test_finished_connections_are_pruned(server):
