@@ -66,8 +66,6 @@ EXIT = "exited"
 TIMEOUT = "timed out"
 CUT = "budget cut"
 
-_READ_SIZE = 65536
-
 
 class PlanningError(RuntimeError):
     """No live node with a positive predicted speed."""
@@ -203,7 +201,7 @@ class NodeProxy:
             sock.sendall(protocol.encode(protocol.Hello(rid, PROTOCOL_VERSION, 0)))
             buffer = b""
             while b"\n" not in buffer:
-                chunk = sock.recv(_READ_SIZE)
+                chunk = sock.recv(protocol.READ_SIZE)
                 if not chunk:
                     raise ConnectionError("connection closed during handshake")
                 buffer += chunk
@@ -332,8 +330,8 @@ class DispatchPool:
                 proxy = key.data[0]
                 current = key.fileobj is proxy._sock
                 for msg in self._read(key):
-                    if isinstance(msg, (str, protocol.ExitReport)):  # a str says why the socket closed
-                        failure, why = (LOST, msg) if isinstance(msg, str) else (EXIT, msg.reason)
+                    if isinstance(msg, (Exception, protocol.ExitReport)):  # an exception says why it closed
+                        failure, why = (LOST, msg) if isinstance(msg, Exception) else (EXIT, msg.reason)
                         rid = next((r for r, (p, _) in requests.items() if p is proxy), None)
                         if current and (rid is not None or proxy.state != DEAD):
                             requests.pop(rid, None)
@@ -349,30 +347,16 @@ class DispatchPool:
 
     @staticmethod
     def _read(key: selectors.SelectorKey) -> list:
-        """Read a ready socket's complete messages; a str at the end says why it closed.
+        """Read a ready socket's complete messages; an exception at the end says why it closed.
 
         Partial lines stay in the socket's buffer. A socket that reached EOF
         or sent a malformed frame is unregistered and closed at once, so it
         cannot keep the selector awake.
         """
-        sock = key.fileobj
         proxy, buffer = key.data
-        try:
-            chunk = sock.recv(_READ_SIZE)
-        except OSError:
-            chunk = b""  # a reset connection is a closed one
-        buffer += chunk
-        *lines, buffer[:] = buffer.split(b"\n")
-        messages: list = []
-        closed = None if chunk else "connection closed"
-        for line in lines:
-            try:
-                messages.append(protocol.decode(bytes(line)))
-            except protocol.ProtocolError as exc:
-                closed = f"protocol error: {exc}"
-                break
-        if closed:
-            proxy.close_socket(sock)
+        messages, closed = protocol.read_frames(key.fileobj, buffer)
+        if closed is not None:
+            proxy.close_socket(key.fileobj)
             messages.append(closed)
         return messages
 

@@ -23,7 +23,8 @@ EXIT_REPORT      reason, requests_served, moves_evaluated   (no rid)
 
 The codec is total: decoding never raises anything but ProtocolError,
 naming the offending field, and decode(encode(m)) == m for every valid
-message.
+message. ``read_frames`` splits what a ready socket delivers into frames,
+for the coordinator's collect loop and the worker's loop alike.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .neighborhood import NeighborhoodSlice
 from .tabu import TabuList
 
 PROTOCOL_VERSION = (1, 0)
+READ_SIZE = 65536
 
 
 class ProtocolError(Exception):
@@ -394,3 +396,28 @@ def decode(line: bytes | str) -> Message:
         raise
     except (ValueError, TypeError, KeyError) as exc:
         raise ProtocolError(f"{msg_type}: invalid body: {exc}") from exc
+
+
+def read_frames(sock, buffer: bytearray) -> tuple[list[Message], Exception | None]:
+    """Read a ready socket once into its ``buffer``: (messages, why it closed).
+
+    Every complete frame is decoded; a partial line stays in ``buffer``.
+    The second item is None while the connection is usable. Otherwise it
+    is the reason to close it: a ConnectionError at EOF (a partial line is
+    then dropped), the OSError of a reset connection, or the ProtocolError
+    of a malformed frame, in which case the frames before it are returned
+    and the rest of the buffer is not decoded.
+    """
+    try:
+        chunk = sock.recv(READ_SIZE)
+    except OSError as exc:
+        return [], exc
+    buffer += chunk
+    *lines, buffer[:] = buffer.split(b"\n")
+    messages: list[Message] = []
+    for line in lines:
+        try:
+            messages.append(decode(bytes(line)))
+        except ProtocolError as exc:
+            return messages, exc
+    return messages, None if chunk else ConnectionError("connection closed")

@@ -4,10 +4,12 @@ The daemon wraps the multi-lane evaluator so that a remote client sees a
 single fast server, whatever the local lane count. Evaluation requests
 carry a compute deadline; when it elapses the worker stops at a move
 boundary and returns the best move over the evaluated prefix together
-with the untouched remaining range. One request at a time reaches the
-backend (SET_PROBLEM, CALIBRATE or EVAL); connection handling stays
-responsive meanwhile, and on graceful shutdown every open connection
-receives an EXIT_REPORT before the socket closes.
+with the untouched remaining range. The server runs one selector loop
+over the listener and every connection, and serves one request at a
+time across all of them, in arrival order: a HELLO on a new connection
+is answered once the request being served is. On graceful shutdown that
+request is answered first; then every open connection receives an
+EXIT_REPORT before the socket closes.
 
 ``per_move_delay`` paces every scan: move k of a scan waits until k + 1
 delays after the scan started, so a throttled worker runs at a steady
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import logging
+import selectors
 import socket
 import threading
 import time
@@ -38,7 +41,8 @@ class LocalBackend:
 
     Problems are cached by digest with their lane pools; the cache keeps
     the most recently used few so long bench runs over many instances
-    do not accumulate idle pools.
+    do not accumulate idle pools. Use it from one thread at a time: a
+    worker server calls it only from its loop.
     """
 
     MAX_CACHED_PROBLEMS = 4
@@ -52,7 +56,6 @@ class LocalBackend:
         self._lanes = lanes
         self.per_move_delay = per_move_delay
         self._problems: dict[str, tuple[ProblemInstance, LaneEvaluator]] = {}
-        self._lock = threading.Lock()
 
     @property
     def lanes(self) -> int:
@@ -64,26 +67,20 @@ class LocalBackend:
 
     def set_problem(self, inst: ProblemInstance) -> str:
         digest = instance_digest(inst)
-        evicted = None
-        with self._lock:
-            if digest in self._problems:
-                self._problems[digest] = self._problems.pop(digest)  # refresh LRU position
-            else:
-                self._problems[digest] = (inst, LaneEvaluator(inst, self.lanes))
-                if len(self._problems) > self.MAX_CACHED_PROBLEMS:
-                    evicted = self._problems.pop(next(iter(self._problems)))
-        if evicted is not None:
-            evicted[1].close()
+        if digest in self._problems:
+            self._problems[digest] = self._problems.pop(digest)  # refresh LRU position
+        else:
+            self._problems[digest] = (inst, LaneEvaluator(inst, self.lanes))
+            if len(self._problems) > self.MAX_CACHED_PROBLEMS:
+                self._problems.pop(next(iter(self._problems)))[1].close()
         return digest
 
     def has_problem(self, digest: str) -> bool:
-        with self._lock:
-            return digest in self._problems
+        return digest in self._problems
 
     def evaluate(self, digest, order, tabu: TabuList, incumbent, nslice, deadline) -> tuple[SliceResult, int]:
         """Evaluate as much of ``nslice`` as ``deadline`` seconds allow: (result, prefix end)."""
-        with self._lock:
-            inst, evaluator = self._problems[digest]
+        inst, evaluator = self._problems[digest]
         return evaluator.evaluate_blocks(EvalContext(inst, order, tabu, incumbent), nslice,
                                          time.monotonic() + deadline, self.per_move_delay)
 
@@ -105,8 +102,7 @@ class LocalBackend:
         total = neighborhood_size(inst.num_jobs)
         if total == 0:
             raise ValueError("calibration instance needs at least 2 jobs")
-        with self._lock:
-            cached = self._problems.get(instance_digest(inst))
+        cached = self._problems.get(instance_digest(inst))
         evaluator = cached[1] if cached is not None else LaneEvaluator(inst, self.lanes)
         try:
             return self._measure(evaluator, inst, total, budget)
@@ -141,29 +137,38 @@ class LocalBackend:
         return moves / elapsed if elapsed > 0 else float(moves)
 
     def close(self):
-        with self._lock:
-            problems = list(self._problems.values())
-            self._problems.clear()
-        for _, evaluator in problems:
+        for _, evaluator in self._problems.values():
             evaluator.close()
+        self._problems.clear()
 
 
 class WorkerServer:
-    """TCP daemon speaking the line-JSON protocol."""
+    """TCP daemon speaking the line-JSON protocol, on one selector loop.
+
+    The listener, every connection and a wake-up socket share one
+    selector. Requests are served inline, one at a time in arrival order,
+    so the backend and the counters are only ever touched by the loop.
+    ``serve_forever`` runs the loop on the calling thread; ``start`` runs it
+    on one thread of its own. ``shutdown`` lets the request being served
+    finish and be answered; then every open connection gets an EXIT_REPORT,
+    and the listener and the backend are closed.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, lanes: int | None = None,
                  per_move_delay: float = 0.0, backend=None):
         self._backend = backend if backend is not None else LocalBackend(lanes, per_move_delay)
         self._listener = socket.create_server((host, port))
-        self._listener.settimeout(0.25)
+        self._listener.setblocking(False)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
-        self._stop = threading.Event()
-        self._shutdown_lock = threading.Lock()
-        self._accept_thread: threading.Thread | None = None
-        self._conn_threads: list[threading.Thread] = []
-        self._conns: dict[socket.socket, threading.Lock] = {}
-        self._conns_lock = threading.Lock()
-        self._eval_lock = threading.Lock()  # one backend request at a time; it guards the counters
+        self._wake_reader, self._wake_writer = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake_reader, selectors.EVENT_READ)
+        self._conns: dict[socket.socket, bytearray] = {}  # open connection -> its read buffer
+        self._thread: threading.Thread | None = None
+        self._loop_ident: int | None = None
+        self._exit_reason: str | None = None
+        self._closed = threading.Event()
         self.requests_served = 0
         self.moves_evaluated = 0
 
@@ -174,43 +179,33 @@ class WorkerServer:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self):
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        self._thread = threading.Thread(target=self._serve, name="hfstabu-worker", daemon=True)
+        self._thread.start()
 
     def serve_forever(self):
-        if self._accept_thread is None:
-            self.start()
-        self._stop.wait()
+        if self._thread is None:
+            self._serve()
+        else:
+            self._closed.wait()
 
     def shutdown(self, reason: str = "shutdown"):
-        """Stop serving; open connections get an EXIT_REPORT first."""
-        with self._shutdown_lock:
-            if self._stop.is_set():
-                return
-            with self._conns_lock:
-                conns = dict(self._conns)
-            report = protocol.ExitReport(reason, self.requests_served, self.moves_evaluated)
-            for conn, send_lock in conns.items():
-                try:
-                    with send_lock:
-                        conn.sendall(protocol.encode(report))
-                except OSError:
-                    pass
-            self._stop.set()
-        for conn in conns:
+        """Ask the loop to stop, and wait for it to close unless called on the loop's thread.
+
+        A signal handler on the loop's thread only asks. A server that
+        never started is closed here.
+        """
+        if self._exit_reason is None:
+            self._exit_reason = reason
             try:
-                conn.shutdown(socket.SHUT_RDWR)
+                self._wake_writer.send(b"\0")
             except OSError:
-                pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-        for thread in list(self._conn_threads):
-            thread.join(timeout=2.0)
-        self._backend.close()
+                pass  # the loop has closed already
+        if self._thread is None and self._loop_ident is None:
+            self._close()
+        elif self._loop_ident != threading.get_ident():
+            self._closed.wait()
+            if self._thread is not None:
+                self._thread.join()
 
     def __enter__(self):
         self.start()
@@ -220,123 +215,114 @@ class WorkerServer:
         self.shutdown()
         return False
 
-    # -- connection handling -------------------------------------------------
+    # -- the loop ------------------------------------------------------------
 
-    def _accept_loop(self):
-        while not self._stop.is_set():
-            try:
-                conn, addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            thread = threading.Thread(target=self._serve_conn, args=(conn, addr), daemon=True)
-            # drop finished connections so a long-lived daemon keeps a bounded list
-            self._conn_threads = [t for t in self._conn_threads if t.is_alive()]
-            self._conn_threads.append(thread)
-            thread.start()
-
-    def _serve_conn(self, conn: socket.socket, addr):
-        send_lock = threading.Lock()
-        with self._conns_lock:
-            self._conns[conn] = send_lock
-
-        def send(msg):
-            try:
-                with send_lock:
-                    conn.sendall(protocol.encode(msg))
-            except OSError:
-                pass
-
-        reader = None
+    def _serve(self):
+        self._loop_ident = threading.get_ident()
         try:
-            reader = conn.makefile("rb")
-            while True:
-                line = reader.readline()
-                if not line or self._stop.is_set():
-                    break
-                try:
-                    msg = protocol.decode(line)
-                except protocol.ProtocolError as exc:
-                    log.warning("protocol error from %s: %s", addr, exc)
-                    break
-                if not self._dispatch(msg, send, addr):
-                    break
-        except OSError:
-            pass
+            while self._exit_reason is None:
+                for key, _ in self._selector.select():
+                    if self._exit_reason is not None:
+                        break
+                    if key.fileobj is self._listener:
+                        self._accept()
+                    elif key.fileobj is not self._wake_reader:
+                        self._receive(key.fileobj, key.data)
         finally:
-            with self._conns_lock:
-                self._conns.pop(conn, None)
-            # shutdown() acts on the fd itself, so the peer sees EOF even while
-            # the makefile reader still holds a reference to the socket
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            if reader is not None:
-                try:
-                    reader.close()
-                except OSError:
-                    pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+            self._close()
 
-    def _dispatch(self, msg, send, addr) -> bool:
-        """Handle one request; False closes the connection."""
+    def _accept(self):
+        try:
+            conn, addr = self._listener.accept()
+        except OSError:
+            return  # the client gave up before it was accepted
+        self._conns[conn] = bytearray()
+        self._selector.register(conn, selectors.EVENT_READ, addr)
+
+    def _receive(self, conn: socket.socket, addr):
+        messages, closed = protocol.read_frames(conn, self._conns[conn])
+        for msg in messages:
+            if self._exit_reason is not None:
+                return  # the connection stays open for its EXIT_REPORT
+            reply = self._handle(msg)
+            if reply is not None:
+                try:
+                    conn.sendall(protocol.encode(reply))
+                except OSError:
+                    pass  # a lost client is dropped when its EOF is read
+            if isinstance(msg, protocol.Hello) and isinstance(reply, protocol.Error):
+                break  # a refused handshake closes the connection
+        else:
+            if closed is None:
+                return
+            if isinstance(closed, protocol.ProtocolError):
+                log.warning("protocol error from %s: %s", addr, closed)
+        self._drop(conn)
+
+    def _drop(self, conn: socket.socket):
+        del self._conns[conn]
+        self._selector.unregister(conn)
+        conn.close()
+
+    def _close(self):
+        if self._closed.is_set():
+            return
+        reason = self._exit_reason or "worker loop failed"  # None only if the loop raised
+        report = protocol.encode(protocol.ExitReport(reason, self.requests_served, self.moves_evaluated))
+        for conn in list(self._conns):
+            try:
+                conn.sendall(report)
+            except OSError:
+                pass
+            self._drop(conn)
+        self._selector.close()
+        for sock in (self._listener, self._wake_reader, self._wake_writer):
+            sock.close()
+        self._backend.close()
+        self._closed.set()
+
+    def _handle(self, msg):
+        """Serve one request: the reply to send, or None."""
         if isinstance(msg, protocol.Hello):
             if msg.version[0] != PROTOCOL_VERSION[0]:
-                send(protocol.Error(msg.rid, f"unsupported protocol version {msg.version[0]}.{msg.version[1]}"))
-                return False
-            send(protocol.Hello(msg.rid, PROTOCOL_VERSION, self.lanes))
-            return True
+                return protocol.Error(msg.rid, f"unsupported protocol version {msg.version[0]}.{msg.version[1]}")
+            return protocol.Hello(msg.rid, PROTOCOL_VERSION, self.lanes)
 
         if isinstance(msg, protocol.SetProblem):
-            with self._eval_lock:  # a super server sends it on the sockets its evaluations use
-                try:
-                    digest = self._backend.set_problem(msg.instance)
-                except Exception as exc:
-                    send(protocol.Error(msg.rid, f"set_problem failed: {exc}"))
-                    return True
+            try:
+                digest = self._backend.set_problem(msg.instance)
+            except Exception as exc:
+                return protocol.Error(msg.rid, f"set_problem failed: {exc}")
             log.info("SET_PROBLEM %s n=%d m=%d", digest[:12], msg.instance.num_jobs, msg.instance.num_stages)
-            return True
+            return None
 
         if isinstance(msg, protocol.Calibrate):
             t0 = time.perf_counter()
-            with self._eval_lock:
-                try:
-                    speed = self._backend.calibrate(msg.instance, msg.budget)
-                except Exception as exc:
-                    send(protocol.Error(msg.rid, f"calibration failed: {exc}"))
-                    return True
-                self.requests_served += 1
+            try:
+                speed = self._backend.calibrate(msg.instance, msg.budget)
+            except Exception as exc:
+                return protocol.Error(msg.rid, f"calibration failed: {exc}")
+            self.requests_served += 1
             log.info("CALIBRATE budget=%.3fs speed=%.1f moves/s (%.3fs)",
                      msg.budget, speed, time.perf_counter() - t0)
-            send(protocol.CalibrateResult(msg.rid, speed))
-            return True
+            return protocol.CalibrateResult(msg.rid, speed)
 
         if isinstance(msg, protocol.Eval):
             if not self._backend.has_problem(msg.digest):
-                send(protocol.Error(msg.rid, "unknown problem"))
-                return True
-            with self._eval_lock:
-                try:
-                    result, frontier = self._backend.evaluate(msg.digest, msg.order, msg.tabu, msg.incumbent,
-                                                              msg.nslice, msg.deadline)
-                except Exception as exc:
-                    send(protocol.Error(msg.rid, f"evaluation failed: {exc}"))
-                    return True
-                self.requests_served += 1
-                self.moves_evaluated += result.moves_evaluated
+                return protocol.Error(msg.rid, "unknown problem")
+            try:
+                result, frontier = self._backend.evaluate(msg.digest, msg.order, msg.tabu, msg.incumbent,
+                                                          msg.nslice, msg.deadline)
+            except Exception as exc:
+                return protocol.Error(msg.rid, f"evaluation failed: {exc}")
+            self.requests_served += 1
+            self.moves_evaluated += result.moves_evaluated
             complete = frontier >= msg.nslice.end
             log.info("EVAL [%d,%d) moves=%d complete=%s %.3fs",
                      msg.nslice.begin, msg.nslice.end, result.moves_evaluated, complete, result.elapsed)
             speed = result.moves_evaluated / result.elapsed if result.elapsed > 0 else 0.0
-            send(protocol.EvalResult(msg.rid, result.best_index, result.best_makespan, result.moves_evaluated,
-                                     result.elapsed, speed, complete,
-                                     None if complete else NeighborhoodSlice(frontier, msg.nslice.end)))
-            return True
+            return protocol.EvalResult(msg.rid, result.best_index, result.best_makespan, result.moves_evaluated,
+                                       result.elapsed, speed, complete,
+                                       None if complete else NeighborhoodSlice(frontier, msg.nslice.end))
 
-        send(protocol.Error(getattr(msg, "rid", 0) or 0, f"unexpected message type {msg.TYPE}"))
-        return True
+        return protocol.Error(getattr(msg, "rid", 0) or 0, f"unexpected message type {msg.TYPE}")

@@ -74,10 +74,12 @@ class WireClient:
         return reply
 
     def close(self):
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        # the reader holds a reference to the socket: both must close for the peer to see EOF
+        for f in (self.reader, self.sock):
+            try:
+                f.close()
+            except OSError:
+                pass
 
     def __enter__(self):
         return self
@@ -207,13 +209,17 @@ class SubprocessWorker:
         """Hard kill (SIGKILL to the process group), as in a host failure."""
         if self.proc.poll() is None:
             os.killpg(self.proc.pid, signal.SIGKILL)
-            self.proc.wait(timeout=10)
+        self._reap()
 
     def terminate(self):
         """Graceful stop (SIGTERM), triggering the exit report."""
         if self.proc.poll() is None:
             self.proc.send_signal(signal.SIGTERM)
-            self.proc.wait(timeout=10)
+        self._reap()
+
+    def _reap(self):
+        self.proc.wait(timeout=10)
+        self.proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -8,10 +8,10 @@ import pytest
 from hfstabu.bench import CSV_HEADER, bench_distributed, bench_local, full_grid, write_csv
 from hfstabu.coordinator import CoordinatorConfig
 from hfstabu.instance import parse_instance
-from hfstabu.neighborhood import neighborhood_size
+from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.worker import WorkerServer
 
-from netharness import SubprocessWorker
+from netharness import SubprocessWorker, WireClient, empty_tabu
 
 
 def run_cli(*args, **kwargs):
@@ -164,6 +164,35 @@ def test_cli_worker_ready_line_and_sigterm_exit_report():
         worker.kill()
 
 
+def test_cli_worker_answers_the_running_eval_before_sigterm_exit():
+    import signal
+    import time
+
+    from hfstabu import protocol
+    from hfstabu.instance import generate_instance
+
+    inst = generate_instance(8, 3, 3, seed=42)
+    order = tuple(range(8))
+    with SubprocessWorker(lanes=1, per_move_delay=0.005) as worker, WireClient(worker.address) as client:
+        client.hello()
+        digest = client.set_problem(inst)
+        # a short evaluation first, so the long one starts as soon as it arrives
+        assert isinstance(client.eval(digest, order, empty_tabu(), 10**6, 0, 4, 10.0), protocol.EvalResult)
+        rid = client.next_rid()
+        # 56 moves at 5 ms each: about 0.28 s
+        client.send(protocol.Eval(rid, digest, order, empty_tabu(), 10**6,
+                                  NeighborhoodSlice(0, neighborhood_size(8)), 10.0))
+        time.sleep(0.1)
+        worker.proc.send_signal(signal.SIGTERM)
+        reply = client.recv()
+        assert isinstance(reply, protocol.EvalResult) and reply.rid == rid
+        assert reply.complete
+        report = client.recv()
+        assert isinstance(report, protocol.ExitReport)
+        assert "signal" in report.reason
+        assert worker.proc.wait(timeout=10) == 0
+
+
 def test_cli_bench_local_writes_csv(tmp_path):
     out_file = tmp_path / "bench.csv"
     out = run_cli("bench", "local", "--sizes", "6x2", "--lanes", "1,2", "--iterations", "3",
@@ -207,6 +236,7 @@ def test_cli_worker_env_var_lane_override():
     finally:
         proc.kill()
         proc.wait(timeout=10)
+        proc.stdout.close()
 
     # an explicit flag wins over the environment
     proc = subprocess.Popen([sys.executable, "-m", "hfstabu", "worker", "--bind", "127.0.0.1:0",
@@ -218,3 +248,4 @@ def test_cli_worker_env_var_lane_override():
     finally:
         proc.kill()
         proc.wait(timeout=10)
+        proc.stdout.close()

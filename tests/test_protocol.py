@@ -1,5 +1,6 @@
 import json
 import random
+import socket
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from hfstabu.protocol import (
     SetProblem,
     decode,
     encode,
+    read_frames,
 )
 from hfstabu.tabu import TabuList
 
@@ -211,3 +213,64 @@ def test_non_object_frames_rejected():
     for payload in ("[]", "3", '"x"', "null", "true"):
         with pytest.raises(ProtocolError):
             decode(payload)
+
+
+# -- frame reader --------------------------------------------------------------------
+
+
+@pytest.fixture
+def pair():
+    reader, writer = socket.socketpair()
+    yield reader, writer
+    reader.close()
+    writer.close()
+
+
+def test_read_frames_keeps_a_split_frame_until_it_is_whole(pair):
+    reader, writer = pair
+    frame = encode(SetProblem(3, INST))
+    buffer = bytearray()
+    writer.sendall(frame[:40])
+    assert read_frames(reader, buffer) == ([], None)
+    assert buffer == frame[:40]
+    writer.sendall(frame[40:])
+    assert read_frames(reader, buffer) == ([SetProblem(3, INST)], None)
+    assert buffer == b""
+
+
+def test_read_frames_returns_every_frame_of_one_read(pair):
+    reader, writer = pair
+    messages = [Hello(1, PROTOCOL_VERSION, 2), CalibrateResult(2, 812.5)]
+    tail = encode(Error(3, "x"))[:5]
+    writer.sendall(b"".join(encode(m) for m in messages) + tail)
+    buffer = bytearray()
+    assert read_frames(reader, buffer) == (messages, None)
+    assert buffer == tail
+
+
+def test_read_frames_stops_at_a_malformed_frame(pair):
+    reader, writer = pair
+    writer.sendall(encode(Hello(1, PROTOCOL_VERSION, 2)) + b"not json\n" + encode(Error(2, "x")))
+    messages, closed = read_frames(reader, bytearray())
+    assert messages == [Hello(1, PROTOCOL_VERSION, 2)]
+    assert isinstance(closed, ProtocolError)
+
+
+def test_read_frames_drops_a_partial_line_at_eof(pair):
+    reader, writer = pair
+    writer.sendall(encode(Hello(1, PROTOCOL_VERSION, 2)) + b'{"type":"HEL')
+    writer.close()
+    buffer = bytearray()
+    assert read_frames(reader, buffer) == ([Hello(1, PROTOCOL_VERSION, 2)], None)
+    messages, closed = read_frames(reader, buffer)
+    assert messages == []
+    assert isinstance(closed, ConnectionError) and str(closed) == "connection closed"
+
+
+def test_read_frames_reports_a_reset_connection(pair):
+    reader, writer = pair
+    reader.sendall(b"unread\n")
+    writer.close()  # closing with unread data resets the connection
+    messages, closed = read_frames(reader, bytearray())
+    assert messages == []
+    assert isinstance(closed, ConnectionResetError)

@@ -1,5 +1,6 @@
 import multiprocessing
 import random
+import threading
 import time
 
 import pytest
@@ -291,12 +292,86 @@ def test_set_problem_waits_for_a_running_evaluation():
         assert not backend.overlapped
 
 
+def test_shutdown_answers_the_running_request_first():
+    backend = OverlapBackend()
+    server = WorkerServer("127.0.0.1", 0, backend=backend)
+    server.start()
+    stopper = threading.Thread(target=server.shutdown, kwargs={"reason": "test stop"})
+    try:
+        with WireClient(server.address) as client:
+            client.hello()
+            client.set_problem(INST)
+            rid = client.next_rid()
+            client.send(protocol.Eval(rid, DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 10.0))
+            assert wait_until(lambda: backend.evaluating, timeout=5.0)
+            stopper.start()
+            reply = client.recv()
+            assert isinstance(reply, protocol.EvalResult) and reply.rid == rid
+            report = client.recv()
+            assert isinstance(report, protocol.ExitReport)
+            assert (report.reason, report.requests_served) == ("test stop", 1)
+            with pytest.raises(ConnectionError):
+                client.recv()
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive()
+    finally:
+        server.shutdown()
+
+
+def test_one_thread_serves_every_connection():
+    before = set(threading.enumerate())
+
+    def new_threads():  # threads that end meanwhile do not count, so earlier tests cannot interfere
+        return [t for t in threading.enumerate() if t not in before]
+
+    calibration = generate_instance(6, 2, 2, seed=9)
+    server = WorkerServer("127.0.0.1", 0, lanes=1)
+    try:
+        server.start()
+        assert len(new_threads()) == 1
+        clients = [WireClient(server.address) for _ in range(5)]
+        try:
+            for client in clients:
+                assert isinstance(client.hello(), protocol.Hello)
+                client.set_problem(INST)
+            rids = [client.next_rid() for client in clients]
+            for client, rid in zip(clients, rids):
+                client.send(protocol.Eval(rid, DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 60.0))
+            for client, rid in zip(clients, rids):
+                reply = client.recv()
+                assert isinstance(reply, protocol.EvalResult) and reply.rid == rid
+            for client in clients:
+                assert client.calibrate(calibration, 0.05).speed > 0
+            assert len(new_threads()) == 1
+        finally:
+            for client in clients:
+                client.close()
+        assert server.requests_served == 10
+    finally:
+        server.shutdown()
+    assert new_threads() == []
+
+    # serve_forever serves on the calling thread: the only new thread is the test's own
+    server = WorkerServer("127.0.0.1", 0, lanes=1)
+    loop = threading.Thread(target=server.serve_forever)
+    loop.start()
+    try:
+        with WireClient(server.address) as first, WireClient(server.address) as second:
+            first.hello()
+            second.hello()
+            assert new_threads() == [loop]
+    finally:
+        server.shutdown()
+        loop.join(timeout=5.0)
+    assert not loop.is_alive()
+
+
 def test_finished_connections_are_pruned(server):
     for _ in range(50):
         with WireClient(server.address) as client:
             assert isinstance(client.hello(), protocol.Hello)
-    # each accept drops the threads of connections that have closed
-    assert len(server._conn_threads) <= 10
+    # a closed connection leaves no state behind
+    assert wait_until(lambda: not server._conns, timeout=5.0)
 
 
 def test_request_logging(server, caplog):
