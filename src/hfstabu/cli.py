@@ -11,7 +11,7 @@ import sys
 import time
 
 from .bench import DESK_GRID, bench_distributed, bench_local, full_grid, write_csv
-from .coordinator import CalibrationError, CoordinatorConfig, CoverageError
+from .coordinator import CalibrationError, Coordinator, CoordinatorConfig, CoverageError
 from .instance import InstanceError, generate_instance, parse_instance, serialize_instance
 from .parallel import LaneEvaluator, detected_lane_count
 from .tabu import SearchError, SearchParams, run_search
@@ -41,11 +41,25 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
     return sizes
 
 
+def _checked(convert, accept, name: str):
+    """An argparse type: ``convert`` the text, and refuse a value that ``accept`` rejects."""
+    def parse(text: str):
+        try:
+            if accept(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {name}, got {text!r}")
+    return parse
+
+
+_positive_int = _checked(int, lambda value: value > 0, "a positive integer")
+_non_negative_int = _checked(int, lambda value: value >= 0, "a non-negative integer")
+_positive_float = _checked(float, lambda value: value > 0, "a positive number")  # NaN is refused too
+
+
 def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    return [_positive_int(part) for part in text.split(",") if part]
 
 
 def cmd_gen(args) -> int:
@@ -82,14 +96,11 @@ def cmd_solve(args) -> int:
     nodes_summary = None
     if args.nodes:
         config = CoordinatorConfig(calibration_budget=args.calibration_budget)
-        from .coordinator import Coordinator
-
         with Coordinator(args.nodes, config) as coordinator:
             result = coordinator.run(inst, params, on_iteration=emit)
             nodes_summary = coordinator.node_stats()
     else:
-        lanes = args.lanes if args.lanes else detected_lane_count()
-        with LaneEvaluator(inst, lanes) as evaluator:
+        with LaneEvaluator(inst, args.lanes) as evaluator:  # no --lanes: detected cores
             result = run_search(inst, params, evaluator.evaluate, on_iteration=emit)
     wall = time.perf_counter() - t0
 
@@ -107,9 +118,13 @@ def cmd_solve(args) -> int:
 def cmd_worker(args) -> int:
     host, port = args.bind
     lanes = args.lanes
-    if lanes is None:
-        env = os.environ.get("HFSTABU_LANES")
-        lanes = int(env) if env else None
+    env = os.environ.get("HFSTABU_LANES")
+    if lanes is None and env:
+        try:
+            lanes = _positive_int(env)
+        except argparse.ArgumentTypeError as exc:
+            log.error("HFSTABU_LANES: %s", exc)
+            return 2
     server = WorkerServer(host, port, lanes=lanes, per_move_delay=args.per_move_delay)
     log.info("worker listening on %s:%d with %d lane(s)", *server.address, server.lanes)
     print(json.dumps({"event": "ready", "host": server.address[0], "port": server.address[1],
@@ -162,21 +177,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the solver; trace and summary as line JSON on stdout")
     p.add_argument("--instance", required=True)
-    p.add_argument("--iterations", type=int, required=True)
+    p.add_argument("--iterations", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--nodes", type=_parse_nodes, default=None,
                    help="comma-separated worker endpoints; absent: solve in process")
-    p.add_argument("--lanes", type=int, default=None, help="lane count for the in-process solver")
-    p.add_argument("--tenure", type=int, default=7)
-    p.add_argument("--diversify-after", type=int, default=20)
-    p.add_argument("--diversify-strength", type=int, default=None)
-    p.add_argument("--calibration-budget", type=float, default=2.0,
+    p.add_argument("--lanes", type=_positive_int, default=None,
+                   help="lane count for the in-process solver (default: detected cores)")
+    p.add_argument("--tenure", type=_positive_int, default=7)
+    p.add_argument("--diversify-after", type=_non_negative_int, default=20)
+    p.add_argument("--diversify-strength", type=_non_negative_int, default=None)
+    p.add_argument("--calibration-budget", type=_positive_float, default=2.0,
                    help="upper bound on calibration seconds; nodes answer once their speed settles")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("worker", help="run an evaluation worker daemon")
     p.add_argument("--bind", type=_parse_endpoint, required=True, help="HOST:PORT (port 0 picks a free port)")
-    p.add_argument("--lanes", type=int, default=None,
+    p.add_argument("--lanes", type=_positive_int, default=None,
                    help="lane count (default: HFSTABU_LANES env var, else detected cores)")
     p.add_argument("--per-move-delay", type=float, default=0.0,
                    help="pace every scan at one move per SECONDS (testing aid)")
@@ -188,11 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true", help="use the full 10/30/50-job grid")
     p.add_argument("--lanes", type=_parse_ints, default=None, help="lane counts for local mode")
     p.add_argument("--nodes", type=_parse_nodes, default=None, help="worker endpoints for distributed mode")
-    p.add_argument("--iterations", type=int, default=20)
+    p.add_argument("--iterations", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--machines", type=int, default=5)
-    p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--calibration-budget", type=float, default=2.0,
+    p.add_argument("--repeats", type=_positive_int, default=1)
+    p.add_argument("--calibration-budget", type=_positive_float, default=2.0,
                    help="upper bound on calibration seconds; nodes answer once their speed settles")
     p.add_argument("-o", "--output", help="CSV output file (default stdout)")
     p.set_defaults(func=cmd_bench)

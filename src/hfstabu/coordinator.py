@@ -1,22 +1,24 @@
 """Load-balancing coordinator for distributed neighborhood evaluation.
 
-The coordinator owns the search state and drives a set of remote
-workers. A run starts with a time-boxed calibration round that measures
-every node's speed on a generated mid-complexity instance; a node
-answers once its speed settles, at the latest when the budget elapses.
-Those measurements seed a per-node performance history. Each iteration
-then splits the neighborhood proportionally to the predicted node
-speeds, dispatches one EVAL per node with a deadline derived from the
+One ``Coordinator`` plays the master's role at the top level of a
+distributed search and inside every super server, for its children. A
+run starts with a time-boxed calibration round that measures every
+node's speed on a generated mid-complexity instance; a node answers once
+its speed settles, at the latest when the budget elapses. Those
+measurements seed each node's performance history. Each iteration then
+splits the neighborhood proportionally to the predicted node speeds,
+dispatches one EVAL per node with a deadline derived from the
 prediction, and waits for the replies.
 
-The pool talks to nodes one way, on the thread that uses it. ``_connect``
-is the only place a connection is opened; calibration and evaluation
-pick their nodes with the same ``_ready_nodes``, so a suspect node gets
-its reconnect before CALIBRATE as before EVAL. ``_collect`` reads every
-node socket through one selector: it resolves each outstanding request
-as a reply or a failure (lost connection, ERROR, EXIT_REPORT, timeout,
-budget cut) and reports replies to requests no longer outstanding as
-late. Each kind of request keeps its own failure policy on top of it:
+The coordinator talks to nodes one way, on the thread that uses it.
+``_connect`` is the only place a connection is opened; calibration and
+evaluation pick their nodes with the same ``_ready_nodes``, so a suspect
+node gets its reconnect before CALIBRATE as before EVAL. ``_collect``
+reads every node socket through one selector: it resolves each
+outstanding request as a reply or a failure (lost connection, ERROR,
+EXIT_REPORT, timeout, budget cut) and reports replies to requests no
+longer outstanding as late. Each kind of request keeps its own failure
+policy on top of it:
 
 * CALIBRATE: any failure, or a zero speed, marks the node dead.
 * EVAL: the slice goes back into the queue. EXIT_REPORT marks the node
@@ -28,12 +30,12 @@ late. Each kind of request keeps its own failure policy on top of it:
 
 Failed and incomplete slices are fed into extra dispatch rounds over the
 remaining live nodes until the slice is covered, no node is ready, the
-rounds stop making progress, or the caller's budget runs out. The
-accepted intervals go through the shared prefix reducer
-(``tabu.merge_prefix``); they must tile the neighborhood from 0 to its
-end, and the chosen move is the argmin by (makespan, move index) over
-them, so any topology and any failure schedule that leaves one live node
-produces exactly the single-machine result.
+rounds stop making progress, or the caller's budget runs out.
+``evaluate_blocks`` reduces the accepted intervals with the shared prefix
+reducer (``tabu.merge_prefix``): the chosen move is the argmin by
+(makespan, move index) over the contiguous prefix of the slice, so any
+topology and any failure schedule that leaves one live node produces
+exactly the single-machine result.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ BUSY = "busy"
 SUSPECT = "suspect"
 DEAD = "dead"
 
-# how DispatchPool._collect reports a request that got no reply
+# how Coordinator._collect reports a request that got no reply
 LOST = "connection lost"
 ERROR = "remote error"
 EXIT = "exited"
@@ -153,10 +155,11 @@ class CoordinatorConfig:
 
 
 class NodeProxy:
-    """One remote node: its current connection and at most one abandoned one.
+    """One remote node: its current connection, at most one abandoned one, and its measurements.
 
-    Each socket is registered on the pool's selector, with its read buffer,
-    from its handshake until ``close_socket``; ``DispatchPool._collect`` reads them.
+    Each socket is registered on the coordinator's selector, with its read
+    buffer, from its handshake until ``close_socket``. ``history`` holds
+    the node's speeds; ``moves`` and ``busy_seconds`` sum its accepted results.
     """
 
     def __init__(self, node_id: int, address: tuple[str, int], selector: selectors.BaseSelector,
@@ -168,6 +171,9 @@ class NodeProxy:
         self.state = IDLE
         self.strikes = 0
         self.lanes = 0
+        self.history = NodePerfHistory()
+        self.moves = 0
+        self.busy_seconds = 0.0
         self._sock: socket.socket | None = None
         self._drained: list[socket.socket] = []
         self._rid = node_id * 1_000_000  # disjoint rid ranges ease log reading
@@ -241,9 +247,11 @@ class NodeProxy:
                 self.close_socket(sock)
 
 
-class DispatchPool:
-    """Connection pool plus the dispatch/collect/redistribute machinery.
+class Coordinator:
+    """Fans neighborhood evaluation out over a fixed set of nodes.
 
+    One class serves the top-level search and every super server: it owns
+    the selector, the node proxies, calibration and the dispatch cycle.
     Use it from one thread at a time: it starts no thread, and reads every
     node socket on the caller's thread through its one selector.
     """
@@ -252,9 +260,6 @@ class DispatchPool:
         self.config = config or CoordinatorConfig()
         self._selector = selectors.DefaultSelector()
         self.proxies = [NodeProxy(i, addr, self._selector, self.config) for i, addr in enumerate(addresses)]
-        self.histories = {p.node_id: NodePerfHistory() for p in self.proxies}
-        self.node_moves = {p.node_id: 0 for p in self.proxies}
-        self.node_elapsed = {p.node_id: 0.0 for p in self.proxies}
         self.late_results = 0
         self.redistribution_rounds = 0
         self._problem: tuple[ProblemInstance, str] | None = None
@@ -282,6 +287,13 @@ class DispatchPool:
         for proxy in self.proxies:
             proxy.disconnect()
         self._selector.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
 
     def live_nodes(self) -> list[NodeProxy]:
         return [p for p in self.proxies if p.state != DEAD]
@@ -327,9 +339,13 @@ class DispatchPool:
                 return
             wake = min(cutoff, *(deadline for _, deadline in requests.values()))
             for key, _ in self._selector.select(wake - now):
-                proxy = key.data[0]
+                proxy, buffer = key.data
                 current = key.fileobj is proxy._sock
-                for msg in self._read(key):
+                messages, closed = protocol.read_frames(key.fileobj, buffer)
+                if closed is not None:  # EOF or a malformed frame: close now, or it keeps select() awake
+                    proxy.close_socket(key.fileobj)
+                    messages.append(closed)
+                for msg in messages:
                     if isinstance(msg, (Exception, protocol.ExitReport)):  # an exception says why it closed
                         failure, why = (LOST, msg) if isinstance(msg, Exception) else (EXIT, msg.reason)
                         rid = next((r for r, (p, _) in requests.items() if p is proxy), None)
@@ -345,21 +361,6 @@ class DispatchPool:
                         outstanding = requests.pop(msg.rid, None) is not None
                         yield msg.rid if outstanding else None, proxy, msg, None
 
-    @staticmethod
-    def _read(key: selectors.SelectorKey) -> list:
-        """Read a ready socket's complete messages; an exception at the end says why it closed.
-
-        Partial lines stay in the socket's buffer. A socket that reached EOF
-        or sent a malformed frame is unregistered and closed at once, so it
-        cannot keep the selector awake.
-        """
-        proxy, buffer = key.data
-        messages, closed = protocol.read_frames(key.fileobj, buffer)
-        if closed is not None:
-            proxy.close_socket(key.fileobj)
-            messages.append(closed)
-        return messages
-
     # -- problem transfer and calibration -------------------------------------
 
     def set_problem(self, inst: ProblemInstance) -> str:
@@ -374,7 +375,18 @@ class DispatchPool:
                 self._strike(proxy, "send failed during problem transfer")
         return digest
 
-    def calibrate(self, inst: ProblemInstance, budget: float) -> dict[int, float]:
+    def calibrate(self, seed: int) -> dict[int, float]:
+        """Connect every node and measure its speed; requires one survivor."""
+        inst = generate_instance(self.config.calibration_jobs, self.config.calibration_stages,
+                                 self.config.calibration_machines, seed)
+        speeds = self.calibrate_on(inst, self.config.calibration_budget)
+        if not speeds:
+            raise CalibrationError("no node completed calibration")
+        log.info("calibrated %d node(s): %s", len(speeds),
+                 {k: round(v, 1) for k, v in speeds.items()})
+        return speeds
+
+    def calibrate_on(self, inst: ProblemInstance, budget: float) -> dict[int, float]:
         """Time-boxed speed measurement on every ready node, concurrently.
 
         A node that fails the round in any way, or measures zero speed, is
@@ -382,6 +394,7 @@ class DispatchPool:
         latest when ``budget`` elapses; its history starts with one entry
         weighted by speed x the request's send-to-reply time, about the
         moves it scanned, so real iterations outweigh it within a few rounds.
+        Returns the measured speed of each surviving node, by node id.
         """
         deadline = time.monotonic() + budget + self.config.calibration_grace
         requests: dict[int, tuple[NodeProxy, float]] = {}
@@ -406,32 +419,57 @@ class DispatchPool:
                 proxy.strikes = 0
                 speeds[proxy.node_id] = reply.speed
                 moves = max(1, round(reply.speed * (time.monotonic() - sent[rid])))
-                self.histories[proxy.node_id] = NodePerfHistory([(moves, reply.speed)])
+                proxy.history = NodePerfHistory([(moves, reply.speed)])
             else:
                 proxy.state = DEAD
                 log.warning("node %d dropped from calibration: %s", proxy.node_id,
                             failure or "no speed measured")
         return speeds
 
-    # -- the dispatch cycle ----------------------------------------------------
+    # -- evaluation ----------------------------------------------------------------
 
-    def cover(self, nslice: NeighborhoodSlice, ctx_payload, budget_abs: float):
+    def evaluate(self, ctx: EvalContext) -> SliceResult:
+        """Full-neighborhood evaluation; drop-in evaluator for run_search."""
+        total = neighborhood_size(len(ctx.order))
+        result, frontier = self.evaluate_blocks(ctx, NeighborhoodSlice(0, total), None)
+        if frontier != total:
+            raise CoverageError(f"coverage stops at {frontier}, expected {total}")
+        return result
+
+    def evaluate_blocks(self, ctx: EvalContext, nslice: NeighborhoodSlice,
+                        deadline: float | None) -> tuple[SliceResult, int]:
+        """Evaluate as much of ``nslice`` as the nodes cover by ``deadline``.
+
+        The contract of ``LaneEvaluator.evaluate_blocks``: returns (result
+        over the evaluated prefix, prefix end). ``deadline`` is an absolute
+        time.monotonic() value, or None to dispatch until the slice is
+        covered or no node can take more of it. The context's instance is
+        sent to the nodes first when it is not the current problem.
+        """
+        if self._problem is None or ctx.instance != self._problem[0]:
+            self.set_problem(ctx.instance)
+        t0 = time.perf_counter()
+        results = self.cover(ctx, nslice, math.inf if deadline is None else deadline)
+        frontier, best_idx, best_ms = merge_prefix(results, nslice.begin)
+        return SliceResult(best_idx, best_ms, frontier - nslice.begin, time.perf_counter() - t0), frontier
+
+    def cover(self, ctx: EvalContext, nslice: NeighborhoodSlice, budget_abs: float):
         """Dispatch rounds over ``nslice`` until it is evaluated or the budget passes.
 
-        ``ctx_payload`` is (digest, order, tabu, incumbent); ``budget_abs``
-        is an absolute time.monotonic() value, ``math.inf`` for no budget.
-        Returns the accepted evaluated intervals (begin, end, best_index,
-        best_makespan). Never raises for want of coverage: it also stops
-        when no node is ready or dispatch rounds stop making progress, and
-        the caller finds the gap with ``tabu.merge_prefix``.
+        The nodes scan ``ctx`` on the current problem. ``budget_abs`` is an
+        absolute time.monotonic() value, ``math.inf`` for no budget. Returns
+        the accepted evaluated intervals (begin, end, best_index,
+        best_makespan). Never raises for want of coverage: it also stops when
+        no node is ready or dispatch rounds stop making progress, and
+        ``evaluate_blocks`` keeps only the contiguous prefix.
         """
-        digest, order, tabu, incumbent = ctx_payload
+        digest = self._problem[1]
         pending = deque([(nslice.begin, nslice.end)] if nslice else [])
         results: list[tuple[int, int, int | None, int | None]] = []
         first_range = True
         stalled = 0
         while pending and time.monotonic() < budget_abs and stalled <= len(self.proxies) + 2:
-            ready = self._ready_nodes(p for p in self.proxies if self.histories[p.node_id].count)
+            ready = self._ready_nodes(p for p in self.proxies if p.history.count)
             if not ready:
                 break
             begin, end = pending.popleft()
@@ -439,7 +477,7 @@ class DispatchPool:
                 self.redistribution_rounds += 1
             first_range = False
 
-            speeds = [predict(self.histories[p.node_id]) for p in ready]
+            speeds = [predict(p.history) for p in ready]
             slices = plan_partition(speeds, end - begin, begin)
 
             requests: dict[int, tuple[NodeProxy, float]] = {}
@@ -451,7 +489,7 @@ class DispatchPool:
                                max(budget_abs - time.monotonic(), 0.05))
                 rid = proxy.next_rid()
                 try:
-                    proxy.send(protocol.Eval(rid, digest, order, tabu, incumbent, part, deadline))
+                    proxy.send(protocol.Eval(rid, digest, ctx.order, ctx.tabu, ctx.incumbent, part, deadline))
                 except (OSError, ConnectionError):
                     self._strike(proxy, "send failed")
                     pending.append((part.begin, part.end))
@@ -480,16 +518,17 @@ class DispatchPool:
             stalled = stalled + 1 if round_moves == 0 else 0
         return results
 
-    def _accept(self, proxy: NodeProxy, msg: protocol.EvalResult, nslice: NeighborhoodSlice,
+    @staticmethod
+    def _accept(proxy: NodeProxy, msg: protocol.EvalResult, nslice: NeighborhoodSlice,
                 results, pending) -> int:
         """Take a consistent EVAL_RESULT; queue its remaining range. Returns moves accepted."""
         if msg.moves_evaluated > 0:
             end = nslice.begin + msg.moves_evaluated
             results.append((nslice.begin, end, msg.best_index, msg.best_makespan))
             if msg.speed > 0:
-                self.histories[proxy.node_id].record(msg.moves_evaluated, msg.speed)
-            self.node_moves[proxy.node_id] += msg.moves_evaluated
-            self.node_elapsed[proxy.node_id] += msg.elapsed
+                proxy.history.record(msg.moves_evaluated, msg.speed)
+            proxy.moves += msg.moves_evaluated
+            proxy.busy_seconds += msg.elapsed
         if not msg.complete:
             pending.append((msg.remaining.begin, msg.remaining.end))
         proxy.state = IDLE
@@ -502,67 +541,19 @@ class DispatchPool:
             return
         self.late_results += 1
         if msg.moves_evaluated > 0 and msg.speed > 0:
-            self.histories[proxy.node_id].record(msg.moves_evaluated, msg.speed)
+            proxy.history.record(msg.moves_evaluated, msg.speed)
         log.info("node %d late result discarded (rid %d)", proxy.node_id, msg.rid)
 
     @staticmethod
     def _result_consistent(msg, nslice: NeighborhoodSlice) -> bool:
-        if not isinstance(msg, protocol.EvalResult):
+        if not isinstance(msg, protocol.EvalResult) or msg.moves_evaluated > len(nslice):
             return False
         evaluated_end = nslice.begin + msg.moves_evaluated
-        if msg.moves_evaluated > len(nslice):
+        if msg.complete and evaluated_end != nslice.end:
             return False
-        if msg.complete:
-            if evaluated_end != nslice.end:
-                return False
-        else:
-            if msg.remaining is None:
-                return False
-            if msg.remaining.begin != evaluated_end or msg.remaining.end != nslice.end:
-                return False
-        if msg.best_index is not None and not nslice.begin <= msg.best_index < evaluated_end:
+        if not msg.complete and msg.remaining != NeighborhoodSlice(evaluated_end, nslice.end):
             return False
-        return True
-
-
-class Coordinator:
-    """Runs the distributed tabu search over a fixed set of worker addresses."""
-
-    def __init__(self, addresses, config: CoordinatorConfig | None = None):
-        self.config = config or CoordinatorConfig()
-        self.pool = DispatchPool(list(addresses), self.config)
-        self._digest: str | None = None
-
-    # -- setup ---------------------------------------------------------------
-
-    def calibrate(self, seed: int) -> dict[int, float]:
-        """Connect every node and measure its speed; requires one survivor."""
-        inst = generate_instance(self.config.calibration_jobs, self.config.calibration_stages,
-                                 self.config.calibration_machines, seed)
-        speeds = self.pool.calibrate(inst, self.config.calibration_budget)
-        if not speeds:
-            raise CalibrationError("no node completed calibration")
-        log.info("calibrated %d node(s): %s", len(speeds),
-                 {k: round(v, 1) for k, v in speeds.items()})
-        return speeds
-
-    def set_problem(self, inst: ProblemInstance):
-        self._digest = self.pool.set_problem(inst)
-
-    # -- per-iteration evaluation ----------------------------------------------
-
-    def evaluate(self, ctx: EvalContext) -> SliceResult:
-        """Full-neighborhood evaluation; drop-in evaluator for run_search."""
-        if self._digest is None:
-            self.set_problem(ctx.instance)
-        total = neighborhood_size(len(ctx.order))
-        t0 = time.perf_counter()
-        ctx_payload = (self._digest, ctx.order, ctx.tabu, ctx.incumbent)
-        results = self.pool.cover(NeighborhoodSlice(0, total), ctx_payload, math.inf)
-        frontier, best_idx, best_ms = merge_prefix(results, 0)
-        if frontier != total:
-            raise CoverageError(f"coverage stops at {frontier}, expected {total}")
-        return SliceResult(best_idx, best_ms, total, time.perf_counter() - t0)
+        return msg.best_index is None or nslice.begin <= msg.best_index < evaluated_end
 
     # -- full runs ---------------------------------------------------------------
 
@@ -572,37 +563,13 @@ class Coordinator:
         return run_search(inst, params, self.evaluate, on_iteration)
 
     def node_stats(self) -> dict[int, dict]:
-        stats = {}
-        for proxy in self.pool.proxies:
-            history = self.pool.histories[proxy.node_id]
-            moves = self.pool.node_moves[proxy.node_id]
-            elapsed = self.pool.node_elapsed[proxy.node_id]
-            stats[proxy.node_id] = {
-                "address": f"{proxy.address[0]}:{proxy.address[1]}",
-                "state": proxy.state,
-                "moves": moves,
-                "busy_seconds": round(elapsed, 6),
-                "mean_speed": predict(history) if history.count else 0.0,
-            }
-        return stats
-
-    @property
-    def redistribution_rounds(self) -> int:
-        return self.pool.redistribution_rounds
-
-    @property
-    def late_results(self) -> int:
-        return self.pool.late_results
-
-    def close(self):
-        self.pool.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
+        return {proxy.node_id: {
+            "address": f"{proxy.address[0]}:{proxy.address[1]}",
+            "state": proxy.state,
+            "moves": proxy.moves,
+            "busy_seconds": round(proxy.busy_seconds, 6),
+            "mean_speed": predict(proxy.history) if proxy.history.count else 0.0,
+        } for proxy in self.proxies}
 
 
 def run_distributed_search(inst: ProblemInstance, params: SearchParams, addresses,

@@ -140,8 +140,11 @@ class LaneEvaluator:
         absolute time.monotonic() value shared across lanes, or None to
         evaluate the whole range. A block whose lane raised, or that a
         broken pool lost, is re-scanned here; EvaluationError is raised
-        only if that re-scan fails too.
+        only if that re-scan fails too. A context of another instance than
+        the evaluator's is a ValueError.
         """
+        if ctx.instance != self.instance:
+            raise ValueError("the context's instance is not the evaluator's")
         t0 = time.perf_counter()
         if not nslice:
             return SliceResult(None, None, 0, 0.0), nslice.begin

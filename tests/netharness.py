@@ -159,15 +159,15 @@ def _shut(*sockets):
         sock.close()
 
 
-def record_cover(monkeypatch, pool):
-    """Record what each ``pool.cover`` call dispatched and accepted.
+def record_cover(monkeypatch, coordinator):
+    """Record what each ``coordinator.cover`` call dispatched and accepted.
 
     Returns (audits, plans), each with one entry per call: the sorted
     (begin, end) intervals it accepted, and the move counts of each of its
     dispatch rounds in ready-node order.
     """
     audits, plans = [], []
-    cover, plan_partition = pool.cover, coordinator_module.plan_partition
+    cover, plan_partition = coordinator.cover, coordinator_module.plan_partition
 
     def recording_cover(*args, **kwargs):
         plans.append([])
@@ -180,7 +180,7 @@ def record_cover(monkeypatch, pool):
         plans[-1].append([len(s) for s in slices])
         return slices
 
-    monkeypatch.setattr(pool, "cover", recording_cover)
+    monkeypatch.setattr(coordinator, "cover", recording_cover)
     monkeypatch.setattr(coordinator_module, "plan_partition", recording_plan)
     return audits, plans
 

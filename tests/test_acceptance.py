@@ -240,7 +240,7 @@ def test_criterion_7_proportional_balancing(monkeypatch):
     fast.start()
     slow.start()
     coordinator = Coordinator([fast.address, slow.address], fast_config(calibration_budget=0.4))
-    _, plans = record_cover(monkeypatch, coordinator.pool)
+    _, plans = record_cover(monkeypatch, coordinator)
     try:
         coordinator.run(inst, SearchParams(iterations=11, seed=7))
         plan = plans[10][0]  # first dispatch round of iteration 10, in node order
@@ -274,9 +274,9 @@ def test_criterion_8_fault_tolerance():
                     killed.append(True)
 
             with pytest.MonkeyPatch.context() as monkeypatch:
-                audits, _ = record_cover(monkeypatch, coordinator.pool)
+                audits, _ = record_cover(monkeypatch, coordinator)
                 result = coordinator.run(inst, params, on_iteration=maybe_kill)
-            states = [p.state for p in coordinator.pool.proxies]
+            states = [p.state for p in coordinator.proxies]
             return result, audits, states
         finally:
             coordinator.close()

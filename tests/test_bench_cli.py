@@ -1,10 +1,12 @@
 import io
 import json
+import multiprocessing
 import subprocess
 import sys
 
 import pytest
 
+import hfstabu.bench
 from hfstabu.bench import CSV_HEADER, bench_distributed, bench_local, full_grid, write_csv
 from hfstabu.coordinator import CoordinatorConfig
 from hfstabu.instance import parse_instance
@@ -53,6 +55,19 @@ def test_bench_local_csv_shape_and_reproducibility():
         size = key.split("@")[0]
         by_size.setdefault(size, set()).add((cell["best_makespan"], cell["trace"]))
     assert all(len(v) == 1 for v in by_size.values())
+
+
+def test_bench_local_starts_lanes_before_the_clock(monkeypatch):
+    alive = {}
+    run_search = hfstabu.bench.run_search
+
+    def recording_run_search(inst, params, evaluator, *args, **kwargs):
+        alive[evaluator.__self__.lanes] = len(multiprocessing.active_children())
+        return run_search(inst, params, evaluator, *args, **kwargs)
+
+    monkeypatch.setattr(hfstabu.bench, "run_search", recording_run_search)
+    bench_local([(6, 2)], [1, 2], iterations=2, seed=5, machines=3)
+    assert alive[2] >= 2
 
 
 def test_bench_distributed_utilization_accounting():
@@ -222,6 +237,26 @@ def test_cli_error_reporting_without_traceback(tmp_path):
     out = run_cli("solve", "--instance", str(bad), "--iterations", "1", "--seed", "0")
     assert out.returncode == 1
     assert "Traceback" not in out.stderr
+
+    # numeric options are checked when the arguments are parsed
+    solve = ["solve", "--instance", str(missing), "--seed", "0"]
+    for extra in (["--iterations", "0"], ["--iterations", "1", "--tenure", "0"],
+                  ["--iterations", "1", "--lanes", "-1"], ["--iterations", "1", "--lanes", "0"],
+                  ["--iterations", "1", "--diversify-after", "-1"],
+                  ["--iterations", "1", "--diversify-strength", "-1"],
+                  ["--iterations", "1", "--calibration-budget", "0"]):
+        out = run_cli(*solve, *extra)
+        assert out.returncode == 2, extra
+        assert "Traceback" not in out.stderr
+        assert f"argument {extra[-2]}: expected" in out.stderr
+
+    import os
+
+    env = dict(os.environ, HFSTABU_LANES="x")
+    out = run_cli("worker", "--bind", "127.0.0.1:0", env=env)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr.count("\n") == 1 and "HFSTABU_LANES" in out.stderr
 
 
 def test_cli_worker_env_var_lane_override():

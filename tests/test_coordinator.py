@@ -11,7 +11,6 @@ from hfstabu.coordinator import (
     Coordinator,
     CoordinatorConfig,
     CoverageError,
-    DispatchPool,
     NodePerfHistory,
     plan_partition,
     predict,
@@ -162,7 +161,7 @@ def test_calibrate_initializes_histories():
             speeds = coordinator.calibrate(seed=5)
             assert set(speeds) == {0, 1}
             assert all(v > 0 for v in speeds.values())
-            for history in coordinator.pool.histories.values():
+            for history in (p.history for p in coordinator.proxies):
                 assert history.count == 1
                 assert history.moves > 0 and predict(history) > 0
         finally:
@@ -180,7 +179,7 @@ def test_calibration_entry_is_weighted_by_request_time():
             assert set(speeds) == {0, 1}
             assert wall < budget / 2  # the nodes' speeds settled before the budget
             for node, speed in speeds.items():
-                history = coordinator.pool.histories[node]
+                history = coordinator.proxies[node].history
                 assert history.count == 1
                 # weighted by the moves scanned in the request's time, not by the budget
                 assert history.moves < 0.5 * speed * budget
@@ -199,7 +198,7 @@ def test_calibrate_marks_unreachable_node_dead():
         try:
             speeds = coordinator.calibrate(seed=5)
             assert set(speeds) == {0}
-            assert coordinator.pool.proxies[1].state == "dead"
+            assert coordinator.proxies[1].state == "dead"
         finally:
             coordinator.close()
 
@@ -251,10 +250,10 @@ def test_calibration_failure_marks_node_dead(fault):
         try:
             speeds = coordinator.calibrate(seed=5)
             assert set(speeds) == {0} and speeds[0] > 0
-            assert coordinator.pool.proxies[0].state == "idle"
-            assert coordinator.pool.histories[0].count == 1
-            assert coordinator.pool.proxies[1].state == "dead"
-            assert not coordinator.pool.histories[1].count
+            assert coordinator.proxies[0].state == "idle"
+            assert coordinator.proxies[0].history.count == 1
+            assert coordinator.proxies[1].state == "dead"
+            assert not coordinator.proxies[1].history.count
         finally:
             coordinator.close()
             faulty.close()
@@ -299,12 +298,29 @@ def test_single_worker_matches_local_evaluation():
             coordinator.close()
 
 
+def test_evaluate_answers_for_the_context_instance():
+    a = generate_instance(8, 3, 3, seed=1)
+    b = generate_instance(8, 3, 3, seed=2)
+    with WorkerServer("127.0.0.1", 0, lanes=1) as worker:
+        coordinator = Coordinator([worker.address], fast_config())
+        try:
+            coordinator.calibrate(seed=3)
+            coordinator.set_problem(a)
+            for inst in (b, a, b):
+                ctx = make_ctx(inst, seed=1)
+                got = coordinator.evaluate(ctx)
+                want = sequential_reference(ctx)
+                assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
+        finally:
+            coordinator.close()
+
+
 def test_three_workers_match_local_and_audit(monkeypatch):
     servers = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(3)]
     for s in servers:
         s.start()
     coordinator = Coordinator([s.address for s in servers], fast_config())
-    audits, _ = record_cover(monkeypatch, coordinator.pool)
+    audits, _ = record_cover(monkeypatch, coordinator)
     try:
         coordinator.calibrate(seed=3)
         coordinator.set_problem(INST)
@@ -343,7 +359,7 @@ def test_graceful_worker_exit_mid_run_redistributes(monkeypatch):
     for s in servers:
         s.start()
     coordinator = Coordinator([s.address for s in servers], fast_config())
-    audits, _ = record_cover(monkeypatch, coordinator.pool)
+    audits, _ = record_cover(monkeypatch, coordinator)
     try:
         stopped = []
 
@@ -354,7 +370,7 @@ def test_graceful_worker_exit_mid_run_redistributes(monkeypatch):
 
         result = coordinator.run(INST, params, on_iteration=stop_one)
         assert result.trace == local.trace
-        assert coordinator.pool.proxies[1].state == "dead"
+        assert coordinator.proxies[1].state == "dead"
         assert len(audits) == 24
     finally:
         coordinator.close()
@@ -368,7 +384,7 @@ def test_timeout_suspect_and_late_sample(monkeypatch):
         s.start()
     config = fast_config(deadline_slack=1.2, deadline_floor=0.05, response_grace=0.1)
     coordinator = Coordinator([s.address for s in servers], config)
-    audits, _ = record_cover(monkeypatch, coordinator.pool)
+    audits, _ = record_cover(monkeypatch, coordinator)
     try:
         coordinator.calibrate(seed=4)
         coordinator.set_problem(INST)
@@ -390,11 +406,11 @@ def test_timeout_suspect_and_late_sample(monkeypatch):
         verify_exact_cover([(b, e, None, None) for b, e in audits[0]], 0, N)
         # the timed-out node's answer eventually lands, and a later evaluation reads it as late
         deadline = time.monotonic() + 5.0
-        while coordinator.pool.late_results == 0 and time.monotonic() < deadline:
+        while coordinator.late_results == 0 and time.monotonic() < deadline:
             time.sleep(0.05)
             got = coordinator.evaluate(ctx)
             assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
-        assert coordinator.pool.late_results >= 1
+        assert coordinator.late_results >= 1
     finally:
         coordinator.close()
         for s in servers:
@@ -450,7 +466,7 @@ def test_proportional_planning_follows_speed_ratio(monkeypatch):
     slow.start()
     config = fast_config(calibration_budget=0.4)
     coordinator = Coordinator([fast.address, slow.address], config)
-    _, plans = record_cover(monkeypatch, coordinator.pool)
+    _, plans = record_cover(monkeypatch, coordinator)
     try:
         coordinator.calibrate(seed=8)
         coordinator.set_problem(INST)
@@ -480,9 +496,9 @@ def test_coordinator_starts_no_thread():
                 coordinator.evaluate(ctx)
             assert threading.active_count() == threads
             # a suspect node is reconnected before its next request
-            coordinator.pool.proxies[1].state = "suspect"
+            coordinator.proxies[1].state = "suspect"
             got = coordinator.evaluate(ctx)
-            assert coordinator.pool.proxies[1].state == "idle"
+            assert coordinator.proxies[1].state == "idle"
             assert threading.active_count() == threads
             want = sequential_reference(ctx)
             assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
@@ -506,7 +522,7 @@ def test_dead_socket_does_not_keep_the_coordinator_busy():
             wall, cpu = time.monotonic() - t0, time.process_time() - cpu0
             want = sequential_reference(ctx)
             assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
-            assert coordinator.pool.proxies[1].state == "dead"
+            assert coordinator.proxies[1].state == "dead"
             assert wall >= 0.4
             assert cpu < 0.1, f"coordinator used {cpu:.3f} s of CPU over a {wall:.2f} s evaluation"
         finally:

@@ -53,6 +53,19 @@ def test_lane_counts_agree():
         assert result.moves_evaluated == reference.moves_evaluated
 
 
+def test_context_of_another_instance_is_rejected():
+    a = generate_instance(8, 3, 3, seed=1)
+    b = generate_instance(8, 3, 3, seed=2)
+    evaluator = LaneEvaluator(a, 1)
+    with pytest.raises(ValueError):
+        evaluator.evaluate(make_ctx(b))
+    # an equal instance built separately is the same problem
+    ctx = make_ctx(generate_instance(8, 3, 3, seed=1))
+    got = evaluator.evaluate(ctx)
+    want = evaluate_slice(a, ctx.order, ctx.tabu, ctx.incumbent, NeighborhoodSlice(0, neighborhood_size(8)))
+    assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
+
+
 def test_random_contexts_agree_across_lanes():
     rng = random.Random(99)
     for _ in range(5):

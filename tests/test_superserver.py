@@ -1,11 +1,12 @@
 import pytest
 
+from hfstabu import protocol
 from hfstabu.coordinator import Coordinator, CoordinatorConfig, NodeProxy, predict
 from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.superserver import FanoutBackend, serve_as_super_server
 from hfstabu.tabu import SearchParams, evaluate_slice, run_search
-from hfstabu.worker import WorkerServer
+from hfstabu.worker import LocalBackend, WorkerServer
 
 from netharness import LatencyRelay, WireClient, empty_tabu, wait_until
 
@@ -59,7 +60,7 @@ def test_super_calibration_reports_child_sum():
     backend = FanoutBackend([w1.address, w2.address], fast_config())
     try:
         total = backend.calibrate(generate_instance(6, 2, 2, seed=1), 0.3)
-        child_speeds = [predict(h) for h in backend.pool.histories.values()]
+        child_speeds = [predict(p.history) for p in backend.coordinator.proxies]
         assert len(child_speeds) == 2
         assert total == pytest.approx(sum(child_speeds))
         assert total > max(child_speeds)
@@ -67,6 +68,27 @@ def test_super_calibration_reports_child_sum():
         backend.close()
         w1.shutdown()
         w2.shutdown()
+
+
+def test_super_problem_cache_eviction():
+    w = WorkerServer("127.0.0.1", 0, lanes=1)
+    w.start()
+    sup = serve_as_super_server("127.0.0.1", 0, [w.address], fast_config())
+    sup.start()
+    try:
+        with WireClient(sup.address) as client:
+            client.hello()
+            client.calibrate(generate_instance(6, 2, 2, seed=1), 0.15)
+            digests = [client.set_problem(generate_instance(8, 3, 3, seed=seed))
+                       for seed in range(LocalBackend.MAX_CACHED_PROBLEMS + 2)]
+            reply = client.eval(digests[0], ORDER, empty_tabu(), 10**6, 0, N, 10.0)
+            assert isinstance(reply, protocol.Error) and "unknown problem" in reply.message
+            for digest in digests[-LocalBackend.MAX_CACHED_PROBLEMS:]:
+                reply = client.eval(digest, ORDER, empty_tabu(), 10**6, 0, N, 10.0)
+                assert isinstance(reply, protocol.EvalResult) and reply.complete
+    finally:
+        sup.shutdown()
+        w.shutdown()
 
 
 def test_super_over_single_worker_is_passthrough():
@@ -195,7 +217,7 @@ def test_reconnects_keep_at_most_one_abandoned_socket(monkeypatch):
     try:
         backend.calibrate(generate_instance(6, 2, 2, seed=1), 0.15)
         backend.set_problem(INST)
-        proxy = backend.pool.proxies[0]
+        proxy = backend.coordinator.proxies[0]
         for _ in range(8):
             backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 0.03)
             assert len(proxy._drained) <= 1
