@@ -2,13 +2,13 @@
 
 One ``Coordinator`` plays the master's role at the top level of a
 distributed search and inside every super server, for its children. A
-run starts with a time-boxed calibration round that measures every
-node's speed on a generated mid-complexity instance; a node answers once
-its speed settles, at the latest when the budget elapses. Those
-measurements seed each node's performance history. Each iteration then
-splits the neighborhood proportionally to the predicted node speeds,
-dispatches one EVAL per node with a deadline derived from the
-prediction, and waits for the replies.
+run starts with a calibration round that measures every node's speed on
+a generated mid-complexity instance: one timed round after a one-move
+warm-up; the budget caps it. Those measurements seed each node's
+performance history. Each iteration then splits the neighborhood
+proportionally to the predicted node speeds, dispatches one EVAL per
+node with a deadline derived from the prediction, and waits for the
+replies.
 
 The coordinator talks to nodes one way, on the thread that uses it.
 ``_connect`` is the only place a connection is opened; calibration and
@@ -326,8 +326,8 @@ class Coordinator:
 
         A message is the node's own only if it arrived on the node's current
         connection: only that one can be lost or report its exit, and an
-        abandoned connection can deliver nothing but a late reply. PROGRESS
-        and any other message are skipped.
+        abandoned connection can deliver nothing but a late reply. Any
+        other message is skipped.
         """
         while requests:
             now = time.monotonic()
@@ -390,18 +390,21 @@ class Coordinator:
         """Time-boxed speed measurement on every ready node, concurrently.
 
         A node that fails the round in any way, or measures zero speed, is
-        dead for the run. A node answers once its speed settles, or at the
-        latest when ``budget`` elapses; its history starts with one entry
-        weighted by speed x the request's send-to-reply time, about the
-        moves it scanned, so real iterations outweigh it within a few rounds.
-        Returns the measured speed of each surviving node, by node id.
+        dead for the run. A node times one round after a one-move warm-up,
+        and ``budget`` caps it. Each survivor's history starts with one
+        entry weighted by its speed x the round's wall time (connects
+        included), about the moves it could scan while the round lasted,
+        so real iterations outweigh it within a few rounds. A node's own
+        send-to-reply time would undercount that: nodes that share a
+        host's cores answer one after another, and a round can be as
+        short as a connect. Returns the measured speed of each surviving
+        node, by node id.
         """
-        deadline = time.monotonic() + budget + self.config.calibration_grace
+        start = time.monotonic()
+        deadline = start + budget + self.config.calibration_grace
         requests: dict[int, tuple[NodeProxy, float]] = {}
-        sent: dict[int, float] = {}
         for proxy in self._ready_nodes(self.proxies):
             rid = proxy.next_rid()
-            sent[rid] = time.monotonic()
             try:
                 proxy.send(protocol.Calibrate(rid, inst, budget))
             except (OSError, ConnectionError) as exc:
@@ -410,21 +413,22 @@ class Coordinator:
                 continue
             proxy.state = BUSY
             requests[rid] = (proxy, deadline)
-        speeds: dict[int, float] = {}
+        answered: dict[NodeProxy, float] = {}
         for rid, proxy, reply, failure in self._collect(requests):
             if rid is None and failure is None:
                 continue  # late reply to an earlier request
             if isinstance(reply, protocol.CalibrateResult) and reply.speed > 0:
                 proxy.state = IDLE
                 proxy.strikes = 0
-                speeds[proxy.node_id] = reply.speed
-                moves = max(1, round(reply.speed * (time.monotonic() - sent[rid])))
-                proxy.history = NodePerfHistory([(moves, reply.speed)])
+                answered[proxy] = reply.speed
             else:
                 proxy.state = DEAD
                 log.warning("node %d dropped from calibration: %s", proxy.node_id,
                             failure or "no speed measured")
-        return speeds
+        elapsed = time.monotonic() - start
+        for proxy, speed in answered.items():
+            proxy.history = NodePerfHistory([(max(1, round(speed * elapsed)), speed)])
+        return {proxy.node_id: speed for proxy, speed in answered.items()}
 
     # -- evaluation ----------------------------------------------------------------
 

@@ -4,8 +4,7 @@ Framing: one UTF-8 JSON object per message, newline-terminated, no
 embedded newlines. Every frame carries a ``type`` and, except for
 EXIT_REPORT, a ``rid`` (request id); replies echo the rid of the request
 they answer. One connection carries at most one outstanding EVAL or
-CALIBRATE at a time. PROGRESS is defined in 1.0 and may interleave with
-the reply; workers no longer send it, and clients ignore it.
+CALIBRATE at a time.
 
 Message types and bodies
 ------------------------
@@ -17,7 +16,6 @@ EVAL             digest, order, tabu {entries, tenure}, incumbent,
                  slice [begin, end), deadline (seconds of compute budget)
 EVAL_RESULT      best_index, best_makespan, moves_evaluated, elapsed,
                  speed, complete, remaining [begin, end) when incomplete
-PROGRESS         fraction in [0, 1]   (not sent; ignored on receipt)
 ERROR            message
 EXIT_REPORT      reason, requests_served, moves_evaluated   (no rid)
 
@@ -295,24 +293,6 @@ class EvalResult:
 
 
 @dataclass(frozen=True)
-class Progress:
-    rid: int
-    fraction: float
-
-    TYPE = "PROGRESS"
-
-    def body(self):
-        return {"fraction": self.fraction}
-
-    @classmethod
-    def from_body(cls, rid, body):
-        fraction = _need_number(body, cls.TYPE, "fraction")
-        if not 0.0 <= fraction <= 1.0:
-            raise ProtocolError("PROGRESS.fraction: must lie in [0, 1]", field="fraction")
-        return cls(rid, fraction)
-
-
-@dataclass(frozen=True)
 class Error:
     rid: int
     message: str
@@ -353,11 +333,11 @@ class ExitReport:
         )
 
 
-Message = Hello | Calibrate | CalibrateResult | SetProblem | Eval | EvalResult | Progress | Error | ExitReport
+Message = Hello | Calibrate | CalibrateResult | SetProblem | Eval | EvalResult | Error | ExitReport
 
 _REGISTRY = {
     cls.TYPE: cls
-    for cls in (Hello, Calibrate, CalibrateResult, SetProblem, Eval, EvalResult, Progress, Error, ExitReport)
+    for cls in (Hello, Calibrate, CalibrateResult, SetProblem, Eval, EvalResult, Error, ExitReport)
 }
 
 

@@ -18,7 +18,6 @@ delays after the scan started, so a throttled worker runs at a steady
 
 from __future__ import annotations
 
-import bisect
 import logging
 import selectors
 import socket
@@ -31,7 +30,7 @@ from .neighborhood import NeighborhoodSlice, neighborhood_size
 from .parallel import LaneEvaluator
 from .protocol import PROTOCOL_VERSION
 from .schedule import evaluate_makespan
-from .tabu import EvalContext, SliceResult, TabuList, initial_order, scan_slice
+from .tabu import EvalContext, SliceResult, TabuList, initial_order
 
 log = logging.getLogger(__name__)
 
@@ -46,11 +45,6 @@ class LocalBackend:
     """
 
     MAX_CACHED_PROBLEMS = 4
-    # calibration answers once this much time has passed and CALIBRATION_ROUNDS
-    # full rounds agree within CALIBRATION_SPREAD (slowest over fastest)
-    CALIBRATION_MIN_S = 0.2
-    CALIBRATION_ROUNDS = 3
-    CALIBRATION_SPREAD = 1.10
 
     def __init__(self, lanes: int | None = None, per_move_delay: float = 0.0):
         self._lanes = lanes
@@ -87,54 +81,35 @@ class LocalBackend:
     def calibrate(self, inst: ProblemInstance, budget: float) -> float:
         """Measure this host's evaluation speed in moves/second.
 
-        Scans the full neighborhood of the instance's initial order round
-        after round. Once ``CALIBRATION_MIN_S`` has passed and any
-        ``CALIBRATION_ROUNDS`` full rounds agree (max/min speed at most
-        ``CALIBRATION_SPREAD``), it answers with their speed. ``budget``
-        is the cap: when it elapses first, the answer is the speed over
-        everything scanned so far. At least one move is always evaluated,
-        so the returned speed is positive. The instance is scanned on a
-        temporary evaluator unless it is already cached, so calibration
-        leaves the problem cache as it found it.
+        One timed round after a one-move warm-up; the budget caps it. The
+        warm-up move goes through the evaluator, so a lane pool's processes
+        are started before the clock. Then one full neighborhood round of
+        the instance's initial order is timed, cut short if ``budget``
+        (counted from the warm-up) elapses, and the answer is its moves
+        over its elapsed time; if the budget left no move to time, it is
+        the warm-up move's speed, so the returned speed is positive. The
+        instance is scanned on a temporary evaluator unless it is already
+        cached, so calibration leaves the problem cache as it found it.
         """
         if budget <= 0:
             raise ValueError(f"calibration budget must be > 0, got {budget}")
         total = neighborhood_size(inst.num_jobs)
         if total == 0:
             raise ValueError("calibration instance needs at least 2 jobs")
+        order = initial_order(inst)
+        ctx = EvalContext(inst, order, TabuList(), evaluate_makespan(inst, order))
         cached = self._problems.get(instance_digest(inst))
         evaluator = cached[1] if cached is not None else LaneEvaluator(inst, self.lanes)
         try:
-            return self._measure(evaluator, inst, total, budget)
+            deadline = time.monotonic() + budget
+            warmup, _ = evaluator.evaluate_blocks(ctx, NeighborhoodSlice(0, 1), None, self.per_move_delay)
+            timed, _ = evaluator.evaluate_blocks(ctx, NeighborhoodSlice(0, total), deadline, self.per_move_delay)
         finally:
             if cached is None:
                 evaluator.close()
-
-    def _measure(self, evaluator: LaneEvaluator, inst: ProblemInstance, total: int, budget: float) -> float:
-        order = initial_order(inst)
-        incumbent = evaluate_makespan(inst, order)
-        ctx = EvalContext(inst, order, TabuList(), incumbent)
-        whole = NeighborhoodSlice(0, total)
-
-        t0 = time.monotonic()
-        deadline = t0 + budget
-        _, _, moves = scan_slice(inst, order, (), incumbent, 0, 1, None, self.per_move_delay)
-        rounds: list[float] = []  # seconds per full round, sorted
-        k = self.CALIBRATION_ROUNDS
-        while time.monotonic() < deadline:
-            result, _ = evaluator.evaluate_blocks(ctx, whole, deadline, self.per_move_delay)
-            moves += result.moves_evaluated
-            if result.moves_evaluated < total:
-                continue  # cut by the budget
-            bisect.insort(rounds, result.elapsed)
-            if time.monotonic() - t0 < self.CALIBRATION_MIN_S:
-                continue
-            # any k rounds that agree: a round slowed by other load on the host is outvoted
-            for i in range(len(rounds) - k + 1):
-                if rounds[i + k - 1] <= self.CALIBRATION_SPREAD * rounds[i]:
-                    return total * k / sum(rounds[i:i + k])
-        elapsed = time.monotonic() - t0
-        return moves / elapsed if elapsed > 0 else float(moves)
+        if not timed.moves_evaluated:
+            timed = warmup
+        return timed.moves_evaluated / timed.elapsed if timed.elapsed > 0 else float(timed.moves_evaluated)
 
     def close(self):
         for _, evaluator in self._problems.values():

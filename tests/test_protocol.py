@@ -17,7 +17,6 @@ from hfstabu.protocol import (
     EvalResult,
     ExitReport,
     Hello,
-    Progress,
     ProtocolError,
     SetProblem,
     decode,
@@ -40,7 +39,6 @@ def sample_messages():
         EvalResult(4, 17, 322, 2450, 1.25, 1960.0, True, None),
         EvalResult(5, 3, 340, 100, 0.5, 200.0, False, NeighborhoodSlice(100, 2450)),
         EvalResult(6, None, None, 0, 0.01, 0.0, False, NeighborhoodSlice(0, 2450)),
-        Progress(4, 0.25),
         Error(9, "unknown problem"),
         ExitReport("shutdown", 12, 51234),
     ]
@@ -60,7 +58,7 @@ def test_round_trip_random_corpus():
                                    seed=rng.randrange(10**6)) for _ in range(5)]
     count = 0
     for _ in range(1000):
-        kind = rng.randrange(9)
+        kind = rng.randrange(8)
         rid = rng.randrange(10**9)
         if kind == 0:
             msg = Hello(rid, (1, rng.randrange(5)), rng.randrange(64))
@@ -89,8 +87,6 @@ def test_round_trip_random_corpus():
                 msg = EvalResult(rid, None, None, moves, rng.random(), rng.random() * 1e4,
                                  False, NeighborhoodSlice(begin, begin + 1 + rng.randrange(100)))
         elif kind == 6:
-            msg = Progress(rid, rng.random())
-        elif kind == 7:
             msg = Error(rid, "e" * rng.randrange(40))
         else:
             msg = ExitReport("shutdown", rng.randrange(100), rng.randrange(10**7))
@@ -180,7 +176,7 @@ def test_exit_report_must_not_carry_rid():
 
 def test_missing_rid_rejected_for_other_types():
     with pytest.raises(ProtocolError, match="rid"):
-        decode(json.dumps({"type": "PROGRESS", "fraction": 0.5}))
+        decode(json.dumps({"type": "ERROR", "message": "unknown problem"}))
 
 
 def test_eval_rejects_non_permutation_order():
@@ -204,9 +200,10 @@ def test_tabu_longer_than_tenure_rejected():
         decode(json.dumps(body))
 
 
-def test_progress_fraction_range():
-    with pytest.raises(ProtocolError, match="fraction"):
-        decode(json.dumps({"type": "PROGRESS", "rid": 1, "fraction": 1.5}))
+def test_progress_frame_rejected_as_unknown_type():
+    # PROGRESS is no longer a message type: no worker sent it and every client skipped it
+    with pytest.raises(ProtocolError, match="unknown message type"):
+        decode(json.dumps({"type": "PROGRESS", "rid": 1, "fraction": 0.5}))
 
 
 def test_non_object_frames_rejected():

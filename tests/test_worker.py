@@ -9,6 +9,7 @@ from hfstabu import protocol
 from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.protocol import ProtocolError
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
+from hfstabu.parallel import LaneEvaluator
 from hfstabu.schedule import evaluate_makespan
 from hfstabu.tabu import SliceResult, evaluate_slice, initial_order, scan_slice
 from hfstabu.worker import LocalBackend, WorkerServer
@@ -161,6 +162,46 @@ def test_calibrate_stops_once_speed_settles():
             wall = time.monotonic() - t0
     assert wall < 1.0
     assert abs(speed - reference) / reference < 0.25
+
+
+def test_paced_worker_answers_calibrate_within_one_round():
+    # a full round of the 30-move neighborhood takes about 60 ms; one round is the answer
+    inst = generate_instance(6, 2, 2, seed=9)
+    order = initial_order(inst)
+    incumbent = evaluate_makespan(inst, order)
+    # reference: the whole-round speed over 0.6 s of back-to-back rounds
+    moves, t0 = 0, time.monotonic()
+    while time.monotonic() < t0 + 0.6:
+        moves += scan_slice(inst, order, (), incumbent, 0, neighborhood_size(6), None, 0.002)[2]
+    reference = moves / (time.monotonic() - t0)
+    with WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002) as server:
+        with WireClient(server.address) as client:
+            client.hello()
+            t0 = time.monotonic()
+            speed = client.calibrate(inst, 3.0).speed
+            wall = time.monotonic() - t0
+    assert wall < 0.15
+    assert abs(speed - reference) / reference < 0.25
+
+
+def test_calibration_times_its_round_with_the_lanes_started(monkeypatch):
+    inst = generate_instance(6, 2, 2, seed=9)
+    known = set(multiprocessing.active_children())
+    alive = []  # lane processes alive as each full round starts
+    evaluate_blocks = LaneEvaluator.evaluate_blocks
+
+    def spy(self, ctx, nslice, *args):
+        if len(nslice) == neighborhood_size(6):
+            alive.append(len(set(multiprocessing.active_children()) - known))
+        return evaluate_blocks(self, ctx, nslice, *args)
+
+    monkeypatch.setattr("hfstabu.worker.LaneEvaluator.evaluate_blocks", spy)
+    backend = LocalBackend(lanes=2)
+    try:
+        assert backend.calibrate(inst, 3.0) > 0
+    finally:
+        backend.close()
+    assert alive == [2]
 
 
 def test_calibration_budget_caps_a_round_that_does_not_fit():
