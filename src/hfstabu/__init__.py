@@ -29,7 +29,6 @@ from .tabu import (
     SliceResult,
     TabuList,
     diversify,
-    evaluate_slice,
     initial_order,
     run_search,
     tabu_push,
@@ -76,7 +75,6 @@ __all__ = [
     "SliceResult",
     "TabuList",
     "diversify",
-    "evaluate_slice",
     "initial_order",
     "run_search",
     "tabu_push",

@@ -155,19 +155,23 @@ class CoordinatorConfig:
 
 
 class NodeProxy:
-    """One remote node: its current connection, at most one abandoned one, and its measurements.
+    """One node: its current connection, at most one abandoned one, and its measurements.
 
-    Each socket is registered on the coordinator's selector, with its read
-    buffer, from its handshake until ``close_socket``. ``history`` holds
-    the node's speeds; ``moves`` and ``busy_seconds`` sum its accepted results.
+    ``opener(address, timeout)`` returns a new connected socket whose
+    blocking calls time out after ``timeout`` seconds; for a TCP node it is
+    ``socket.create_connection``. Each socket is registered on the
+    coordinator's selector, with its read buffer, from its handshake until
+    ``close_socket``. ``history`` holds the node's speeds; ``moves`` and
+    ``busy_seconds`` sum its accepted results.
     """
 
-    def __init__(self, node_id: int, address: tuple[str, int], selector: selectors.BaseSelector,
-                 config: CoordinatorConfig):
+    def __init__(self, node_id: int, address, selector: selectors.BaseSelector,
+                 config: CoordinatorConfig, opener):
         self.node_id = node_id
         self.address = address
         self._selector = selector
         self._config = config
+        self._open = opener
         self.state = IDLE
         self.strikes = 0
         self.lanes = 0
@@ -201,7 +205,7 @@ class NodeProxy:
             self.close_socket(old)
         self._drained = [self._sock] if self._sock is not None else []
         self._sock = None
-        sock = socket.create_connection(self.address, timeout=self._config.connect_timeout)
+        sock = self._open(self.address, self._config.connect_timeout)
         try:
             rid = self.next_rid()
             sock.sendall(protocol.encode(protocol.Hello(rid, PROTOCOL_VERSION, 0)))
@@ -253,13 +257,16 @@ class Coordinator:
     One class serves the top-level search and every super server: it owns
     the selector, the node proxies, calibration and the dispatch cycle.
     Use it from one thread at a time: it starts no thread, and reads every
-    node socket on the caller's thread through its one selector.
+    node socket on the caller's thread through its one selector. Every node
+    is reached through ``opener`` (see ``NodeProxy``), so a reconnect
+    opens whatever the opener opens: a new TCP connection, or a new lane.
     """
 
-    def __init__(self, addresses, config: CoordinatorConfig | None = None):
+    def __init__(self, addresses, config: CoordinatorConfig | None = None, opener=socket.create_connection):
         self.config = config or CoordinatorConfig()
         self._selector = selectors.DefaultSelector()
-        self.proxies = [NodeProxy(i, addr, self._selector, self.config) for i, addr in enumerate(addresses)]
+        self.proxies = [NodeProxy(i, addr, self._selector, self.config, opener)
+                        for i, addr in enumerate(addresses)]
         self.late_results = 0
         self.redistribution_rounds = 0
         self._problem: tuple[ProblemInstance, str] | None = None

@@ -1,41 +1,45 @@
-"""Multi-lane neighborhood evaluation.
+"""Multi-lane neighborhood evaluation: lanes are nodes.
 
-One evaluation round freezes its inputs (instance, permutation, tabu
-snapshot, incumbent), splits the requested move-index range into
-contiguous blocks, and scans the blocks on a pool of lanes. Lanes are
-separate processes holding a private copy of the context, so rounds run
-without shared mutable state; the instance itself is shipped once per
-pool, at lane startup.
+With one lane the evaluator scans inline, on the calling process. With
+more, it is one ``Coordinator`` over that many lane processes, the same
+dispatcher that drives workers and super servers: the same proportional
+plan, deadlines, redistribution, failure policy and prefix reducer
+(``tabu.merge_prefix``). A lane is a forked process that runs the
+ordinary worker request loop (``WorkerServer`` with one lane) on one end
+of a socket pair: it speaks the wire protocol, has no listener and no
+port, and exits when its socket closes. Lanes are forked on first use
+and skip calibration: each starts with the same nominal one-move
+history, and measured speeds take over after the first round.
 
-There is one scheduling path, ``evaluate_blocks``; a full-neighborhood
-``evaluate`` is the same call over the whole range with no deadline.
-Without a deadline the range is cut into one block per lane. With one,
-it is cut into eight blocks per lane, so that when the deadline passes
-the scan stops close to an exact contiguous prefix of the range. Either
-way the outcomes go through the shared prefix reducer
-(``tabu.merge_prefix``): results beyond the first gap or partial block
-are discarded and left for redispatch. A block whose lane failed is
-re-scanned on the calling process with the same deadline before the
-round returns; only a failing re-scan aborts the round. A lane process
-that dies breaks the whole pool: its lost blocks are re-scanned the same
-way, and the pool is replaced by a fresh one. If the fresh pool breaks
-before it completes a round, the evaluator scans inline from then on.
+Recovery is the coordinator's node policy. A failed lane's range goes
+to the other lanes; one failure makes the lane suspect, and its
+reconnect forks a replacement; a second failure makes it dead. When no
+lane is live, the caller scans the rest of the range inline with the
+same deadline; only a failing inline scan aborts the round.
 """
 
 from __future__ import annotations
 
+import logging
+import multiprocessing
 import os
+import socket
 import time
-from concurrent.futures import FIRST_COMPLETED, CancelledError, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 
+from .coordinator import DEAD, Coordinator
 from .instance import ProblemInstance
 from .neighborhood import NeighborhoodSlice, neighborhood_size
 from .tabu import EvalContext, SliceResult, merge_prefix, scan_slice
 
+# A fresh lane's assumed speed, in moves/s: about one core on a 30x5
+# instance. It only sets the first round's deadlines (a slower lane
+# answers with a prefix at its deadline) and weighs one move.
+NOMINAL_LANE_SPEED = 10_000.0
+LANE_EXIT_WAIT = 1.0  # seconds close() waits for lanes to exit on EOF before it kills them
+
 
 class EvaluationError(RuntimeError):
-    """A lane failed and re-evaluation on the calling context failed too."""
+    """No lane was left and the inline scan on the calling process failed too."""
 
 
 def detected_lane_count() -> int:
@@ -51,60 +55,95 @@ def detected_lane_count() -> int:
     return os.cpu_count() or 1
 
 
-# Per-lane state, installed once by the pool initializer.
-_LANE_INSTANCE: ProblemInstance | None = None
-_LANE_SCAN = None
+def _descriptors() -> dict[int, str]:
+    """This process's open descriptors: number -> what it points at."""
+    found = {}
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            found[int(name)] = os.readlink(f"/proc/self/fd/{name}")
+        except OSError:
+            pass  # the listing's own descriptor, closed since
+    return found
 
 
-def _lane_init(instance: ProblemInstance, scan_fn):
-    global _LANE_INSTANCE, _LANE_SCAN
-    _LANE_INSTANCE = instance
-    _LANE_SCAN = scan_fn
+def _serve_lane(sock: socket.socket, per_move_delay: float, inherited: dict[int, str]):
+    """A lane process: drop what it inherited, then serve ``sock`` until it closes.
 
+    Fork copies all of the caller's descriptors: its listeners, its other
+    lanes' sockets, its selector, and the caller's end of this lane's own
+    pair. While a lane holds those, no peer sees EOF. ``inherited`` is what
+    the caller held just before the fork; the pipes multiprocessing opens
+    for the fork itself (the lane's exit sentinel) came later and stay. Each
+    dropped descriptor is pointed at /dev/null rather than closed, so that a
+    Python object still wrapping its number cannot close one the lane opens
+    later.
+    """
+    from .worker import WorkerServer  # worker imports this module
 
-def _lane_task(order, tabu_entries, incumbent, begin, end, deadline, per_move_delay):
-    return _LANE_SCAN(_LANE_INSTANCE, order, tabu_entries, incumbent, begin, end, deadline, per_move_delay)
+    devnull = os.open(os.devnull, os.O_RDWR)
+    for fd, target in _descriptors().items():
+        if fd > 2 and fd not in (sock.fileno(), devnull) and inherited.get(fd) == target:
+            os.dup2(devnull, fd)
+    os.close(devnull)
+    logging.disable(logging.INFO)  # one log line per request is the caller's to write
+    WorkerServer(lanes=1, per_move_delay=per_move_delay, conn=sock).serve_forever()
 
 
 class LaneEvaluator:
-    """Pool of evaluation lanes bound to one problem instance.
+    """Neighborhood evaluator bound to one problem instance, over ``lanes`` lanes.
 
-    Keep one evaluator alive for a whole search run; per-round inputs
-    are cheap to ship, the instance is not re-sent. ``lanes=1`` runs
-    inline with no pool, and so does an evaluator whose replacement pool
-    broke too.
+    Keep one evaluator alive for a whole search run: the lanes hold the
+    instance, so a round ships only its context. ``lanes=1`` runs inline,
+    with no process. ``per_move_delay`` paces every scan, as a worker's
+    does, for benchmarks and tests.
     """
 
-    def __init__(self, instance: ProblemInstance, lanes: int | None = None, scan_fn=None):
+    def __init__(self, instance: ProblemInstance, lanes: int | None = None, per_move_delay: float = 0.0):
         self.instance = instance
         self.lanes = lanes if lanes is not None else detected_lane_count()
         if self.lanes < 1:
             raise ValueError(f"lanes must be >= 1, got {self.lanes}")
-        self._scan = scan_fn if scan_fn is not None else scan_slice
-        self._pool = self._new_pool() if self.lanes > 1 else None
-        self._pool_replaced = False  # the pool is a replacement that has not completed a round yet
+        self.per_move_delay = per_move_delay
+        self._processes: list[multiprocessing.Process] = []
+        self._coordinator = None
+        if self.lanes > 1:
+            self._coordinator = Coordinator([("lane", i) for i in range(self.lanes)], opener=self._fork_lane)
+            self._coordinator.set_problem(instance)  # sent to each lane as it connects
+            for proxy in self._coordinator.proxies:
+                proxy.history.record(1, NOMINAL_LANE_SPEED)
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.lanes, initializer=_lane_init,
-                                   initargs=(self.instance, self._scan))
-
-    def _replace_broken_pool(self):
-        """Shut the broken pool down; start one replacement, or go inline if that broke too."""
-        self._pool.shutdown(wait=True, cancel_futures=True)
-        self._pool = None
-        if not self._pool_replaced:
-            self._pool_replaced = True
-            try:
-                self._pool = self._new_pool()
-            except OSError:
-                pass
+    def _fork_lane(self, address, timeout: float) -> socket.socket:
+        """The opener of every lane: fork a lane process and return our end of its socket pair."""
+        self._processes = [p for p in self._processes if p.is_alive()]
+        ours, theirs = socket.socketpair()
+        try:
+            lane = multiprocessing.get_context("fork").Process(
+                target=_serve_lane, args=(theirs, self.per_move_delay, _descriptors()),
+                name=f"hfstabu-{address[0]}-{address[1]}", daemon=True)
+            lane.start()
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        self._processes.append(lane)
+        ours.settimeout(timeout)
+        return ours
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+        """Close every lane's socket; lanes exit on EOF, and one that does not within a second is killed."""
+        if self._coordinator is not None:
+            self._coordinator.close()
+            self._coordinator = None
+        deadline = time.monotonic() + LANE_EXIT_WAIT
+        for lane in self._processes:
+            lane.join(max(0.0, deadline - time.monotonic()))
+            if lane.is_alive():
+                lane.kill()
+                lane.join()
+        self._processes = []
 
     def __enter__(self):
         return self
@@ -118,96 +157,44 @@ class LaneEvaluator:
     def evaluate(self, ctx: EvalContext) -> SliceResult:
         """Evaluate the full neighborhood of the context's permutation.
 
-        Equivalent to a single evaluate_slice over the neighborhood: same
-        best index, same makespan, for any lane count.
+        Equivalent to one scan of the whole neighborhood: same best index,
+        same makespan, for any lane count.
         """
         result, _ = self.evaluate_blocks(ctx, NeighborhoodSlice(0, neighborhood_size(len(ctx.order))), None)
         return result
 
-    def evaluate_blocks(
-        self,
-        ctx: EvalContext,
-        nslice: NeighborhoodSlice,
-        deadline: float | None,
-        per_move_delay: float = 0.0,
-    ) -> tuple[SliceResult, int]:
+    def evaluate_blocks(self, ctx: EvalContext, nslice: NeighborhoodSlice,
+                        deadline: float | None) -> tuple[SliceResult, int]:
         """Evaluate as much of [begin, end) as the deadline allows.
 
-        Returns (result over the evaluated prefix, prefix end). The
-        evaluated portion is always contiguous from ``nslice.begin``;
-        with lanes > 1, completed blocks beyond the first unfinished one
-        are dropped so the prefix guarantee holds. ``deadline`` is an
-        absolute time.monotonic() value shared across lanes, or None to
-        evaluate the whole range. A block whose lane raised, or that a
-        broken pool lost, is re-scanned here; EvaluationError is raised
-        only if that re-scan fails too. A context of another instance than
-        the evaluator's is a ValueError.
+        Returns (result over the evaluated prefix, prefix end): the
+        evaluated portion is always contiguous from ``nslice.begin``.
+        ``deadline`` is an absolute time.monotonic() value, or None to
+        evaluate the whole range. With lanes, the rest of the range past
+        what they covered is scanned here when no lane is live, or when
+        there is no deadline; EvaluationError is raised only if that scan
+        fails. A context of another instance than the evaluator's is a
+        ValueError.
         """
         if ctx.instance != self.instance:
             raise ValueError("the context's instance is not the evaluator's")
         t0 = time.perf_counter()
-        if not nslice:
-            return SliceResult(None, None, 0, 0.0), nslice.begin
-
-        def scan_here(begin, end):
-            return self._scan(self.instance, ctx.order, ctx.tabu.entries, ctx.incumbent,
-                              begin, end, deadline, per_move_delay)
-
-        if self._pool is None:
-            best_idx, best_ms, evaluated = scan_here(nslice.begin, nslice.end)
-            return (SliceResult(best_idx, best_ms, evaluated, time.perf_counter() - t0),
-                    nslice.begin + evaluated)
-
-        # fine blocks only pay off when a deadline can cut the scan short
-        count = self.lanes if deadline is None else self.lanes * 8
-        size = -(-len(nslice) // count)
-        blocks = [(begin, min(begin + size, nslice.end)) for begin in range(nslice.begin, nslice.end, size)]
-        futures = {}
-        broken = False
-        try:
-            for begin, end in blocks:
-                fut = self._pool.submit(_lane_task, ctx.order, ctx.tabu.entries, ctx.incumbent,
-                                        begin, end, deadline, per_move_delay)
-                futures[fut] = (begin, end)
-        except (BrokenProcessPool, OSError):
-            broken = True
-        # blocks the pool refused, or whose lane failed, are scanned here
-        retry = [(begin, end, "lane pool broken") for begin, end in blocks[len(futures):]]
-
-        parts = []
-        pending = set(futures)
-        while retry or pending:
-            if not retry:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    begin, end = futures[fut]
-                    try:
-                        best_idx, best_ms, evaluated = fut.result()
-                    except CancelledError:
-                        continue
-                    except Exception as lane_exc:
-                        broken = broken or isinstance(lane_exc, BrokenProcessPool)
-                        retry.append((begin, end, lane_exc))
-                        continue
-                    parts.append((begin, begin + evaluated, best_idx, best_ms))
-            for begin, end, cause in retry:
-                try:
-                    best_idx, best_ms, evaluated = scan_here(begin, end)
-                except Exception as exc:
-                    for fut in pending:
-                        fut.cancel()
-                    raise EvaluationError(
-                        f"block [{begin}, {end}) failed on its lane ({cause}) and on retry"
-                    ) from exc
-                parts.append((begin, begin + evaluated, best_idx, best_ms))
-            retry = []
-            if deadline is not None and time.monotonic() >= deadline:
-                for fut in pending:
-                    fut.cancel()
-
-        if broken:
-            self._replace_broken_pool()
-        else:
-            self._pool_replaced = False
+        parts, frontier = [], nslice.begin
+        coordinator = self._coordinator
+        if coordinator is not None and nslice:
+            covered, frontier = coordinator.evaluate_blocks(ctx, nslice, deadline)
+            parts.append((nslice.begin, frontier, covered.best_index, covered.best_makespan))
+            for proxy in coordinator.proxies:
+                if proxy.state == DEAD:
+                    proxy.disconnect()  # its lane sees EOF and exits
+        if frontier < nslice.end and (coordinator is None or deadline is None or not coordinator.live_nodes()):
+            try:
+                best_idx, best_ms, evaluated = scan_slice(self.instance, ctx.order, ctx.tabu.entries, ctx.incumbent,
+                                                          frontier, nslice.end, deadline, self.per_move_delay)
+            except Exception as exc:
+                if coordinator is None:
+                    raise
+                raise EvaluationError(f"no lane covered [{frontier}, {nslice.end}) and the inline scan failed") from exc
+            parts.append((frontier, frontier + evaluated, best_idx, best_ms))
         frontier, best_idx, best_ms = merge_prefix(parts, nslice.begin)
         return SliceResult(best_idx, best_ms, frontier - nslice.begin, time.perf_counter() - t0), frontier

@@ -2,7 +2,7 @@
 
 The engine is deliberately split from the evaluation backend. Each
 iteration hands an immutable EvalContext to a pluggable evaluator that
-must honor the evaluate_slice contract over the full neighborhood; the
+must return what one ``scan_slice`` over the full neighborhood returns; the
 sequential evaluator, the multi-lane evaluator, and the distributed
 coordinator are all drop-in backends. Ties between equally good moves
 always resolve to the smallest move index, which is what makes runs
@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .instance import ProblemInstance
-from .neighborhood import Move, NeighborhoodSlice, apply_move, decode_move, neighborhood_size
+from .neighborhood import Move, apply_move, decode_move, neighborhood_size
 from .schedule import evaluate_makespan, insertion_decoder
 
 
@@ -126,22 +126,6 @@ def scan_slice(
             best_idx = k
             best_ms = ms
     return best_idx, None if best_idx is None else best_ms, evaluated
-
-
-def evaluate_slice(
-    inst: ProblemInstance,
-    order,
-    tabu: TabuList,
-    best_known: int,
-    nslice: NeighborhoodSlice,
-) -> SliceResult:
-    """Best admissible move within one neighborhood slice."""
-    total = neighborhood_size(len(order))
-    if not 0 <= nslice.begin <= nslice.end <= total:
-        raise ValueError(f"slice [{nslice.begin}, {nslice.end}) outside [0, {total})")
-    t0 = time.perf_counter()
-    best_idx, best_ms, evaluated = scan_slice(inst, order, tabu.entries, best_known, nslice.begin, nslice.end)
-    return SliceResult(best_idx, best_ms, evaluated, time.perf_counter() - t0)
 
 
 def merge_prefix(parts, begin: int) -> tuple[int, int | None, int | None]:

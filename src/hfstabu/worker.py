@@ -27,7 +27,7 @@ import time
 from . import protocol
 from .instance import ProblemInstance, instance_digest
 from .neighborhood import NeighborhoodSlice, neighborhood_size
-from .parallel import LaneEvaluator
+from .parallel import LaneEvaluator, detected_lane_count
 from .protocol import PROTOCOL_VERSION
 from .schedule import evaluate_makespan
 from .tabu import EvalContext, SliceResult, TabuList, initial_order
@@ -38,33 +38,27 @@ log = logging.getLogger(__name__)
 class LocalBackend:
     """Evaluation backend running on this host's lanes.
 
-    Problems are cached by digest with their lane pools; the cache keeps
-    the most recently used few so long bench runs over many instances
-    do not accumulate idle pools. Use it from one thread at a time: a
-    worker server calls it only from its loop.
+    Problems are cached by digest with their evaluators, and so with their
+    lane processes; the cache keeps the most recently used few so long
+    bench runs over many instances do not accumulate idle lanes. Each
+    evaluator is built with the backend's ``per_move_delay`` at that time.
+    Use it from one thread at a time: a worker server calls it only from
+    its loop.
     """
 
     MAX_CACHED_PROBLEMS = 4
 
     def __init__(self, lanes: int | None = None, per_move_delay: float = 0.0):
-        self._lanes = lanes
+        self.lanes = lanes if lanes is not None else detected_lane_count()
         self.per_move_delay = per_move_delay
         self._problems: dict[str, tuple[ProblemInstance, LaneEvaluator]] = {}
-
-    @property
-    def lanes(self) -> int:
-        if self._lanes is not None:
-            return self._lanes
-        from .parallel import detected_lane_count
-
-        return detected_lane_count()
 
     def set_problem(self, inst: ProblemInstance) -> str:
         digest = instance_digest(inst)
         if digest in self._problems:
             self._problems[digest] = self._problems.pop(digest)  # refresh LRU position
         else:
-            self._problems[digest] = (inst, LaneEvaluator(inst, self.lanes))
+            self._problems[digest] = (inst, LaneEvaluator(inst, self.lanes, self.per_move_delay))
             if len(self._problems) > self.MAX_CACHED_PROBLEMS:
                 self._problems.pop(next(iter(self._problems)))[1].close()
         return digest
@@ -76,14 +70,14 @@ class LocalBackend:
         """Evaluate as much of ``nslice`` as ``deadline`` seconds allow: (result, prefix end)."""
         inst, evaluator = self._problems[digest]
         return evaluator.evaluate_blocks(EvalContext(inst, order, tabu, incumbent), nslice,
-                                         time.monotonic() + deadline, self.per_move_delay)
+                                         time.monotonic() + deadline)
 
     def calibrate(self, inst: ProblemInstance, budget: float) -> float:
         """Measure this host's evaluation speed in moves/second.
 
         One timed round after a one-move warm-up; the budget caps it. The
-        warm-up move goes through the evaluator, so a lane pool's processes
-        are started before the clock. Then one full neighborhood round of
+        warm-up move goes through the evaluator, so a multi-lane evaluator
+        forks its lanes before the clock. Then one full neighborhood round of
         the instance's initial order is timed, cut short if ``budget``
         (counted from the warm-up) elapses, and the answer is its moves
         over its elapsed time; if the budget left no move to time, it is
@@ -99,11 +93,11 @@ class LocalBackend:
         order = initial_order(inst)
         ctx = EvalContext(inst, order, TabuList(), evaluate_makespan(inst, order))
         cached = self._problems.get(instance_digest(inst))
-        evaluator = cached[1] if cached is not None else LaneEvaluator(inst, self.lanes)
+        evaluator = cached[1] if cached is not None else LaneEvaluator(inst, self.lanes, self.per_move_delay)
         try:
             deadline = time.monotonic() + budget
-            warmup, _ = evaluator.evaluate_blocks(ctx, NeighborhoodSlice(0, 1), None, self.per_move_delay)
-            timed, _ = evaluator.evaluate_blocks(ctx, NeighborhoodSlice(0, total), deadline, self.per_move_delay)
+            warmup, _ = evaluator.evaluate_blocks(ctx, NeighborhoodSlice(0, 1), None)
+            timed, _ = evaluator.evaluate_blocks(ctx, NeighborhoodSlice(0, total), deadline)
         finally:
             if cached is None:
                 evaluator.close()
@@ -127,19 +121,28 @@ class WorkerServer:
     on one thread of its own. ``shutdown`` lets the request being served
     finish and be answered; then every open connection gets an EXIT_REPORT,
     and the listener and the backend are closed.
+
+    Given ``conn``, a connected socket, the server has no listener and no
+    port: it serves that one connection and stops when it closes. That is
+    how a ``LaneEvaluator`` lane runs.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, lanes: int | None = None,
-                 per_move_delay: float = 0.0, backend=None):
+                 per_move_delay: float = 0.0, backend=None, conn: socket.socket | None = None):
         self._backend = backend if backend is not None else LocalBackend(lanes, per_move_delay)
-        self._listener = socket.create_server((host, port))
-        self._listener.setblocking(False)
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self._wake_reader, self._wake_writer = socket.socketpair()
         self._selector = selectors.DefaultSelector()
-        self._selector.register(self._listener, selectors.EVENT_READ)
         self._selector.register(self._wake_reader, selectors.EVENT_READ)
         self._conns: dict[socket.socket, bytearray] = {}  # open connection -> its read buffer
+        self._listener: socket.socket | None = None
+        self.address: tuple[str, int] | None = None
+        if conn is None:
+            self._listener = socket.create_server((host, port))
+            self._listener.setblocking(False)
+            self.address = self._listener.getsockname()[:2]
+            self._selector.register(self._listener, selectors.EVENT_READ)
+        else:
+            self._add(conn, "lane")
         self._thread: threading.Thread | None = None
         self._loop_ident: int | None = None
         self._exit_reason: str | None = None
@@ -211,6 +214,9 @@ class WorkerServer:
             conn, addr = self._listener.accept()
         except OSError:
             return  # the client gave up before it was accepted
+        self._add(conn, addr)
+
+    def _add(self, conn: socket.socket, addr):
         self._conns[conn] = bytearray()
         self._selector.register(conn, selectors.EVENT_READ, addr)
 
@@ -238,6 +244,8 @@ class WorkerServer:
         del self._conns[conn]
         self._selector.unregister(conn)
         conn.close()
+        if self._listener is None and self._exit_reason is None:
+            self._exit_reason = "connection closed"  # a server without a listener has no one left to serve
 
     def _close(self):
         if self._closed.is_set():
@@ -252,7 +260,8 @@ class WorkerServer:
             self._drop(conn)
         self._selector.close()
         for sock in (self._listener, self._wake_reader, self._wake_writer):
-            sock.close()
+            if sock is not None:
+                sock.close()
         self._backend.close()
         self._closed.set()
 

@@ -242,7 +242,7 @@ def kill_lane_child(known) -> int:
     """SIGKILL one multiprocessing child of this process not in ``known``.
 
     Waits for the child to exit but leaves reaping it to its owner (the
-    lane pool). Returns the killed pid.
+    lane evaluator). Returns the killed pid.
     """
     victim = next(p for p in multiprocessing.active_children() if p not in known)
     os.kill(victim.pid, signal.SIGKILL)

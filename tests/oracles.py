@@ -2,6 +2,8 @@
 
 ``reference_scan`` is the plain form of a neighborhood scan: apply each
 move, decode the full schedule, then apply the tabu and aspiration rule.
+``evaluate_slice`` is the library's own scan of one slice, timed, as a
+``SliceResult``: the single-machine answer every evaluator must match.
 
 The simulator here is an event-queue list scheduler written separately
 from the library decoder: per stage it keeps an arrival queue ordered by
@@ -15,12 +17,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import time
 from fractions import Fraction
 
 from hfstabu.coordinator import CoverageError
 from hfstabu.instance import ProblemInstance
-from hfstabu.neighborhood import Move, apply_move, decode_move
+from hfstabu.neighborhood import Move, NeighborhoodSlice, apply_move, decode_move, neighborhood_size
 from hfstabu.schedule import Schedule, build_schedule, evaluate_makespan
+from hfstabu.tabu import SliceResult, TabuList, scan_slice
 
 
 def simulate(inst: ProblemInstance, order):
@@ -156,6 +160,17 @@ def reference_scan(inst: ProblemInstance, order, tabu_entries, incumbent: int, b
         if best_makespan is None or ms < best_makespan:
             best_index, best_makespan = k, ms
     return best_index, best_makespan, end - begin
+
+
+def evaluate_slice(inst: ProblemInstance, order, tabu: TabuList, best_known: int,
+                   nslice: NeighborhoodSlice) -> SliceResult:
+    """Best admissible move within one neighborhood slice, by one ``scan_slice``."""
+    total = neighborhood_size(len(order))
+    if not 0 <= nslice.begin <= nslice.end <= total:
+        raise ValueError(f"slice [{nslice.begin}, {nslice.end}) outside [0, {total})")
+    t0 = time.perf_counter()
+    best_idx, best_ms, evaluated = scan_slice(inst, order, tabu.entries, best_known, nslice.begin, nslice.end)
+    return SliceResult(best_idx, best_ms, evaluated, time.perf_counter() - t0)
 
 
 def exhaustive_optimum(inst: ProblemInstance) -> int:

@@ -21,14 +21,13 @@ from hfstabu.tabu import (
     EvalContext,
     SearchParams,
     TabuList,
-    evaluate_slice,
     merge_prefix,
     run_search,
 )
 from hfstabu.worker import WorkerServer
 
 from netharness import LatencyRelay, SubprocessWorker, record_cover
-from oracles import random_small_instance, simulate, verify_exact_cover
+from oracles import evaluate_slice, random_small_instance, simulate, verify_exact_cover
 
 
 def report(criterion, name, detail=""):

@@ -19,12 +19,12 @@ from hfstabu.coordinator import (
 from hfstabu.instance import generate_instance
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.protocol import PROTOCOL_VERSION
-from hfstabu.tabu import EvalContext, SearchParams, TabuList, evaluate_slice, run_search
+from hfstabu.tabu import EvalContext, SearchParams, TabuList, run_search
 from hfstabu.schedule import evaluate_makespan
 from hfstabu.worker import WorkerServer
 
 from netharness import SubprocessWorker, record_cover
-from oracles import largest_remainder_reference, verify_exact_cover
+from oracles import evaluate_slice, largest_remainder_reference, verify_exact_cover
 
 INST = generate_instance(8, 3, 3, seed=42)
 N = neighborhood_size(8)
@@ -427,9 +427,10 @@ def test_slow_worker_returns_prefix_and_rest_is_redistributed():
     coordinator = Coordinator([s.address for s in servers], config)
     try:
         coordinator.calibrate(seed=4)
-        coordinator.set_problem(big)
-        # slow down one worker after calibration so its prediction is now wrong
+        # slow down one worker after calibration so its prediction is now wrong; a worker
+        # paces the evaluator it builds for each problem, so this comes before set_problem
         servers[0]._backend.per_move_delay = 0.004
+        coordinator.set_problem(big)
         ctx = make_ctx(big, seed=5)
         got = coordinator.evaluate(ctx)
         want = evaluate_slice(big, ctx.order, ctx.tabu, ctx.incumbent, NeighborhoodSlice(0, big_n))

@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import random
 import signal
+import socket
 import time
 
 import pytest
@@ -10,11 +11,11 @@ import hfstabu.parallel
 from hfstabu.instance import generate_instance
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.parallel import EvaluationError, LaneEvaluator
-from hfstabu.tabu import EvalContext, TabuList, evaluate_slice, scan_slice
+from hfstabu.tabu import EvalContext, TabuList, scan_slice
 from hfstabu.schedule import evaluate_makespan
 
-from netharness import kill_lane_child
-from oracles import random_small_instance
+from netharness import kill_lane_child, wait_until
+from oracles import evaluate_slice, random_small_instance
 
 
 def make_ctx(inst, seed=0):
@@ -97,6 +98,9 @@ def test_more_lanes_than_moves():
 
 
 # -- lane failure -------------------------------------------------------------------
+#
+# The scans below replace hfstabu.parallel.scan_slice before the lanes fork, so
+# the lanes inherit them; multiprocessing.parent_process() tells a lane from the caller.
 
 
 def _failing_in_child_scan(inst, order, entries, incumbent, begin, end, deadline, delay):
@@ -111,16 +115,23 @@ def _dying_in_child_scan(inst, order, entries, incumbent, begin, end, deadline, 
     return scan_slice(inst, order, entries, incumbent, begin, end, deadline, delay)
 
 
+def _hanging_in_child_scan(inst, order, entries, incumbent, begin, end, deadline, delay):
+    if multiprocessing.parent_process() is not None:
+        time.sleep(60)  # far past any deadline of the round
+    return scan_slice(inst, order, entries, incumbent, begin, end, deadline, delay)
+
+
 def _always_failing_scan(inst, order, entries, incumbent, begin, end, deadline, delay):
     raise RuntimeError("injected failure everywhere")
 
 
-def test_lane_failure_retries_on_caller():
+def test_lane_failure_retries_on_caller(monkeypatch):
     inst = generate_instance(6, 2, 2, seed=12)
     ctx = make_ctx(inst)
     whole = NeighborhoodSlice(0, neighborhood_size(6))
     reference = LaneEvaluator(inst, 1).evaluate(ctx)
-    with LaneEvaluator(inst, 2, scan_fn=_failing_in_child_scan) as evaluator:
+    monkeypatch.setattr(hfstabu.parallel, "scan_slice", _failing_in_child_scan)
+    with LaneEvaluator(inst, 2) as evaluator:
         result = evaluator.evaluate(ctx)
         assert (result.best_index, result.best_makespan) == (reference.best_index, reference.best_makespan)
         assert result.moves_evaluated == len(whole)
@@ -130,11 +141,12 @@ def test_lane_failure_retries_on_caller():
         assert (result.best_index, result.best_makespan) == (reference.best_index, reference.best_makespan)
 
 
-def test_unrecoverable_failure_raises():
+def test_unrecoverable_failure_raises(monkeypatch):
     inst = generate_instance(5, 1, 2, seed=1)
     ctx = make_ctx(inst)
     whole = NeighborhoodSlice(0, neighborhood_size(5))
-    with LaneEvaluator(inst, 2, scan_fn=_always_failing_scan) as evaluator:
+    monkeypatch.setattr(hfstabu.parallel, "scan_slice", _always_failing_scan)
+    with LaneEvaluator(inst, 2) as evaluator:
         with pytest.raises(EvaluationError):
             evaluator.evaluate(ctx)
         with pytest.raises(EvaluationError):
@@ -157,21 +169,30 @@ def test_killed_lane_process_is_replaced():
             result = evaluator.evaluate(ctx)
             assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
         lanes = {p.pid for p in multiprocessing.active_children() if p not in known}
-        assert lanes and killed not in lanes  # a fresh pool is serving
+        assert lanes and killed not in lanes  # a fresh lane is serving
 
 
-def test_lanes_that_keep_dying_fall_back_inline():
+def test_lanes_that_keep_dying_fall_back_inline(monkeypatch):
     inst = generate_instance(6, 2, 2, seed=12)
     ctx = make_ctx(inst)
     want = _full_scan(inst, ctx)
     known = set(multiprocessing.active_children())
-    with LaneEvaluator(inst, 2, scan_fn=_dying_in_child_scan) as evaluator:
-        # the first pool and its replacement both die mid-round; then the caller scans alone
+    forked = []
+    start = multiprocessing.get_context("fork").Process.start
+
+    def counting_start(process):
+        forked.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", counting_start)
+    monkeypatch.setattr(hfstabu.parallel, "scan_slice", _dying_in_child_scan)
+    with LaneEvaluator(inst, 2) as evaluator:
+        # the lanes and their replacements all die mid-round; then the caller scans alone
         for _ in range(3):
             result = evaluator.evaluate(ctx)
             assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
-        assert evaluator._pool is None
-        assert not [p for p in multiprocessing.active_children() if p not in known]
+        assert len(forked) == 4  # each lane was replaced once, and never again
+        assert wait_until(lambda: not [p for p in multiprocessing.active_children() if p not in known])
 
 
 def test_lanes_run_inline_when_pool_cannot_be_replaced(monkeypatch):
@@ -183,18 +204,74 @@ def test_lanes_run_inline_when_pool_cannot_be_replaced(monkeypatch):
     with LaneEvaluator(inst, 2) as evaluator:
         evaluator.evaluate(ctx)
 
-        def refuse(*args, **kwargs):
-            raise OSError("no resources for a new pool")
+        def refuse(process):
+            raise OSError("no resources for a new lane")
 
-        monkeypatch.setattr(hfstabu.parallel, "ProcessPoolExecutor", refuse)
-        kill_lane_child(known)
+        monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", refuse)
+        lanes = [p for p in multiprocessing.active_children() if p not in known]
+        assert len(lanes) == 2
+        for lane in lanes:
+            os.kill(lane.pid, signal.SIGKILL)
+            lane.join(10)
         result = evaluator.evaluate(ctx)
         assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
         result, frontier = evaluator.evaluate_blocks(ctx, whole, time.monotonic() + 60.0)
         assert frontier == len(whole)
         assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
-        assert evaluator._pool is None
         assert not [p for p in multiprocessing.active_children() if p not in known]
+
+
+def test_hung_lanes_cannot_hang_a_round(monkeypatch):
+    inst = generate_instance(6, 2, 2, seed=12)
+    ctx = make_ctx(inst)
+    want = _full_scan(inst, ctx)
+    monkeypatch.setattr(hfstabu.parallel, "scan_slice", _hanging_in_child_scan)
+    t0 = time.monotonic()
+    # the lanes time out, their replacements hang too, and the caller scans alone
+    with LaneEvaluator(inst, 2) as evaluator:
+        result = evaluator.evaluate(ctx)
+    assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
+    assert time.monotonic() - t0 < 10.0
+
+
+def _sockets(pid):
+    """The sockets open in process ``pid``, as their /proc link targets, by descriptor."""
+    targets = {}
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue  # closed while listed
+        if target.startswith("socket:"):
+            targets[int(fd)] = target
+    return targets
+
+
+def test_lanes_hold_no_descriptor_of_their_caller():
+    inst = generate_instance(6, 2, 2, seed=12)
+    ctx = make_ctx(inst)
+    known = set(multiprocessing.active_children())
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        first = LaneEvaluator(inst, 2)
+        second = LaneEvaluator(inst, 2)
+        try:
+            first.evaluate(ctx)
+            first_lanes = set(multiprocessing.active_children()) - known
+            second.evaluate(ctx)
+            second_lanes = set(multiprocessing.active_children()) - known - first_lanes
+            assert len(first_lanes) == len(second_lanes) == 2
+            # everything the caller holds: the listener, both evaluators' ends of their lanes' pairs
+            ours = _sockets(os.getpid())
+            assert listener.fileno() in ours
+            for lane in second_lanes:
+                held = {fd: target for fd, target in _sockets(lane.pid).items() if fd > 2}
+                assert not set(held.values()) & set(ours.values()), f"lane {lane.pid} holds {held}"
+        finally:
+            first.close()
+            second.close()
+    lanes = first_lanes | second_lanes
+    assert wait_until(lambda: not lanes & set(multiprocessing.active_children()), timeout=2.0)
+    assert [lane.exitcode for lane in lanes] == [0] * 4  # they saw EOF; none was killed
 
 
 # -- deadline-bounded blocks ----------------------------------------------------------
@@ -232,10 +309,9 @@ def test_blocks_prefix_semantics_under_deadline():
     total = neighborhood_size(8)
     whole = NeighborhoodSlice(0, total)
     for lanes in (1, 3):
-        with LaneEvaluator(inst, lanes) as evaluator:
-            result, frontier = evaluator.evaluate_blocks(
-                ctx, whole, time.monotonic() + 0.05, per_move_delay=0.002
-            )
+        with LaneEvaluator(inst, lanes, per_move_delay=0.005) as evaluator:
+            evaluator.evaluate_blocks(ctx, NeighborhoodSlice(0, 1), None)  # lanes start lazily: before the clock
+            result, frontier = evaluator.evaluate_blocks(ctx, whole, time.monotonic() + 0.05)
         assert 0 < frontier < total  # the deadline really bit
         assert result.moves_evaluated == frontier
         replay = evaluate_slice(inst, ctx.order, ctx.tabu, ctx.incumbent, NeighborhoodSlice(0, frontier))

@@ -5,10 +5,11 @@ from hfstabu.coordinator import Coordinator, CoordinatorConfig, NodeProxy, predi
 from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.superserver import FanoutBackend, serve_as_super_server
-from hfstabu.tabu import SearchParams, evaluate_slice, run_search
+from hfstabu.tabu import SearchParams, run_search
 from hfstabu.worker import LocalBackend, WorkerServer
 
 from netharness import LatencyRelay, WireClient, empty_tabu, wait_until
+from oracles import evaluate_slice
 
 INST = generate_instance(8, 3, 3, seed=42)
 DIGEST = instance_digest(INST)

@@ -12,7 +12,6 @@ from hfstabu.tabu import (
     SearchParams,
     TabuList,
     diversify,
-    evaluate_slice,
     initial_order,
     merge_prefix,
     run_search,
@@ -20,7 +19,7 @@ from hfstabu.tabu import (
     tabu_push,
 )
 
-from oracles import encode_move, exhaustive_optimum, is_tabu, random_small_instance, reference_scan
+from oracles import encode_move, evaluate_slice, exhaustive_optimum, is_tabu, random_small_instance, reference_scan
 
 
 def full_slice(n):

@@ -11,10 +11,11 @@ from hfstabu.protocol import ProtocolError
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.parallel import LaneEvaluator
 from hfstabu.schedule import evaluate_makespan
-from hfstabu.tabu import SliceResult, evaluate_slice, initial_order, scan_slice
+from hfstabu.tabu import SliceResult, initial_order, scan_slice
 from hfstabu.worker import LocalBackend, WorkerServer
 
 from netharness import WireClient, empty_tabu, kill_lane_child, wait_until
+from oracles import evaluate_slice
 
 INST = generate_instance(8, 3, 3, seed=42)
 DIGEST = instance_digest(INST)
