@@ -26,7 +26,9 @@ policy on top of it:
   flight), and any other failure or an inconsistent result is a strike:
   a node with one strike is suspect and gets one reconnect attempt, a
   second strike marks it dead for the run. A late result is discarded,
-  but its speed measurement is still recorded.
+  but its speed measurement is still recorded. Each EVAL gets at least
+  50 ms from its own send and is cut 0.1 s after those or the budget,
+  whichever ends later.
 
 Failed and incomplete slices are fed into extra dispatch rounds over the
 remaining live nodes until the slice is covered, no node is ready, the
@@ -157,12 +159,11 @@ class CoordinatorConfig:
 class NodeProxy:
     """One node: its current connection, at most one abandoned one, and its measurements.
 
-    ``opener(address, timeout)`` returns a new connected socket whose
-    blocking calls time out after ``timeout`` seconds; for a TCP node it is
-    ``socket.create_connection``. Each socket is registered on the
-    coordinator's selector, with its read buffer, from its handshake until
-    ``close_socket``. ``history`` holds the node's speeds; ``moves`` and
-    ``busy_seconds`` sum its accepted results.
+    ``opener(address, timeout)`` returns a new connected socket, as
+    ``socket.create_connection`` does for a TCP node. Each socket is
+    registered on the coordinator's selector, with its read buffer, from
+    its handshake until ``close_socket``. ``history`` holds the node's
+    speeds; ``moves`` and ``busy_seconds`` sum its accepted results.
     """
 
     def __init__(self, node_id: int, address, selector: selectors.BaseSelector,
@@ -180,6 +181,7 @@ class NodeProxy:
         self.busy_seconds = 0.0
         self._sock: socket.socket | None = None
         self._drained: list[socket.socket] = []
+        self._opening: socket.socket | None = None  # opened, HELLO sent, reply not read yet
         self._rid = node_id * 1_000_000  # disjoint rid ranges ease log reading
 
     def next_rid(self) -> int:
@@ -190,16 +192,15 @@ class NodeProxy:
     def connected(self) -> bool:
         return self._sock is not None
 
-    def connect(self):
-        """Open a fresh connection and perform the HELLO handshake.
+    def open(self):
+        """Open a fresh connection and send HELLO; ``connect`` reads the reply.
 
         The previous connection is abandoned, not closed: a reply that is
         still in flight on it can then be drained and its speed sample
         recorded, even though its slice has already been re-dispatched.
         Only that newest abandoned connection is kept; older ones are
         closed here, so reconnecting a node over and over holds at most
-        two of its connections open. Bytes that follow the HELLO reply
-        stay in the new socket's read buffer.
+        two of its connections open.
         """
         for old in self._drained[:]:  # close_socket forgets each one
             self.close_socket(old)
@@ -207,8 +208,16 @@ class NodeProxy:
         self._sock = None
         sock = self._open(self.address, self._config.connect_timeout)
         try:
-            rid = self.next_rid()
-            sock.sendall(protocol.encode(protocol.Hello(rid, PROTOCOL_VERSION, 0)))
+            sock.sendall(protocol.encode(protocol.Hello(self.next_rid(), PROTOCOL_VERSION, 0)))
+        except OSError:
+            sock.close()
+            raise
+        self._opening = sock
+
+    def connect(self):
+        """Finish the handshake ``open`` started; bytes after the reply stay buffered."""
+        sock, self._opening = self._opening, None
+        try:
             buffer = b""
             while b"\n" not in buffer:
                 chunk = sock.recv(protocol.READ_SIZE)
@@ -257,9 +266,8 @@ class Coordinator:
     One class serves the top-level search and every super server: it owns
     the selector, the node proxies, calibration and the dispatch cycle.
     Use it from one thread at a time: it starts no thread, and reads every
-    node socket on the caller's thread through its one selector. Every node
-    is reached through ``opener`` (see ``NodeProxy``), so a reconnect
-    opens whatever the opener opens: a new TCP connection, or a new lane.
+    node socket on the caller's thread through its one selector. A
+    reconnect opens what ``opener`` opens: a TCP connection, or a new lane.
     """
 
     def __init__(self, addresses, config: CoordinatorConfig | None = None, opener=socket.create_connection):
@@ -273,22 +281,27 @@ class Coordinator:
 
     # -- connection management ----------------------------------------------
 
-    def _connect(self, proxy: NodeProxy) -> bool:
-        """(Re)connect a node and resend the current problem; an unreachable node is dead."""
-        try:
-            proxy.connect()
-            proxy.state = IDLE
-            if self._problem is not None:
-                proxy.send(protocol.SetProblem(proxy.next_rid(), self._problem[0]))
-            return True
-        except (OSError, ConnectionError, protocol.ProtocolError) as exc:
-            log.warning("node %d (%s) unreachable: %s", proxy.node_id, proxy.address, exc)
-            proxy.state = DEAD
-            return False
+    def _connect(self, proxies):
+        """(Re)connect nodes and resend the current problem; an unreachable node is dead.
+
+        Each step runs on every node before the next, so every connection
+        is opened and sent its HELLO before any reply is read: forked lanes
+        start up side by side.
+        """
+        steps = [NodeProxy.open, NodeProxy.connect]
+        if self._problem is not None:
+            steps.append(lambda proxy: proxy.send(protocol.SetProblem(proxy.next_rid(), self._problem[0])))
+        for step in steps:
+            for proxy in [p for p in proxies if p.state != DEAD]:
+                try:
+                    step(proxy)
+                    proxy.state = IDLE
+                except (OSError, ConnectionError, protocol.ProtocolError) as exc:
+                    log.warning("node %d (%s) unreachable: %s", proxy.node_id, proxy.address, exc)
+                    proxy.state = DEAD
 
     def connect_all(self):
-        for proxy in self.proxies:
-            self._connect(proxy)
+        self._connect(self.proxies)
 
     def close(self):
         for proxy in self.proxies:
@@ -310,19 +323,27 @@ class Coordinator:
         proxy.state = DEAD if proxy.strikes >= 2 else SUSPECT
         log.warning("node %d %s (strike %d -> %s)", proxy.node_id, reason, proxy.strikes, proxy.state)
 
+    def _drop_dead(self):
+        """Close the connections of dead nodes; a lane sees EOF and exits."""
+        for proxy in self.proxies:
+            if proxy.state == DEAD:
+                proxy.disconnect()
+
     def _ready_nodes(self, candidates) -> list[NodeProxy]:
         """The live, idle candidates with a usable connection; a suspect gets one reconnect."""
-        return [p for p in candidates if p.state not in (DEAD, BUSY)
-                and ((p.connected and p.state != SUSPECT) or self._connect(p))]
+        candidates = [p for p in candidates if p.state not in (DEAD, BUSY)]
+        self._connect([p for p in candidates if not p.connected or p.state == SUSPECT])
+        return [p for p in candidates if p.state != DEAD]
 
     # -- the request loop --------------------------------------------------------
 
-    def _collect(self, requests: dict[int, tuple[NodeProxy, float]], cutoff: float = math.inf):
+    def _collect(self, requests: dict[int, tuple[NodeProxy, float, float]]):
         """Read the node sockets until every request in ``requests`` is resolved.
 
-        ``requests`` maps rid -> (proxy, absolute deadline), at most one per
-        node, and is emptied. The selector waits with the nearest deadline as
-        its timeout; at ``cutoff`` every request still outstanding is cut.
+        ``requests`` maps rid -> (proxy, absolute deadline, absolute cutoff),
+        at most one per node, and is emptied. The selector waits until the
+        nearest deadline or cutoff: past its deadline a request has timed
+        out, past its cutoff it is cut.
         Yields (rid, proxy, reply, failure), one of:
 
         * a reply (EVAL_RESULT or CALIBRATE_RESULT), failure None;
@@ -338,13 +359,13 @@ class Coordinator:
         """
         while requests:
             now = time.monotonic()
-            for rid, (proxy, deadline) in list(requests.items()):
-                if now >= deadline or now >= cutoff:
+            for rid, (proxy, deadline, cutoff) in list(requests.items()):
+                if now >= min(deadline, cutoff):
                     del requests[rid]
                     yield rid, proxy, None, TIMEOUT if now >= deadline else CUT
             if not requests:
                 return
-            wake = min(cutoff, *(deadline for _, deadline in requests.values()))
+            wake = min(min(deadline, cutoff) for _, deadline, cutoff in requests.values())
             for key, _ in self._selector.select(wake - now):
                 proxy, buffer = key.data
                 current = key.fileobj is proxy._sock
@@ -355,7 +376,7 @@ class Coordinator:
                 for msg in messages:
                     if isinstance(msg, (Exception, protocol.ExitReport)):  # an exception says why it closed
                         failure, why = (LOST, msg) if isinstance(msg, Exception) else (EXIT, msg.reason)
-                        rid = next((r for r, (p, _) in requests.items() if p is proxy), None)
+                        rid = next((r for r, (p, *_) in requests.items() if p is proxy), None)
                         if current and (rid is not None or proxy.state != DEAD):
                             requests.pop(rid, None)
                             log.info("node %d %s: %s", proxy.node_id, failure, why)
@@ -409,7 +430,7 @@ class Coordinator:
         """
         start = time.monotonic()
         deadline = start + budget + self.config.calibration_grace
-        requests: dict[int, tuple[NodeProxy, float]] = {}
+        requests: dict[int, tuple[NodeProxy, float, float]] = {}
         for proxy in self._ready_nodes(self.proxies):
             rid = proxy.next_rid()
             try:
@@ -419,7 +440,7 @@ class Coordinator:
                 log.warning("node %d dropped from calibration: send failed: %s", proxy.node_id, exc)
                 continue
             proxy.state = BUSY
-            requests[rid] = (proxy, deadline)
+            requests[rid] = (proxy, deadline, math.inf)
         answered: dict[NodeProxy, float] = {}
         for rid, proxy, reply, failure in self._collect(requests):
             if rid is None and failure is None:
@@ -435,6 +456,7 @@ class Coordinator:
         elapsed = time.monotonic() - start
         for proxy, speed in answered.items():
             proxy.history = NodePerfHistory([(max(1, round(speed * elapsed)), speed)])
+        self._drop_dead()
         return {proxy.node_id: speed for proxy, speed in answered.items()}
 
     # -- evaluation ----------------------------------------------------------------
@@ -491,13 +513,14 @@ class Coordinator:
             speeds = [predict(p.history) for p in ready]
             slices = plan_partition(speeds, end - begin, begin)
 
-            requests: dict[int, tuple[NodeProxy, float]] = {}
+            requests: dict[int, tuple[NodeProxy, float, float]] = {}
             sent: dict[int, NeighborhoodSlice] = {}
             for proxy, speed, part in zip(ready, speeds, slices):
                 if not part:
                     continue
-                deadline = min(len(part) / speed * self.config.deadline_slack + self.config.deadline_floor,
-                               max(budget_abs - time.monotonic(), 0.05))
+                now = time.monotonic()
+                left = max(budget_abs - now, 0.05)  # every node gets 50 ms, counted from its own send
+                deadline = min(len(part) / speed * self.config.deadline_slack + self.config.deadline_floor, left)
                 rid = proxy.next_rid()
                 try:
                     proxy.send(protocol.Eval(rid, digest, ctx.order, ctx.tabu, ctx.incumbent, part, deadline))
@@ -506,11 +529,11 @@ class Coordinator:
                     pending.append((part.begin, part.end))
                     continue
                 proxy.state = BUSY
-                requests[rid] = (proxy, time.monotonic() + deadline + self.config.response_grace)
+                requests[rid] = (proxy, now + deadline + self.config.response_grace, now + left + 0.1)
                 sent[rid] = part
 
             round_moves = 0
-            for rid, proxy, reply, failure in self._collect(requests, budget_abs + 0.1):
+            for rid, proxy, reply, failure in self._collect(requests):
                 if rid is None and failure is None:
                     self._record_late(proxy, reply)
                     continue
@@ -527,6 +550,7 @@ class Coordinator:
                 else:
                     self._strike(proxy, failure or "inconsistent result")
             stalled = stalled + 1 if round_moves == 0 else 0
+        self._drop_dead()
         return results
 
     @staticmethod

@@ -1,21 +1,16 @@
 """Multi-lane neighborhood evaluation: lanes are nodes.
 
-With one lane the evaluator scans inline, on the calling process. With
-more, it is one ``Coordinator`` over that many lane processes, the same
-dispatcher that drives workers and super servers: the same proportional
-plan, deadlines, redistribution, failure policy and prefix reducer
-(``tabu.merge_prefix``). A lane is a forked process that runs the
-ordinary worker request loop (``WorkerServer`` with one lane) on one end
-of a socket pair: it speaks the wire protocol, has no listener and no
-port, and exits when its socket closes. Lanes are forked on first use
-and skip calibration: each starts with the same nominal one-move
-history, and measured speeds take over after the first round.
+One lane scans inline, on the calling process. More lanes are one
+``Coordinator`` over that many lane processes, the dispatcher of workers
+and super servers: same plan, deadlines, failure policy and prefix
+reducer. A lane is a forked process that runs the worker request loop
+(``WorkerServer`` with one lane) on one end of a socket pair, with no
+listener, until that socket closes. Lanes are forked on first use and
+skip calibration: each starts from one nominal history entry.
 
-Recovery is the coordinator's node policy. A failed lane's range goes
-to the other lanes; one failure makes the lane suspect, and its
-reconnect forks a replacement; a second failure makes it dead. When no
-lane is live, the caller scans the rest of the range inline with the
-same deadline; only a failing inline scan aborts the round.
+A failed lane's range goes to the other lanes, and its reconnect forks
+a replacement; a lane that fails twice is dead. When no lane is live,
+the caller scans the rest inline; only a failing inline scan aborts.
 """
 
 from __future__ import annotations
@@ -26,14 +21,13 @@ import os
 import socket
 import time
 
-from .coordinator import DEAD, Coordinator
+from .coordinator import Coordinator
 from .instance import ProblemInstance
 from .neighborhood import NeighborhoodSlice, neighborhood_size
 from .tabu import EvalContext, SliceResult, merge_prefix, scan_slice
 
-# A fresh lane's assumed speed, in moves/s: about one core on a 30x5
-# instance. It only sets the first round's deadlines (a slower lane
-# answers with a prefix at its deadline) and weighs one move.
+# A fresh lane's assumed speed, in moves/s, about one core on 30x5: it sets
+# the first round's deadlines (a slower lane answers with a prefix) and weighs one move.
 NOMINAL_LANE_SPEED = 10_000.0
 LANE_EXIT_WAIT = 1.0  # seconds close() waits for lanes to exit on EOF before it kills them
 
@@ -55,28 +49,35 @@ def detected_lane_count() -> int:
     return os.cpu_count() or 1
 
 
-def _descriptors() -> dict[int, str]:
-    """This process's open descriptors: number -> what it points at."""
+def _descriptors() -> dict[int, tuple[int, int]]:
+    """This process's open descriptors: number -> (device, inode) of what it points at.
+
+    Lists /dev/fd (Linux, macOS, and FreeBSD with fdescfs); where that
+    lists nothing beyond stdio, a lane keeps whatever it inherited.
+    """
+    try:
+        names = os.listdir("/dev/fd")
+    except OSError:
+        return {}
     found = {}
-    for name in os.listdir("/proc/self/fd"):
+    for name in names:
         try:
-            found[int(name)] = os.readlink(f"/proc/self/fd/{name}")
+            stat = os.fstat(int(name))
         except OSError:
-            pass  # the listing's own descriptor, closed since
+            continue  # the listing's own descriptor, closed since
+        found[int(name)] = (stat.st_dev, stat.st_ino)
     return found
 
 
-def _serve_lane(sock: socket.socket, per_move_delay: float, inherited: dict[int, str]):
+def _serve_lane(sock: socket.socket, per_move_delay: float, inherited: dict[int, tuple[int, int]]):
     """A lane process: drop what it inherited, then serve ``sock`` until it closes.
 
-    Fork copies all of the caller's descriptors: its listeners, its other
-    lanes' sockets, its selector, and the caller's end of this lane's own
-    pair. While a lane holds those, no peer sees EOF. ``inherited`` is what
-    the caller held just before the fork; the pipes multiprocessing opens
-    for the fork itself (the lane's exit sentinel) came later and stay. Each
-    dropped descriptor is pointed at /dev/null rather than closed, so that a
-    Python object still wrapping its number cannot close one the lane opens
-    later.
+    Fork copies the caller's descriptors (listeners, other lanes' sockets,
+    the caller's end of this pair), and while a lane holds them no peer
+    sees EOF. ``inherited`` is what the caller held just before the fork;
+    multiprocessing's exit-sentinel pipes came later and stay. A dropped
+    descriptor is pointed at /dev/null, not closed, so that a Python object
+    still wrapping its number cannot close one the lane opens later.
     """
     from .worker import WorkerServer  # worker imports this module
 
@@ -155,26 +156,18 @@ class LaneEvaluator:
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, ctx: EvalContext) -> SliceResult:
-        """Evaluate the full neighborhood of the context's permutation.
-
-        Equivalent to one scan of the whole neighborhood: same best index,
-        same makespan, for any lane count.
-        """
+        """The full neighborhood: one scan's best index and makespan, for any lane count."""
         result, _ = self.evaluate_blocks(ctx, NeighborhoodSlice(0, neighborhood_size(len(ctx.order))), None)
         return result
 
     def evaluate_blocks(self, ctx: EvalContext, nslice: NeighborhoodSlice,
                         deadline: float | None) -> tuple[SliceResult, int]:
-        """Evaluate as much of [begin, end) as the deadline allows.
+        """Evaluate as much of ``nslice`` as the absolute ``deadline`` (None: no limit) allows.
 
-        Returns (result over the evaluated prefix, prefix end): the
-        evaluated portion is always contiguous from ``nslice.begin``.
-        ``deadline`` is an absolute time.monotonic() value, or None to
-        evaluate the whole range. With lanes, the rest of the range past
-        what they covered is scanned here when no lane is live, or when
-        there is no deadline; EvaluationError is raised only if that scan
-        fails. A context of another instance than the evaluator's is a
-        ValueError.
+        Returns (result over the evaluated prefix, prefix end); the prefix
+        is contiguous from ``nslice.begin``. What lanes left is scanned here
+        when no lane is live or there is no deadline; EvaluationError only if
+        that scan fails. Another instance's context is a ValueError.
         """
         if ctx.instance != self.instance:
             raise ValueError("the context's instance is not the evaluator's")
@@ -184,9 +177,6 @@ class LaneEvaluator:
         if coordinator is not None and nslice:
             covered, frontier = coordinator.evaluate_blocks(ctx, nslice, deadline)
             parts.append((nslice.begin, frontier, covered.best_index, covered.best_makespan))
-            for proxy in coordinator.proxies:
-                if proxy.state == DEAD:
-                    proxy.disconnect()  # its lane sees EOF and exits
         if frontier < nslice.end and (coordinator is None or deadline is None or not coordinator.live_nodes()):
             try:
                 best_idx, best_ms, evaluated = scan_slice(self.instance, ctx.order, ctx.tabu.entries, ctx.incumbent,

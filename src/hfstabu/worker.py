@@ -38,12 +38,11 @@ log = logging.getLogger(__name__)
 class LocalBackend:
     """Evaluation backend running on this host's lanes.
 
-    Problems are cached by digest with their evaluators, and so with their
-    lane processes; the cache keeps the most recently used few so long
-    bench runs over many instances do not accumulate idle lanes. Each
-    evaluator is built with the backend's ``per_move_delay`` at that time.
-    Use it from one thread at a time: a worker server calls it only from
-    its loop.
+    Problems are cached by digest with their evaluators (and lanes); the
+    cache keeps the most recently used few so long bench runs over many
+    instances do not accumulate idle lanes. Each evaluator takes the
+    backend's ``per_move_delay`` when it is built. Use it from one thread
+    at a time: a worker server calls it only from its loop.
     """
 
     MAX_CACHED_PROBLEMS = 4
@@ -134,15 +133,14 @@ class WorkerServer:
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._wake_reader, selectors.EVENT_READ)
         self._conns: dict[socket.socket, bytearray] = {}  # open connection -> its read buffer
-        self._listener: socket.socket | None = None
+        self._listener = socket.create_server((host, port)) if conn is None else None
         self.address: tuple[str, int] | None = None
-        if conn is None:
-            self._listener = socket.create_server((host, port))
+        if conn is not None:
+            self._add(conn, "lane")
+        else:
             self._listener.setblocking(False)
             self.address = self._listener.getsockname()[:2]
             self._selector.register(self._listener, selectors.EVENT_READ)
-        else:
-            self._add(conn, "lane")
         self._thread: threading.Thread | None = None
         self._loop_ident: int | None = None
         self._exit_reason: str | None = None

@@ -310,9 +310,40 @@ def test_blocks_prefix_semantics_under_deadline():
     whole = NeighborhoodSlice(0, total)
     for lanes in (1, 3):
         with LaneEvaluator(inst, lanes, per_move_delay=0.005) as evaluator:
-            evaluator.evaluate_blocks(ctx, NeighborhoodSlice(0, 1), None)  # lanes start lazily: before the clock
             result, frontier = evaluator.evaluate_blocks(ctx, whole, time.monotonic() + 0.05)
         assert 0 < frontier < total  # the deadline really bit
         assert result.moves_evaluated == frontier
         replay = evaluate_slice(inst, ctx.order, ctx.tabu, ctx.incumbent, NeighborhoodSlice(0, frontier))
         assert (result.best_index, result.best_makespan) == (replay.best_index, replay.best_makespan)
+
+
+def test_deadline_shorter_than_lane_start_up(monkeypatch):
+    inst = generate_instance(8, 2, 3, seed=77)
+    ctx = make_ctx(inst)
+    whole = NeighborhoodSlice(0, neighborhood_size(8))
+    forked = []
+    start = multiprocessing.get_context("fork").Process.start
+    descriptors = hfstabu.parallel._descriptors
+
+    def counting_start(process):
+        forked.append(process)
+        start(process)
+
+    def slow_in_child_descriptors():
+        if multiprocessing.parent_process() is not None:
+            time.sleep(0.05)  # each lane takes 50 ms to start, 200 ms if they started one by one
+        return descriptors()
+
+    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", counting_start)
+    monkeypatch.setattr(hfstabu.parallel, "_descriptors", slow_in_child_descriptors)
+    with LaneEvaluator(inst, 4) as evaluator:
+        for call in range(3):
+            deadline = time.monotonic() + 0.01
+            result, frontier = evaluator.evaluate_blocks(ctx, whole, deadline)
+            if call == 0:
+                assert time.monotonic() > deadline + 0.04  # the lanes started after the caller's deadline
+            # each lane is still given its time from its own send: none is cut, so none is forked again
+            assert frontier > 0
+            assert len(forked) == 4
+            replay = evaluate_slice(inst, ctx.order, ctx.tabu, ctx.incumbent, NeighborhoodSlice(0, frontier))
+            assert (result.best_index, result.best_makespan) == (replay.best_index, replay.best_makespan)
