@@ -19,7 +19,7 @@ from .instance import (
     serialize_instance,
 )
 from .neighborhood import Move, NeighborhoodSlice, apply_move, decode_move, neighborhood_size
-from .schedule import Schedule, build_schedule, evaluate_makespan
+from .schedule import evaluate_makespan
 from .tabu import (
     EvalContext,
     IterationRecord,
@@ -64,8 +64,6 @@ __all__ = [
     "apply_move",
     "decode_move",
     "neighborhood_size",
-    "Schedule",
-    "build_schedule",
     "evaluate_makespan",
     "EvalContext",
     "IterationRecord",

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import signal
 import sys
 import time
@@ -117,15 +116,7 @@ def cmd_solve(args) -> int:
 
 def cmd_worker(args) -> int:
     host, port = args.bind
-    lanes = args.lanes
-    env = os.environ.get("HFSTABU_LANES")
-    if lanes is None and env:
-        try:
-            lanes = _positive_int(env)
-        except argparse.ArgumentTypeError as exc:
-            log.error("HFSTABU_LANES: %s", exc)
-            return 2
-    server = WorkerServer(host, port, lanes=lanes, per_move_delay=args.per_move_delay)
+    server = WorkerServer(host, port, lanes=args.lanes, per_move_delay=args.per_move_delay)
     log.info("worker listening on %s:%d with %d lane(s)", *server.address, server.lanes)
     print(json.dumps({"event": "ready", "host": server.address[0], "port": server.address[1],
                       "lanes": server.lanes}), flush=True)
@@ -193,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("worker", help="run an evaluation worker daemon")
     p.add_argument("--bind", type=_parse_endpoint, required=True, help="HOST:PORT (port 0 picks a free port)")
     p.add_argument("--lanes", type=_positive_int, default=None,
-                   help="lane count (default: HFSTABU_LANES env var, else detected cores)")
+                   help="lane count (default: detected cores)")
     p.add_argument("--per-move-delay", type=float, default=0.0,
                    help="pace every scan at one move per SECONDS (testing aid)")
     p.set_defaults(func=cmd_worker)

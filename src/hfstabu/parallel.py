@@ -6,7 +6,8 @@ and super servers: same plan, deadlines, failure policy and prefix
 reducer. A lane is a forked process that runs the worker request loop
 (``WorkerServer`` with one lane) on one end of a socket pair, with no
 listener, until that socket closes. Lanes are forked on first use and
-skip calibration: each starts from one nominal history entry.
+skip calibration: each starts from one nominal history entry. The lanes
+get each new instance as a SET_PROBLEM before its first round.
 
 A failed lane's range goes to the other lanes, and its reconnect forks
 a replacement; a lane that fails twice is dead. When no lane is live,
@@ -27,7 +28,8 @@ import time
 from .coordinator import Coordinator
 from .instance import ProblemInstance
 from .neighborhood import NeighborhoodSlice, neighborhood_size
-from .tabu import EvalContext, SliceResult, merge_prefix, scan_slice
+from .schedule import evaluate_makespan
+from .tabu import EvalContext, SliceResult, TabuList, initial_order, merge_prefix, scan_slice
 
 # A fresh lane's assumed speed, in moves/s, about one core on 30x5: it sets
 # the first round's deadlines (a slower lane answers with a prefix) and weighs one move.
@@ -94,16 +96,17 @@ def _serve_lane(sock: socket.socket, per_move_delay: float, inherited: dict[int,
 
 
 class LaneEvaluator:
-    """Neighborhood evaluator bound to one problem instance, over ``lanes`` lanes.
+    """Neighborhood evaluator over ``lanes`` lanes, for contexts of any instance.
 
-    Keep one evaluator alive for a whole search run: the lanes hold the
-    instance, so a round ships only its context. ``lanes=1`` runs inline,
-    with no process. ``per_move_delay`` paces every scan, as a worker's
-    does, for benchmarks and tests.
+    Keep one evaluator alive while there is work: the lanes keep the
+    current instance, so a round ships only its context. ``instance``, if
+    given, is sent to the lanes first. ``lanes=1`` runs inline, with no
+    process. ``per_move_delay`` paces every scan, as a worker's does, for
+    benchmarks and tests; a lane reads it when it is forked.
     """
 
-    def __init__(self, instance: ProblemInstance, lanes: int | None = None, per_move_delay: float = 0.0):
-        self.instance = instance
+    def __init__(self, instance: ProblemInstance | None = None, lanes: int | None = None,
+                 per_move_delay: float = 0.0):
         self.lanes = lanes if lanes is not None else detected_lane_count()
         if self.lanes < 1:
             raise ValueError(f"lanes must be >= 1, got {self.lanes}")
@@ -112,7 +115,8 @@ class LaneEvaluator:
         self._coordinator = None
         if self.lanes > 1:
             self._coordinator = Coordinator([("lane", i) for i in range(self.lanes)], opener=self._fork_lane)
-            self._coordinator.set_problem(instance)  # sent to each lane as it connects
+            if instance is not None:
+                self._coordinator.set_problem(instance)  # sent to each lane as it connects
             for proxy in self._coordinator.proxies:
                 proxy.history.record(1, NOMINAL_LANE_SPEED)
 
@@ -172,10 +176,8 @@ class LaneEvaluator:
         Returns (result over the evaluated prefix, prefix end); the prefix
         is contiguous from ``nslice.begin``. What lanes left is scanned here
         when no lane is live or there is no deadline; EvaluationError only if
-        that scan fails. Another instance's context is a ValueError.
+        that scan fails.
         """
-        if ctx.instance != self.instance:
-            raise ValueError("the context's instance is not the evaluator's")
         t0 = time.perf_counter()
         parts, frontier = [], nslice.begin
         coordinator = self._coordinator
@@ -184,7 +186,7 @@ class LaneEvaluator:
             parts.append((nslice.begin, frontier, covered.best_index, covered.best_makespan))
         if frontier < nslice.end and (coordinator is None or deadline is None or not coordinator.live_nodes()):
             try:
-                best_idx, best_ms, evaluated = scan_slice(self.instance, ctx.order, ctx.tabu.entries, ctx.incumbent,
+                best_idx, best_ms, evaluated = scan_slice(ctx.instance, ctx.order, ctx.tabu.entries, ctx.incumbent,
                                                           frontier, nslice.end, deadline, self.per_move_delay)
             except Exception as exc:
                 if coordinator is None:
@@ -193,3 +195,28 @@ class LaneEvaluator:
             parts.append((frontier, frontier + evaluated, best_idx, best_ms))
         frontier, best_idx, best_ms = merge_prefix(parts, nslice.begin)
         return SliceResult(best_idx, best_ms, frontier - nslice.begin, time.perf_counter() - t0), frontier
+
+    def calibrate(self, inst: ProblemInstance, budget: float) -> float:
+        """Measure this evaluator's speed on ``inst`` in moves/second.
+
+        One timed round after a one-move warm-up; the budget caps it. The
+        warm-up move forks the lanes, if they are not running yet, before
+        the clock. Then one full neighborhood round of the instance's
+        initial order is timed, cut short if ``budget`` (counted from the
+        warm-up) elapses, and the answer is its moves over its elapsed
+        time; if the budget left no move to time, it is the warm-up move's
+        speed, so the returned speed is positive.
+        """
+        if budget <= 0:
+            raise ValueError(f"calibration budget must be > 0, got {budget}")
+        total = neighborhood_size(inst.num_jobs)
+        if total == 0:
+            raise ValueError("calibration instance needs at least 2 jobs")
+        order = initial_order(inst)
+        ctx = EvalContext(inst, order, TabuList(), evaluate_makespan(inst, order))
+        deadline = time.monotonic() + budget
+        warmup, _ = self.evaluate_blocks(ctx, NeighborhoodSlice(0, 1), None)
+        timed, _ = self.evaluate_blocks(ctx, NeighborhoodSlice(0, total), deadline)
+        if not timed.moves_evaluated:
+            timed = warmup
+        return timed.moves_evaluated / timed.elapsed if timed.elapsed > 0 else float(timed.moves_evaluated)

@@ -10,20 +10,18 @@ broken by the lowest processor index. No backfilling: a task is never
 placed before an earlier-dispatched one releases enough capacity.
 
 The decoder is a pure function of (instance, permutation), so schedules
-are reproducible bit for bit. There are three implementations of it, one
-per purpose:
+are reproducible bit for bit. There are two implementations of it, one
+per purpose; the tests hold a third, ``build_schedule``, which reports
+the whole schedule, processor ids included, as their reference:
 
-- ``build_schedule`` reports the whole schedule, processor ids
-  included. For each task it orders the stage's processors by
-  (availability, index) and takes the first q.
 - ``evaluate_makespan`` computes only the makespan of one permutation.
   It keeps each stage's availability times as a sorted multiset. The
   q-th smallest time is where a task of width q can start, and the q
   smallest are replaced by its completion time. This is exact because
   the processors of a stage are identical: which ones a task occupies
   never affects a later start time, only the multiset of their
-  availability times does. So both decoders give the same completion
-  times.
+  availability times does. So it gives the completion times of a
+  decoder that picks processors by (availability, index).
 - ``insertion_decoder`` computes the makespans of an insertion
   neighbourhood, the inner loop of the search. It decodes the
   permutation without the moved job once, with the same sorted
@@ -35,29 +33,10 @@ per purpose:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 
 from .instance import ProblemInstance
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Start/completion matrices ([job][stage]), processor assignments, makespan."""
-
-    start: tuple[tuple[int, ...], ...]
-    completion: tuple[tuple[int, ...], ...]
-    assignment: tuple[tuple[tuple[int, ...], ...], ...]
-    makespan: int
-
-
-def validate_permutation(order, n: int) -> tuple[int, ...]:
-    """Check that ``order`` is a permutation of range(n); return it as a tuple."""
-    order = tuple(order)
-    if len(order) != n or sorted(order) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {order!r}")
-    return order
 
 
 def evaluate_makespan(inst: ProblemInstance, order) -> int:
@@ -184,53 +163,3 @@ def insertion_decoder(inst: ProblemInstance, order, from_pos: int):
         return max(peak[shared], max(redone)) // width
 
     return makespan_below
-
-
-def build_schedule(inst: ProblemInstance, order) -> Schedule:
-    """Decode a permutation into a full feasible schedule.
-
-    Returns per-task start and completion times plus the set of processor
-    ids each task occupies. Every permutation decodes successfully.
-    """
-    order = validate_permutation(order, inst.num_jobs)
-    num_stages = inst.num_stages
-    machines = inst.processors_per_stage
-    n = inst.num_jobs
-
-    pos = [0] * n
-    for idx, j in enumerate(order):
-        pos[j] = idx
-    ready = [0] * n
-    start = [[0] * num_stages for _ in range(n)]
-    completion = [[0] * num_stages for _ in range(n)]
-    assignment: list[list[tuple[int, ...]]] = [[()] * num_stages for _ in range(n)]
-
-    for i in range(num_stages):
-        mi = machines[i]
-        avail = [0] * mi
-        if i == 0:
-            seq = order
-        else:
-            keyed = [(ready[j], pos[j], j) for j in order]
-            keyed.sort()
-            seq = [item[2] for item in keyed]
-        for j in seq:
-            q = inst.widths[j][i]
-            # stable sort: ties in availability resolve to the lowest index
-            idxs = sorted(range(mi), key=avail.__getitem__)
-            t = max(ready[j], avail[idxs[q - 1]])
-            done = t + inst.durations[j][i]
-            chosen = idxs[:q]
-            for c in chosen:
-                avail[c] = done
-            start[j][i] = t
-            completion[j][i] = done
-            assignment[j][i] = tuple(sorted(chosen))
-            ready[j] = done
-
-    return Schedule(
-        start=tuple(tuple(row) for row in start),
-        completion=tuple(tuple(row) for row in completion),
-        assignment=tuple(tuple(row) for row in assignment),
-        makespan=max(ready),
-    )

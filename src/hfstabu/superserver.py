@@ -17,27 +17,25 @@ from __future__ import annotations
 
 import logging
 import threading
-import time
 
 from .coordinator import Coordinator, CoordinatorConfig
 from .instance import ProblemInstance
-from .tabu import EvalContext, SliceResult
-from .worker import LocalBackend, WorkerServer
+from .tabu import SliceResult
+from .worker import Backend, WorkerServer
 
 log = logging.getLogger(__name__)
 
 
-class FanoutBackend:
-    """Evaluation backend that delegates to child nodes.
+class FanoutBackend(Backend):
+    """Evaluation backend that delegates to child nodes: a ``Backend`` over one ``Coordinator``.
 
-    Like a worker's ``LocalBackend``, it keeps only the most recently set
-    ``LocalBackend.MAX_CACHED_PROBLEMS`` problems; an EVAL for an evicted
-    one is answered "unknown problem".
+    It shares a worker's problem cache; the coordinator sends a problem
+    to the children before the first EVAL that needs it.
     """
 
     def __init__(self, children, config: CoordinatorConfig | None = None):
         self.coordinator = Coordinator(children, config)
-        self._problems: dict[str, ProblemInstance] = {}
+        super().__init__(self.coordinator)
         self._connected = False
         self._lock = threading.Lock()
 
@@ -51,17 +49,6 @@ class FanoutBackend:
                 self._connected = True
         return sum(p.lanes for p in self.coordinator.live_nodes())
 
-    def set_problem(self, inst: ProblemInstance) -> str:
-        digest = self.coordinator.set_problem(inst)
-        self._problems.pop(digest, None)  # a known problem moves to the newest position
-        self._problems[digest] = inst
-        if len(self._problems) > LocalBackend.MAX_CACHED_PROBLEMS:
-            del self._problems[next(iter(self._problems))]
-        return digest
-
-    def has_problem(self, digest: str) -> bool:
-        return digest in self._problems
-
     def calibrate(self, inst: ProblemInstance, budget: float) -> float:
         speeds = self.coordinator.calibrate_on(inst, budget)
         if not speeds:
@@ -73,14 +60,10 @@ class FanoutBackend:
     def evaluate(self, digest, order, tabu, incumbent, nslice, deadline) -> tuple[SliceResult, int]:
         coordinator = self.coordinator
         accepted = sum(p.moves for p in coordinator.proxies)
-        reply = coordinator.evaluate_blocks(EvalContext(self._problems[digest], order, tabu, incumbent),
-                                            nslice, time.monotonic() + deadline)
+        reply = super().evaluate(digest, order, tabu, incumbent, nslice, deadline)
         if sum(p.moves for p in coordinator.proxies) == accepted and not coordinator.live_nodes():
             raise RuntimeError("all child nodes dead")  # no child result was accepted
         return reply
-
-    def close(self):
-        self.coordinator.close()
 
 
 def serve_as_super_server(host: str, port: int, children,

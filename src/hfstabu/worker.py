@@ -1,15 +1,16 @@
 """Worker daemon: remote neighborhood evaluation behind the wire protocol.
 
 The daemon wraps the multi-lane evaluator so that a remote client sees a
-single fast server, whatever the local lane count. Evaluation requests
-carry a compute deadline; when it elapses the worker stops at a move
-boundary and returns the best move over the evaluated prefix together
-with the untouched remaining range. The server runs one selector loop
-over the listener and every connection, and serves one request at a
-time across all of them, in arrival order: a HELLO on a new connection
-is answered once the request being served is. On graceful shutdown that
-request is answered first; then every open connection receives an
-EXIT_REPORT before the socket closes.
+single fast server, whatever the local lane count: one evaluator for its
+whole life, so a ``--lanes N`` worker forks its lanes once. Evaluation
+requests carry a compute deadline; when it elapses the worker stops at a
+move boundary and returns the best move over the evaluated prefix
+together with the untouched remaining range. The server runs one
+selector loop over the listener and every connection, and serves one
+request at a time across all of them, in arrival order: a HELLO on a new
+connection is answered once the request being served is. On graceful
+shutdown that request is answered first; then every open connection
+receives an EXIT_REPORT before the socket closes.
 
 ``per_move_delay`` paces every scan: move k of a scan waits until k + 1
 delays after the scan started, so a throttled worker runs at a steady
@@ -26,40 +27,33 @@ import time
 
 from . import protocol
 from .instance import ProblemInstance, instance_digest
-from .neighborhood import NeighborhoodSlice, neighborhood_size
-from .parallel import LaneEvaluator, detected_lane_count
+from .neighborhood import NeighborhoodSlice
+from .parallel import LaneEvaluator
 from .protocol import PROTOCOL_VERSION
-from .schedule import evaluate_makespan
-from .tabu import EvalContext, SliceResult, TabuList, initial_order
+from .tabu import EvalContext, SliceResult, TabuList
 
 log = logging.getLogger(__name__)
 
 
-class LocalBackend:
-    """Evaluation backend running on this host's lanes.
+class Backend:
+    """A worker server's evaluation: the last few problems set, by digest, over one evaluator.
 
-    Problems are cached by digest with their evaluators (and lanes); the
-    cache keeps the most recently used few so long bench runs over many
-    instances do not accumulate idle lanes. Each evaluator takes the
-    backend's ``per_move_delay`` when it is built. Use it from one thread
-    at a time: a worker server calls it only from its loop.
+    An EVAL for an evicted problem is answered "unknown problem". Use it
+    from one thread at a time: a worker server calls it only from its loop.
     """
 
     MAX_CACHED_PROBLEMS = 4
 
-    def __init__(self, lanes: int | None = None, per_move_delay: float = 0.0):
-        self.lanes = lanes if lanes is not None else detected_lane_count()
-        self.per_move_delay = per_move_delay
-        self._problems: dict[str, tuple[ProblemInstance, LaneEvaluator]] = {}
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+        self._problems: dict[str, ProblemInstance] = {}
 
     def set_problem(self, inst: ProblemInstance) -> str:
         digest = instance_digest(inst)
-        if digest in self._problems:
-            self._problems[digest] = self._problems.pop(digest)  # refresh LRU position
-        else:
-            self._problems[digest] = (inst, LaneEvaluator(inst, self.lanes, self.per_move_delay))
-            if len(self._problems) > self.MAX_CACHED_PROBLEMS:
-                self._problems.pop(next(iter(self._problems)))[1].close()
+        self._problems.pop(digest, None)  # a known problem moves to the newest position
+        self._problems[digest] = inst
+        if len(self._problems) > self.MAX_CACHED_PROBLEMS:
+            del self._problems[next(iter(self._problems))]
         return digest
 
     def has_problem(self, digest: str) -> bool:
@@ -67,47 +61,26 @@ class LocalBackend:
 
     def evaluate(self, digest, order, tabu: TabuList, incumbent, nslice, deadline) -> tuple[SliceResult, int]:
         """Evaluate as much of ``nslice`` as ``deadline`` seconds allow: (result, prefix end)."""
-        inst, evaluator = self._problems[digest]
-        return evaluator.evaluate_blocks(EvalContext(inst, order, tabu, incumbent), nslice,
-                                         time.monotonic() + deadline)
-
-    def calibrate(self, inst: ProblemInstance, budget: float) -> float:
-        """Measure this host's evaluation speed in moves/second.
-
-        One timed round after a one-move warm-up; the budget caps it. The
-        warm-up move goes through the evaluator, so a multi-lane evaluator
-        forks its lanes before the clock. Then one full neighborhood round of
-        the instance's initial order is timed, cut short if ``budget``
-        (counted from the warm-up) elapses, and the answer is its moves
-        over its elapsed time; if the budget left no move to time, it is
-        the warm-up move's speed, so the returned speed is positive. The
-        instance is scanned on a temporary evaluator unless it is already
-        cached, so calibration leaves the problem cache as it found it.
-        """
-        if budget <= 0:
-            raise ValueError(f"calibration budget must be > 0, got {budget}")
-        total = neighborhood_size(inst.num_jobs)
-        if total == 0:
-            raise ValueError("calibration instance needs at least 2 jobs")
-        order = initial_order(inst)
-        ctx = EvalContext(inst, order, TabuList(), evaluate_makespan(inst, order))
-        cached = self._problems.get(instance_digest(inst))
-        evaluator = cached[1] if cached is not None else LaneEvaluator(inst, self.lanes, self.per_move_delay)
-        try:
-            deadline = time.monotonic() + budget
-            warmup, _ = evaluator.evaluate_blocks(ctx, NeighborhoodSlice(0, 1), None)
-            timed, _ = evaluator.evaluate_blocks(ctx, NeighborhoodSlice(0, total), deadline)
-        finally:
-            if cached is None:
-                evaluator.close()
-        if not timed.moves_evaluated:
-            timed = warmup
-        return timed.moves_evaluated / timed.elapsed if timed.elapsed > 0 else float(timed.moves_evaluated)
+        return self.evaluator.evaluate_blocks(EvalContext(self._problems[digest], order, tabu, incumbent), nslice,
+                                              time.monotonic() + deadline)
 
     def close(self):
-        for _, evaluator in self._problems.values():
-            evaluator.close()
-        self._problems.clear()
+        self.evaluator.close()
+
+
+class LocalBackend(Backend):
+    """Evaluation backend on this host's lanes: one ``LaneEvaluator`` for every problem and calibration."""
+
+    def __init__(self, lanes: int | None = None, per_move_delay: float = 0.0):
+        super().__init__(LaneEvaluator(None, lanes, per_move_delay))
+
+    @property
+    def lanes(self) -> int:
+        return self.evaluator.lanes
+
+    def calibrate(self, inst: ProblemInstance, budget: float) -> float:
+        """This host's evaluation speed in moves/second: ``LaneEvaluator.calibrate``."""
+        return self.evaluator.calibrate(inst, budget)
 
 
 class WorkerServer:

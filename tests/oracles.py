@@ -1,7 +1,11 @@
 """Independent reference implementations used only by the tests.
 
-``reference_scan`` is the plain form of a neighborhood scan: apply each
-move, decode the full schedule, then apply the tabu and aspiration rule.
+``build_schedule`` decodes a permutation into the full schedule,
+processor ids included, by the library's decoding rule: for each task it
+orders the stage's processors by (availability, index) and takes the
+first q. ``reference_scan`` is the plain form of a neighborhood scan:
+apply each move, decode the full schedule, then apply the tabu and
+aspiration rule.
 ``evaluate_slice`` is the library's own scan of one slice, timed, as a
 ``SliceResult``: the single-machine answer every evaluator must match.
 
@@ -18,12 +22,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 from hfstabu.coordinator import CoverageError
 from hfstabu.instance import ProblemInstance
 from hfstabu.neighborhood import Move, NeighborhoodSlice, apply_move, decode_move, neighborhood_size
-from hfstabu.schedule import Schedule, build_schedule, evaluate_makespan
+from hfstabu.schedule import evaluate_makespan
 from hfstabu.tabu import SliceResult, TabuList, scan_slice
 
 
@@ -66,6 +71,74 @@ def simulate(inst: ProblemInstance, order):
                     heapq.heappush(pending[i + 1], (done, p, job))
                 started += 1
     return max(max(row) for row in completion), completion
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Start/completion matrices ([job][stage]), processor assignments, makespan."""
+
+    start: tuple[tuple[int, ...], ...]
+    completion: tuple[tuple[int, ...], ...]
+    assignment: tuple[tuple[tuple[int, ...], ...], ...]
+    makespan: int
+
+
+def validate_permutation(order, n: int) -> tuple[int, ...]:
+    """Check that ``order`` is a permutation of range(n); return it as a tuple."""
+    order = tuple(order)
+    if len(order) != n or sorted(order) != list(range(n)):
+        raise ValueError(f"not a permutation of 0..{n - 1}: {order!r}")
+    return order
+
+
+def build_schedule(inst: ProblemInstance, order) -> Schedule:
+    """Decode a permutation into a full feasible schedule.
+
+    Returns per-task start and completion times plus the set of processor
+    ids each task occupies. Every permutation decodes successfully.
+    """
+    order = validate_permutation(order, inst.num_jobs)
+    num_stages = inst.num_stages
+    machines = inst.processors_per_stage
+    n = inst.num_jobs
+
+    pos = [0] * n
+    for idx, j in enumerate(order):
+        pos[j] = idx
+    ready = [0] * n
+    start = [[0] * num_stages for _ in range(n)]
+    completion = [[0] * num_stages for _ in range(n)]
+    assignment: list[list[tuple[int, ...]]] = [[()] * num_stages for _ in range(n)]
+
+    for i in range(num_stages):
+        mi = machines[i]
+        avail = [0] * mi
+        if i == 0:
+            seq = order
+        else:
+            keyed = [(ready[j], pos[j], j) for j in order]
+            keyed.sort()
+            seq = [item[2] for item in keyed]
+        for j in seq:
+            q = inst.widths[j][i]
+            # stable sort: ties in availability resolve to the lowest index
+            idxs = sorted(range(mi), key=avail.__getitem__)
+            t = max(ready[j], avail[idxs[q - 1]])
+            done = t + inst.durations[j][i]
+            chosen = idxs[:q]
+            for c in chosen:
+                avail[c] = done
+            start[j][i] = t
+            completion[j][i] = done
+            assignment[j][i] = tuple(sorted(chosen))
+            ready[j] = done
+
+    return Schedule(
+        start=tuple(tuple(row) for row in start),
+        completion=tuple(tuple(row) for row in completion),
+        assignment=tuple(tuple(row) for row in assignment),
+        makespan=max(ready),
+    )
 
 
 def audit_schedule(inst: ProblemInstance, schedule: Schedule):

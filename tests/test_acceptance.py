@@ -15,7 +15,7 @@ from hfstabu.coordinator import Coordinator, CoordinatorConfig, NodePerfHistory,
 from hfstabu.instance import generate_instance
 from hfstabu.neighborhood import NeighborhoodSlice, decode_move, neighborhood_size
 from hfstabu.parallel import LaneEvaluator
-from hfstabu.schedule import build_schedule, evaluate_makespan
+from hfstabu.schedule import evaluate_makespan
 from hfstabu.superserver import serve_as_super_server
 from hfstabu.tabu import (
     EvalContext,
@@ -27,7 +27,7 @@ from hfstabu.tabu import (
 from hfstabu.worker import WorkerServer
 
 from netharness import LatencyRelay, SubprocessWorker, record_cover
-from oracles import evaluate_slice, random_small_instance, simulate, verify_exact_cover
+from oracles import build_schedule, evaluate_slice, random_small_instance, simulate, verify_exact_cover
 
 
 def report(criterion, name, detail=""):

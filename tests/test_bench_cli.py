@@ -250,33 +250,11 @@ def test_cli_error_reporting_without_traceback(tmp_path):
         assert "Traceback" not in out.stderr
         assert f"argument {extra[-2]}: expected" in out.stderr
 
-    import os
 
-    env = dict(os.environ, HFSTABU_LANES="x")
-    out = run_cli("worker", "--bind", "127.0.0.1:0", env=env)
-    assert out.returncode == 2
-    assert "Traceback" not in out.stderr
-    assert out.stderr.count("\n") == 1 and "HFSTABU_LANES" in out.stderr
-
-
-def test_cli_worker_env_var_lane_override():
-    import os
-
-    env = dict(os.environ, HFSTABU_LANES="3")
-    proc = subprocess.Popen([sys.executable, "-m", "hfstabu", "worker", "--bind", "127.0.0.1:0"],
-                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env)
-    try:
-        info = json.loads(proc.stdout.readline())
-        assert info["lanes"] == 3
-    finally:
-        proc.kill()
-        proc.wait(timeout=10)
-        proc.stdout.close()
-
-    # an explicit flag wins over the environment
+def test_cli_worker_lanes_flag_sets_the_ready_line_lanes():
     proc = subprocess.Popen([sys.executable, "-m", "hfstabu", "worker", "--bind", "127.0.0.1:0",
                              "--lanes", "2"],
-                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     try:
         info = json.loads(proc.stdout.readline())
         assert info["lanes"] == 2

@@ -427,9 +427,9 @@ def test_slow_worker_returns_prefix_and_rest_is_redistributed():
     coordinator = Coordinator([s.address for s in servers], config)
     try:
         coordinator.calibrate(seed=4)
-        # slow down one worker after calibration so its prediction is now wrong; a worker
-        # paces the evaluator it builds for each problem, so this comes before set_problem
-        servers[0]._backend.per_move_delay = 0.004
+        # slow down one worker after calibration so its prediction is now wrong; a
+        # one-lane worker's evaluator reads the delay as each scan starts
+        servers[0]._backend.evaluator.per_move_delay = 0.004
         coordinator.set_problem(big)
         ctx = make_ctx(big, seed=5)
         got = coordinator.evaluate(ctx)

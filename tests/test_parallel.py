@@ -54,17 +54,24 @@ def test_lane_counts_agree():
         assert result.moves_evaluated == reference.moves_evaluated
 
 
-def test_context_of_another_instance_is_rejected():
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_evaluator_answers_contexts_of_any_instance(lanes):
     a = generate_instance(8, 3, 3, seed=1)
-    b = generate_instance(8, 3, 3, seed=2)
-    evaluator = LaneEvaluator(a, 1)
-    with pytest.raises(ValueError):
-        evaluator.evaluate(make_ctx(b))
-    # an equal instance built separately is the same problem
-    ctx = make_ctx(generate_instance(8, 3, 3, seed=1))
-    got = evaluator.evaluate(ctx)
-    want = evaluate_slice(a, ctx.order, ctx.tabu, ctx.incumbent, NeighborhoodSlice(0, neighborhood_size(8)))
-    assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
+    b = generate_instance(9, 2, 3, seed=2)
+    known = set(multiprocessing.active_children())
+    pids = []
+    with LaneEvaluator(a, lanes) as evaluator:
+        for inst in (b, a, b):
+            ctx = make_ctx(inst)
+            got = evaluator.evaluate(ctx)
+            want = evaluate_slice(inst, ctx.order, ctx.tabu, ctx.incumbent,
+                                  NeighborhoodSlice(0, neighborhood_size(inst.num_jobs)))
+            assert (got.best_index, got.best_makespan, got.moves_evaluated) == (
+                want.best_index, want.best_makespan, want.moves_evaluated)
+            pids.append({p.pid for p in multiprocessing.active_children() if p not in known})
+    # the lanes forked for the first context serve the others: none was forked again
+    assert len(pids[0]) == (0 if lanes == 1 else lanes)
+    assert pids[0] == pids[1] == pids[2]
 
 
 def test_random_contexts_agree_across_lanes():

@@ -5,9 +5,10 @@ import pytest
 
 from hfstabu.instance import ProblemInstance, generate_instance
 from hfstabu.neighborhood import Move, apply_move
-from hfstabu.schedule import Schedule, build_schedule, evaluate_makespan, insertion_decoder
+from hfstabu.schedule import evaluate_makespan, insertion_decoder
 
-from oracles import audit_schedule, lower_bound, max_completion, random_small_instance, simulate
+from oracles import (Schedule, audit_schedule, build_schedule, lower_bound, max_completion, random_small_instance,
+                     simulate)
 
 
 def test_single_task():

@@ -5,7 +5,7 @@ import pytest
 
 from hfstabu.instance import ProblemInstance, generate_instance
 from hfstabu.neighborhood import Move, NeighborhoodSlice, apply_move, decode_move, neighborhood_size
-from hfstabu.schedule import build_schedule, evaluate_makespan
+from hfstabu.schedule import evaluate_makespan
 from hfstabu.tabu import (
     EvalContext,
     SearchError,
@@ -19,7 +19,8 @@ from hfstabu.tabu import (
     tabu_push,
 )
 
-from oracles import encode_move, evaluate_slice, exhaustive_optimum, is_tabu, random_small_instance, reference_scan
+from oracles import (build_schedule, encode_move, evaluate_slice, exhaustive_optimum, is_tabu, random_small_instance,
+                     reference_scan)
 
 
 def full_slice(n):

@@ -243,6 +243,25 @@ def test_calibration_leaves_problem_cache_alone():
         backend.close()
 
 
+def test_one_lane_set_serves_every_problem_and_calibration():
+    known = set(multiprocessing.active_children())
+    backend = LocalBackend(lanes=2)
+    try:
+        assert backend.calibrate(generate_instance(6, 2, 2, seed=9), 0.3) > 0
+        for seed in range(6):
+            inst = generate_instance(8, 3, 3, seed=100 + seed)
+            digest = backend.set_problem(inst)
+            want = evaluate_slice(inst, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N))
+            result, frontier = backend.evaluate(digest, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 60.0)
+            assert (result.best_index, result.best_makespan, result.moves_evaluated) == (
+                want.best_index, want.best_makespan, N)
+            assert frontier == N
+        assert len([p for p in multiprocessing.active_children() if p not in known]) == 2
+    finally:
+        backend.close()
+    assert not [p for p in multiprocessing.active_children() if p not in known]
+
+
 def test_calibrate_rejects_zero_budget(server):
     with WireClient(server.address) as client:
         client.hello()
