@@ -66,7 +66,7 @@ def _speedups(rows):
 
 
 def bench_local(sizes, lane_counts, iterations: int, seed: int, machines: int = 5,
-                repeats: int = 1, params_extra: dict | None = None):
+                repeats: int = 1):
     """Time the in-process solver over the size grid and lane counts.
 
     Returns (rows, meta). Each evaluator scans the initial neighborhood
@@ -89,7 +89,7 @@ def bench_local(sizes, lane_counts, iterations: int, seed: int, machines: int = 
     for n, m in sizes:
         inst = generate_instance(n, m, machines, seed)
         meta["instances"][f"{n}x{m}"] = instance_digest(inst)
-        params = SearchParams(iterations=iterations, seed=seed, **(params_extra or {}))
+        params = SearchParams(iterations=iterations, seed=seed)
         order = initial_order(inst)
         warmup = EvalContext(inst, order, TabuList((), params.tenure), evaluate_makespan(inst, order))
         for lanes in lane_counts:
@@ -111,8 +111,7 @@ def bench_local(sizes, lane_counts, iterations: int, seed: int, machines: int = 
 
 
 def bench_distributed(endpoints, sizes, iterations: int, seed: int, machines: int = 5,
-                      host_counts=None, config: CoordinatorConfig | None = None,
-                      params_extra: dict | None = None):
+                      host_counts=None, config: CoordinatorConfig | None = None):
     """Time distributed runs over growing prefixes of the endpoint list.
 
     Per cell the meta records per-node utilization (accepted moves and
@@ -136,7 +135,7 @@ def bench_distributed(endpoints, sizes, iterations: int, seed: int, machines: in
     for n, m in sizes:
         inst = generate_instance(n, m, machines, seed)
         meta["instances"][f"{n}x{m}"] = instance_digest(inst)
-        params = SearchParams(iterations=iterations, seed=seed, **(params_extra or {}))
+        params = SearchParams(iterations=iterations, seed=seed)
         for hosts in host_counts:
             # calibration happens before the clock starts: rows time the
             # iterations themselves, as speedups are computed from them

@@ -4,8 +4,11 @@ One ``Coordinator`` plays the master's role at the top level of a
 distributed search and inside every super server, for its children. A
 run starts with a calibration round that measures every node's speed on
 a generated mid-complexity instance: one timed round after a one-move
-warm-up; the budget caps it. Those measurements seed each node's
-performance history. Each iteration then splits the neighborhood
+warm-up (``worker.Backend.calibrate``); the budget caps it. Those
+measurements seed each node's performance history. Only the top level
+sends CALIBRATE: the nodes of a super server's coordinator, like lanes,
+start from ``NOMINAL_SPEED``, and the super server's own calibration is
+one round over them. Each iteration then splits the neighborhood
 proportionally to the predicted node speeds, dispatches one EVAL per
 node with a deadline derived from the prediction, and waits for the
 replies.
@@ -62,6 +65,11 @@ IDLE = "idle"
 BUSY = "busy"
 SUSPECT = "suspect"
 DEAD = "dead"
+
+# An uncalibrated node's assumed speed, in moves/s, about one core on 30x5: it
+# sets the first round's deadlines (a slower node answers with a prefix) and weighs one move.
+NOMINAL_SPEED = 10_000.0
+CONNECT_TIMEOUT = 5.0  # seconds a node's opener may take to connect
 
 # how Coordinator._collect reports a request that got no reply
 LOST = "connection lost"
@@ -152,7 +160,6 @@ class CoordinatorConfig:
     deadline_slack: float = 2.0        # per-node deadline = predicted duration * slack + floor
     deadline_floor: float = 0.25
     response_grace: float = 1.0        # extra wall time allowed beyond the worker's deadline
-    connect_timeout: float = 5.0
     calibration_grace: float = 10.0
 
 
@@ -166,12 +173,10 @@ class NodeProxy:
     speeds; ``moves`` and ``busy_seconds`` sum its accepted results.
     """
 
-    def __init__(self, node_id: int, address, selector: selectors.BaseSelector,
-                 config: CoordinatorConfig, opener):
+    def __init__(self, node_id: int, address, selector: selectors.BaseSelector, opener):
         self.node_id = node_id
         self.address = address
         self._selector = selector
-        self._config = config
         self._open = opener
         self.state = IDLE
         self.strikes = 0
@@ -206,7 +211,7 @@ class NodeProxy:
             self.close_socket(old)
         self._drained = [self._sock] if self._sock is not None else []
         self._sock = None
-        sock = self._open(self.address, self._config.connect_timeout)
+        sock = self._open(self.address, CONNECT_TIMEOUT)
         try:
             sock.sendall(protocol.encode(protocol.Hello(self.next_rid(), PROTOCOL_VERSION, 0)))
         except OSError:
@@ -273,8 +278,7 @@ class Coordinator:
     def __init__(self, addresses, config: CoordinatorConfig | None = None, opener=socket.create_connection):
         self.config = config or CoordinatorConfig()
         self._selector = selectors.DefaultSelector()
-        self.proxies = [NodeProxy(i, addr, self._selector, self.config, opener)
-                        for i, addr in enumerate(addresses)]
+        self.proxies = [NodeProxy(i, addr, self._selector, opener) for i, addr in enumerate(addresses)]
         self.late_results = 0
         self.redistribution_rounds = 0
         self._problem: tuple[ProblemInstance, str] | None = None
@@ -404,30 +408,21 @@ class Coordinator:
         return digest
 
     def calibrate(self, seed: int) -> dict[int, float]:
-        """Connect every node and measure its speed; requires one survivor."""
+        """Connect every node and measure its speed, concurrently; requires one survivor.
+
+        Every ready node gets one CALIBRATE. A node that fails the round in
+        any way, or measures zero speed, is dead for the run. Each
+        survivor's history starts with one entry weighted by its speed x the
+        round's wall time (connects included), about the moves it could scan
+        while the round lasted, so real iterations outweigh it within a few
+        rounds. A node's own send-to-reply time would undercount that: nodes
+        that share a host's cores answer one after another, and a round can
+        be as short as a connect. Returns the measured speed of each
+        surviving node, by node id.
+        """
         inst = generate_instance(self.config.calibration_jobs, self.config.calibration_stages,
                                  self.config.calibration_machines, seed)
-        speeds = self.calibrate_on(inst, self.config.calibration_budget)
-        if not speeds:
-            raise CalibrationError("no node completed calibration")
-        log.info("calibrated %d node(s): %s", len(speeds),
-                 {k: round(v, 1) for k, v in speeds.items()})
-        return speeds
-
-    def calibrate_on(self, inst: ProblemInstance, budget: float) -> dict[int, float]:
-        """Time-boxed speed measurement on every ready node, concurrently.
-
-        A node that fails the round in any way, or measures zero speed, is
-        dead for the run. A node times one round after a one-move warm-up,
-        and ``budget`` caps it. Each survivor's history starts with one
-        entry weighted by its speed x the round's wall time (connects
-        included), about the moves it could scan while the round lasted,
-        so real iterations outweigh it within a few rounds. A node's own
-        send-to-reply time would undercount that: nodes that share a
-        host's cores answer one after another, and a round can be as
-        short as a connect. Returns the measured speed of each surviving
-        node, by node id.
-        """
+        budget = self.config.calibration_budget
         start = time.monotonic()
         deadline = start + budget + self.config.calibration_grace
         requests: dict[int, tuple[NodeProxy, float, float]] = {}
@@ -457,7 +452,11 @@ class Coordinator:
         for proxy, speed in answered.items():
             proxy.history = NodePerfHistory([(max(1, round(speed * elapsed)), speed)])
         self._drop_dead()
-        return {proxy.node_id: speed for proxy, speed in answered.items()}
+        if not answered:
+            raise CalibrationError("no node completed calibration")
+        speeds = {proxy.node_id: speed for proxy, speed in answered.items()}
+        log.info("calibrated %d node(s): %s", len(speeds), {k: round(v, 1) for k, v in speeds.items()})
+        return speeds
 
     # -- evaluation ----------------------------------------------------------------
 

@@ -6,8 +6,10 @@ and super servers: same plan, deadlines, failure policy and prefix
 reducer. A lane is a forked process that runs the worker request loop
 (``WorkerServer`` with one lane) on one end of a socket pair, with no
 listener, until that socket closes. Lanes are forked on first use and
-skip calibration: each starts from one nominal history entry. The lanes
-get each new instance as a SET_PROBLEM before its first round.
+never get CALIBRATE: each starts from one nominal history entry, as a
+super server's children do, and the worker's ``Backend.calibrate`` times
+one round over all of them. The lanes get each new instance as a
+SET_PROBLEM before its first round.
 
 A failed lane's range goes to the other lanes, and its reconnect forks
 a replacement; a lane that fails twice is dead. When no lane is live,
@@ -25,15 +27,11 @@ import os
 import socket
 import time
 
-from .coordinator import Coordinator
+from .coordinator import NOMINAL_SPEED, Coordinator
 from .instance import ProblemInstance
 from .neighborhood import NeighborhoodSlice, neighborhood_size
-from .schedule import evaluate_makespan
-from .tabu import EvalContext, SliceResult, TabuList, initial_order, merge_prefix, scan_slice
+from .tabu import EvalContext, SliceResult, merge_prefix, scan_slice
 
-# A fresh lane's assumed speed, in moves/s, about one core on 30x5: it sets
-# the first round's deadlines (a slower lane answers with a prefix) and weighs one move.
-NOMINAL_LANE_SPEED = 10_000.0
 LANE_EXIT_WAIT = 1.0  # seconds close() waits for lanes to exit on EOF before it kills them
 
 
@@ -118,7 +116,7 @@ class LaneEvaluator:
             if instance is not None:
                 self._coordinator.set_problem(instance)  # sent to each lane as it connects
             for proxy in self._coordinator.proxies:
-                proxy.history.record(1, NOMINAL_LANE_SPEED)
+                proxy.history.record(1, NOMINAL_SPEED)
 
     def _fork_lane(self, address, timeout: float) -> socket.socket:
         """The opener of every lane: fork a lane process and return our end of its socket pair."""
@@ -195,28 +193,3 @@ class LaneEvaluator:
             parts.append((frontier, frontier + evaluated, best_idx, best_ms))
         frontier, best_idx, best_ms = merge_prefix(parts, nslice.begin)
         return SliceResult(best_idx, best_ms, frontier - nslice.begin, time.perf_counter() - t0), frontier
-
-    def calibrate(self, inst: ProblemInstance, budget: float) -> float:
-        """Measure this evaluator's speed on ``inst`` in moves/second.
-
-        One timed round after a one-move warm-up; the budget caps it. The
-        warm-up move forks the lanes, if they are not running yet, before
-        the clock. Then one full neighborhood round of the instance's
-        initial order is timed, cut short if ``budget`` (counted from the
-        warm-up) elapses, and the answer is its moves over its elapsed
-        time; if the budget left no move to time, it is the warm-up move's
-        speed, so the returned speed is positive.
-        """
-        if budget <= 0:
-            raise ValueError(f"calibration budget must be > 0, got {budget}")
-        total = neighborhood_size(inst.num_jobs)
-        if total == 0:
-            raise ValueError("calibration instance needs at least 2 jobs")
-        order = initial_order(inst)
-        ctx = EvalContext(inst, order, TabuList(), evaluate_makespan(inst, order))
-        deadline = time.monotonic() + budget
-        warmup, _ = self.evaluate_blocks(ctx, NeighborhoodSlice(0, 1), None)
-        timed, _ = self.evaluate_blocks(ctx, NeighborhoodSlice(0, total), deadline)
-        if not timed.moves_evaluated:
-            timed = warmup
-        return timed.moves_evaluated / timed.elapsed if timed.elapsed > 0 else float(timed.moves_evaluated)

@@ -7,23 +7,20 @@ redistribution and fault handling. Each EVAL is one call to
 ``Coordinator.evaluate_blocks``: the reply covers the contiguous prefix
 of the request, and the rest goes back upstream as the remaining range.
 Children may themselves be super servers, so arbitrary trees compose;
-the client only ever balances over its direct children. Calibration
-forwards to all children concurrently and reports the sum of their
-speeds, and the speed reported with each evaluation is the aggregate
-throughput of the subtree.
+the client only ever balances over its direct children. Children never
+get CALIBRATE: each starts from one nominal history entry, as a lane
+does, and a CALIBRATE to the super server times one round split across
+them (``Backend.calibrate``). So its answer, like the speed reported
+with each evaluation, is the throughput of the subtree.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 
-from .coordinator import Coordinator, CoordinatorConfig
-from .instance import ProblemInstance
+from .coordinator import NOMINAL_SPEED, Coordinator, CoordinatorConfig
 from .tabu import SliceResult
 from .worker import Backend, WorkerServer
-
-log = logging.getLogger(__name__)
 
 
 class FanoutBackend(Backend):
@@ -35,6 +32,8 @@ class FanoutBackend(Backend):
 
     def __init__(self, children, config: CoordinatorConfig | None = None):
         self.coordinator = Coordinator(children, config)
+        for proxy in self.coordinator.proxies:
+            proxy.history.record(1, NOMINAL_SPEED)
         super().__init__(self.coordinator)
         self._connected = False
         self._lock = threading.Lock()
@@ -48,14 +47,6 @@ class FanoutBackend(Backend):
                 self.coordinator.connect_all()
                 self._connected = True
         return sum(p.lanes for p in self.coordinator.live_nodes())
-
-    def calibrate(self, inst: ProblemInstance, budget: float) -> float:
-        speeds = self.coordinator.calibrate_on(inst, budget)
-        if not speeds:
-            raise RuntimeError("no child node completed calibration")
-        log.info("subtree calibrated: %d child(ren), %.1f moves/s aggregate",
-                 len(speeds), sum(speeds.values()))
-        return sum(speeds.values())
 
     def evaluate(self, digest, order, tabu, incumbent, nslice, deadline) -> tuple[SliceResult, int]:
         coordinator = self.coordinator

@@ -27,10 +27,11 @@ import time
 
 from . import protocol
 from .instance import ProblemInstance, instance_digest
-from .neighborhood import NeighborhoodSlice
+from .neighborhood import NeighborhoodSlice, neighborhood_size
 from .parallel import LaneEvaluator
 from .protocol import PROTOCOL_VERSION
-from .tabu import EvalContext, SliceResult, TabuList
+from .schedule import evaluate_makespan
+from .tabu import EvalContext, SliceResult, TabuList, initial_order
 
 log = logging.getLogger(__name__)
 
@@ -38,6 +39,8 @@ log = logging.getLogger(__name__)
 class Backend:
     """A worker server's evaluation: the last few problems set, by digest, over one evaluator.
 
+    The evaluator is a ``LaneEvaluator`` or a super server's ``Coordinator``:
+    both answer ``evaluate_blocks``, and ``calibrate`` times one round of it.
     An EVAL for an evicted problem is answered "unknown problem". Use it
     from one thread at a time: a worker server calls it only from its loop.
     """
@@ -64,6 +67,34 @@ class Backend:
         return self.evaluator.evaluate_blocks(EvalContext(self._problems[digest], order, tabu, incumbent), nslice,
                                               time.monotonic() + deadline)
 
+    def calibrate(self, inst: ProblemInstance, budget: float) -> float:
+        """Measure the evaluator's speed on ``inst`` in moves/second; ``inst`` is not cached.
+
+        One timed round after a one-move warm-up; the budget caps it. The
+        warm-up move starts the evaluator's nodes (forks lanes, connects
+        children) before the clock. Then one full neighborhood round of the
+        instance's initial order is timed, cut short if ``budget`` (counted
+        from the warm-up) elapses, and the answer is its contiguous prefix
+        over its elapsed time; if the budget left no move to time, it is the
+        warm-up move's speed. Raises when neither scanned a move, as when a
+        super server has no live child.
+        """
+        if budget <= 0:
+            raise ValueError(f"calibration budget must be > 0, got {budget}")
+        total = neighborhood_size(inst.num_jobs)
+        if total == 0:
+            raise ValueError("calibration instance needs at least 2 jobs")
+        order = initial_order(inst)
+        ctx = EvalContext(inst, order, TabuList(), evaluate_makespan(inst, order))
+        deadline = time.monotonic() + budget
+        warmup, _ = self.evaluator.evaluate_blocks(ctx, NeighborhoodSlice(0, 1), None)
+        timed, _ = self.evaluator.evaluate_blocks(ctx, NeighborhoodSlice(0, total), deadline)
+        if not timed.moves_evaluated:
+            timed = warmup
+        if not timed.moves_evaluated:
+            raise RuntimeError("no move was evaluated")
+        return timed.moves_evaluated / timed.elapsed if timed.elapsed > 0 else float(timed.moves_evaluated)
+
     def close(self):
         self.evaluator.close()
 
@@ -77,10 +108,6 @@ class LocalBackend(Backend):
     @property
     def lanes(self) -> int:
         return self.evaluator.lanes
-
-    def calibrate(self, inst: ProblemInstance, budget: float) -> float:
-        """This host's evaluation speed in moves/second: ``LaneEvaluator.calibrate``."""
-        return self.evaluator.calibrate(inst, budget)
 
 
 class WorkerServer:

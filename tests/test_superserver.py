@@ -1,7 +1,5 @@
-import pytest
-
 from hfstabu import protocol
-from hfstabu.coordinator import Coordinator, CoordinatorConfig, NodeProxy, predict
+from hfstabu.coordinator import Coordinator, CoordinatorConfig, NodeProxy
 from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.superserver import FanoutBackend, serve_as_super_server
@@ -53,22 +51,46 @@ def test_super_server_answers_like_its_children():
         w2.shutdown()
 
 
-def test_super_calibration_reports_child_sum():
-    w1 = WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002)
-    w2 = WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002)
-    w1.start()
-    w2.start()
-    backend = FanoutBackend([w1.address, w2.address], fast_config())
+def test_super_calibration_times_one_round_over_its_children(monkeypatch):
+    children = [WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002) for _ in range(2)]
+    calibrated = []
+    for child in children:
+        def counted(inst, budget, calibrate=child._backend.calibrate):
+            calibrated.append(inst)
+            return calibrate(inst, budget)
+
+        monkeypatch.setattr(child._backend, "calibrate", counted)
+        child.start()
+    sup = serve_as_super_server("127.0.0.1", 0, [c.address for c in children], fast_config())
+    sup.start()
     try:
-        total = backend.calibrate(generate_instance(6, 2, 2, seed=1), 0.3)
-        child_speeds = [predict(p.history) for p in backend.coordinator.proxies]
-        assert len(child_speeds) == 2
-        assert total == pytest.approx(sum(child_speeds))
-        assert total > max(child_speeds)
+        with WireClient(sup.address) as client:
+            client.hello()
+            reply = client.calibrate(generate_instance(6, 2, 2, seed=1), 0.3)
+        assert isinstance(reply, protocol.CalibrateResult) and reply.speed > 0
+        # the round was split across both children, and neither was asked to calibrate
+        assert all(stats["moves"] > 0 for stats in sup._backend.coordinator.node_stats().values())
+        assert not calibrated
     finally:
-        backend.close()
-        w1.shutdown()
-        w2.shutdown()
+        sup.shutdown()
+        for child in children:
+            child.shutdown()
+
+
+def test_super_calibration_errors_without_a_live_child():
+    w = WorkerServer("127.0.0.1", 0, lanes=1)
+    w.start()
+    sup = serve_as_super_server("127.0.0.1", 0, [w.address], fast_config())
+    sup.start()
+    try:
+        with WireClient(sup.address) as client:
+            client.hello()
+            w.shutdown(reason="gone")
+            reply = client.calibrate(generate_instance(6, 2, 2, seed=1), 0.15)
+            assert isinstance(reply, protocol.Error)
+    finally:
+        sup.shutdown()
+        w.shutdown()
 
 
 def test_super_problem_cache_eviction():
