@@ -43,7 +43,6 @@ from .coordinator import (
     PlanningError,
     plan_partition,
     predict,
-    run_distributed_search,
 )
 from .worker import WorkerServer
 from .superserver import FanoutBackend, serve_as_super_server
@@ -86,7 +85,6 @@ __all__ = [
     "PlanningError",
     "plan_partition",
     "predict",
-    "run_distributed_search",
     "WorkerServer",
     "FanoutBackend",
     "serve_as_super_server",

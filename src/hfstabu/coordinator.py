@@ -17,19 +17,22 @@ The coordinator talks to nodes one way, on the thread that uses it.
 ``_connect`` is the only place a connection is opened; calibration and
 evaluation pick their nodes with the same ``_ready_nodes``, so a suspect
 node gets its reconnect before CALIBRATE as before EVAL. ``_collect``
-reads every node socket through one selector: it resolves each
-outstanding request as a reply or a failure (lost connection, ERROR,
-EXIT_REPORT, timeout, budget cut) and reports replies to requests no
-longer outstanding as late. Each kind of request keeps its own failure
-policy on top of it:
+reads every node reply, HELLO included, through one selector: it
+resolves each outstanding request as a reply or a failure (lost
+connection, ERROR, EXIT_REPORT, timeout, budget cut), and alone handles
+what no request asked for: a late EVAL_RESULT is discarded but its speed
+measurement recorded, a live node lost with nothing outstanding gets a
+strike, and one that reports its exit is dead. Each kind of request
+keeps its own failure policy on top of it:
 
+* HELLO: anything but a HELLO reply of the same major version, within
+  ``CONNECT_TIMEOUT`` of the connection's opening, marks the node dead.
 * CALIBRATE: any failure, or a zero speed, marks the node dead.
 * EVAL: the slice goes back into the queue. EXIT_REPORT marks the node
   dead, a budget cut marks it suspect (its reply may still be in
   flight), and any other failure or an inconsistent result is a strike:
   a node with one strike is suspect and gets one reconnect attempt, a
-  second strike marks it dead for the run. A late result is discarded,
-  but its speed measurement is still recorded. Each EVAL gets at least
+  second strike marks it dead for the run. Each EVAL gets at least
   50 ms from its own send and is cut 0.1 s after those or the budget,
   whichever ends later.
 
@@ -69,7 +72,7 @@ DEAD = "dead"
 # An uncalibrated node's assumed speed, in moves/s, about one core on 30x5: it
 # sets the first round's deadlines (a slower node answers with a prefix) and weighs one move.
 NOMINAL_SPEED = 10_000.0
-CONNECT_TIMEOUT = 5.0  # seconds a node's opener may take to connect
+CONNECT_TIMEOUT = 5.0  # seconds a node's opener may take to connect, and then its HELLO reply
 
 # how Coordinator._collect reports a request that got no reply
 LOST = "connection lost"
@@ -169,7 +172,7 @@ class NodeProxy:
     ``opener(address, timeout)`` returns a new connected socket, as
     ``socket.create_connection`` does for a TCP node. Each socket is
     registered on the coordinator's selector, with its read buffer, from
-    its handshake until ``close_socket``. ``history`` holds the node's
+    ``open`` until ``close_socket``. ``history`` holds the node's
     speeds; ``moves`` and ``busy_seconds`` sum its accepted results.
     """
 
@@ -186,7 +189,6 @@ class NodeProxy:
         self.busy_seconds = 0.0
         self._sock: socket.socket | None = None
         self._drained: list[socket.socket] = []
-        self._opening: socket.socket | None = None  # opened, HELLO sent, reply not read yet
         self._rid = node_id * 1_000_000  # disjoint rid ranges ease log reading
 
     def next_rid(self) -> int:
@@ -197,8 +199,8 @@ class NodeProxy:
     def connected(self) -> bool:
         return self._sock is not None
 
-    def open(self):
-        """Open a fresh connection and send HELLO; ``connect`` reads the reply.
+    def open(self) -> int:
+        """Open a fresh connection, register it and send HELLO; returns the HELLO's rid.
 
         The previous connection is abandoned, not closed: a reply that is
         still in flight on it can then be drained and its speed sample
@@ -212,38 +214,12 @@ class NodeProxy:
         self._drained = [self._sock] if self._sock is not None else []
         self._sock = None
         sock = self._open(self.address, CONNECT_TIMEOUT)
-        try:
-            sock.sendall(protocol.encode(protocol.Hello(self.next_rid(), PROTOCOL_VERSION, 0)))
-        except OSError:
-            sock.close()
-            raise
-        self._opening = sock
-
-    def connect(self):
-        """Finish the handshake ``open`` started; bytes after the reply stay buffered."""
-        sock, self._opening = self._opening, None
-        try:
-            buffer = b""
-            while b"\n" not in buffer:
-                chunk = sock.recv(protocol.READ_SIZE)
-                if not chunk:
-                    raise ConnectionError("connection closed during handshake")
-                buffer += chunk
-            line, _, rest = buffer.partition(b"\n")
-            reply = protocol.decode(line)
-            if isinstance(reply, protocol.Error):
-                raise ConnectionError(f"handshake refused: {reply.message}")
-            if not isinstance(reply, protocol.Hello):
-                raise ConnectionError(f"unexpected handshake reply {reply.TYPE}")
-            if reply.version[0] != PROTOCOL_VERSION[0]:
-                raise ConnectionError(f"protocol version mismatch: {reply.version}")
-            self.lanes = reply.lanes
-        except (OSError, protocol.ProtocolError, ConnectionError):
-            sock.close()
-            raise
-        sock.settimeout(None)
-        self._selector.register(sock, selectors.EVENT_READ, (self, bytearray(rest)))
+        sock.setblocking(True)
+        self._selector.register(sock, selectors.EVENT_READ, (self, bytearray()))
         self._sock = sock
+        rid = self.next_rid()
+        self.send(protocol.Hello(rid, PROTOCOL_VERSION, 0))
+        return rid
 
     def send(self, msg):
         if self._sock is None:
@@ -286,26 +262,37 @@ class Coordinator:
     # -- connection management ----------------------------------------------
 
     def _connect(self, proxies):
-        """(Re)connect nodes and resend the current problem; an unreachable node is dead.
+        """(Re)connect nodes and resend the current problem; a failed handshake kills the node.
 
-        Each step runs on every node before the next, so every connection
-        is opened and sent its HELLO before any reply is read: forked lanes
-        start up side by side.
+        Every connection is opened and sent its HELLO before any reply is
+        read, so forked lanes start up side by side, and one ``_collect``
+        reads every reply: silent peers cost one CONNECT_TIMEOUT together.
         """
-        steps = [NodeProxy.open, NodeProxy.connect]
-        if self._problem is not None:
-            steps.append(lambda proxy: proxy.send(protocol.SetProblem(proxy.next_rid(), self._problem[0])))
-        for step in steps:
-            for proxy in [p for p in proxies if p.state != DEAD]:
-                try:
-                    step(proxy)
-                    proxy.state = IDLE
-                except (OSError, ConnectionError, protocol.ProtocolError) as exc:
-                    log.warning("node %d (%s) unreachable: %s", proxy.node_id, proxy.address, exc)
-                    proxy.state = DEAD
+        requests: dict[int, tuple[NodeProxy, float, float]] = {}
+        for proxy in proxies:
+            try:
+                requests[proxy.open()] = (proxy, time.monotonic() + CONNECT_TIMEOUT, math.inf)
+            except OSError as exc:
+                self._unreachable(proxy, exc)
+        for _, proxy, reply, failure in self._collect(requests):
+            try:
+                if not isinstance(reply, protocol.Hello) or reply.version[0] != PROTOCOL_VERSION[0]:
+                    raise ConnectionError(failure or f"unexpected handshake reply {reply}")
+                proxy.lanes = reply.lanes
+                if self._problem is not None:
+                    proxy.send(protocol.SetProblem(proxy.next_rid(), self._problem[0]))
+                proxy.state = IDLE
+            except OSError as exc:
+                self._unreachable(proxy, exc)
+
+    def _unreachable(self, proxy: NodeProxy, why):
+        """A node whose handshake failed is dead, and its sockets are closed at once."""
+        log.warning("node %d (%s) unreachable: %s", proxy.node_id, proxy.address, why)
+        proxy.state = DEAD
+        proxy.disconnect()
 
     def connect_all(self):
-        self._connect(self.proxies)
+        self._connect(self.live_nodes())
 
     def close(self):
         for proxy in self.proxies:
@@ -334,10 +321,14 @@ class Coordinator:
                 proxy.disconnect()
 
     def _ready_nodes(self, candidates) -> list[NodeProxy]:
-        """The live, idle candidates with a usable connection; a suspect gets one reconnect."""
+        """The live, idle candidates with a usable connection; a suspect gets one reconnect.
+
+        A node lost while the handshakes were read is struck and left
+        unconnected: it is not ready now, and reconnects next round.
+        """
         candidates = [p for p in candidates if p.state not in (DEAD, BUSY)]
         self._connect([p for p in candidates if not p.connected or p.state == SUSPECT])
-        return [p for p in candidates if p.state != DEAD]
+        return [p for p in candidates if p.state != DEAD and p.connected]
 
     # -- the request loop --------------------------------------------------------
 
@@ -348,18 +339,21 @@ class Coordinator:
         at most one per node, and is emptied. The selector waits until the
         nearest deadline or cutoff: past its deadline a request has timed
         out, past its cutoff it is cut.
-        Yields (rid, proxy, reply, failure), one of:
+        Yields (rid, proxy, reply, failure) for each request, one of:
 
-        * a reply (EVAL_RESULT or CALIBRATE_RESULT), failure None;
+        * a reply, whatever message carries the request's rid (HELLO,
+          EVAL_RESULT, CALIBRATE_RESULT), failure None; the caller checks
+          its type;
         * a failure: reply None and one of LOST, ERROR, EXIT, TIMEOUT, CUT.
-          A lost connection or EXIT_REPORT of a live node with nothing
-          outstanding comes with rid None;
-        * a late reply, whose rid is no longer outstanding: rid None.
 
-        A message is the node's own only if it arrived on the node's current
-        connection: only that one can be lost or report its exit, and an
-        abandoned connection can deliver nothing but a late reply. Any
-        other message is skipped.
+        What no request asked for is handled here, the same for every
+        caller: a late EVAL_RESULT is counted and its speed sample
+        recorded; a live node whose current connection is lost with nothing
+        outstanding gets a strike, and one whose current connection reports
+        EXIT is dead. A message is the node's own only if it arrived on the
+        node's current connection: only that one can be lost or report its
+        exit, and an abandoned connection can deliver nothing but a late
+        reply. Any other message is skipped.
         """
         while requests:
             now = time.monotonic()
@@ -381,17 +375,24 @@ class Coordinator:
                     if isinstance(msg, (Exception, protocol.ExitReport)):  # an exception says why it closed
                         failure, why = (LOST, msg) if isinstance(msg, Exception) else (EXIT, msg.reason)
                         rid = next((r for r, (p, *_) in requests.items() if p is proxy), None)
-                        if current and (rid is not None or proxy.state != DEAD):
-                            requests.pop(rid, None)
-                            log.info("node %d %s: %s", proxy.node_id, failure, why)
+                        if not current or (rid is None and proxy.state == DEAD):
+                            continue
+                        log.info("node %d %s: %s", proxy.node_id, failure, why)
+                        if rid is not None:
+                            del requests[rid]
                             yield rid, proxy, None, failure
+                        elif failure == EXIT:
+                            proxy.state = DEAD
+                        else:
+                            self._strike(proxy, failure)
                     elif isinstance(msg, protocol.Error):
                         if requests.pop(msg.rid, None) is not None:
                             log.info("node %d %s: %s", proxy.node_id, ERROR, msg.message)
                             yield msg.rid, proxy, None, ERROR
-                    elif isinstance(msg, (protocol.EvalResult, protocol.CalibrateResult)):
-                        outstanding = requests.pop(msg.rid, None) is not None
-                        yield msg.rid if outstanding else None, proxy, msg, None
+                    elif requests.pop(msg.rid, None) is not None:
+                        yield msg.rid, proxy, msg, None
+                    elif isinstance(msg, protocol.EvalResult):
+                        self._record_late(proxy, msg)
 
     # -- problem transfer and calibration -------------------------------------
 
@@ -437,9 +438,7 @@ class Coordinator:
             proxy.state = BUSY
             requests[rid] = (proxy, deadline, math.inf)
         answered: dict[NodeProxy, float] = {}
-        for rid, proxy, reply, failure in self._collect(requests):
-            if rid is None and failure is None:
-                continue  # late reply to an earlier request
+        for _, proxy, reply, failure in self._collect(requests):
             if isinstance(reply, protocol.CalibrateResult) and reply.speed > 0:
                 proxy.state = IDLE
                 proxy.strikes = 0
@@ -533,15 +532,11 @@ class Coordinator:
 
             round_moves = 0
             for rid, proxy, reply, failure in self._collect(requests):
-                if rid is None and failure is None:
-                    self._record_late(proxy, reply)
-                    continue
-                part = sent.pop(rid, None)  # None: a node failure with nothing outstanding
+                part = sent.pop(rid)
                 if failure is None and self._result_consistent(reply, part):
                     round_moves += self._accept(proxy, reply, part, results, pending)
                     continue
-                if part is not None:
-                    pending.append((part.begin, part.end))
+                pending.append((part.begin, part.end))
                 if failure == EXIT:
                     proxy.state = DEAD
                 elif failure == CUT:
@@ -569,10 +564,8 @@ class Coordinator:
         proxy.strikes = 0
         return msg.moves_evaluated
 
-    def _record_late(self, proxy: NodeProxy, msg):
+    def _record_late(self, proxy: NodeProxy, msg: protocol.EvalResult):
         """A result that came after its deadline: its slice is being re-covered, keep the measurement."""
-        if not isinstance(msg, protocol.EvalResult):
-            return
         self.late_results += 1
         if msg.moves_evaluated > 0 and msg.speed > 0:
             proxy.history.record(msg.moves_evaluated, msg.speed)
@@ -605,9 +598,3 @@ class Coordinator:
             "mean_speed": predict(proxy.history) if proxy.history.count else 0.0,
         } for proxy in self.proxies}
 
-
-def run_distributed_search(inst: ProblemInstance, params: SearchParams, addresses,
-                           config: CoordinatorConfig | None = None, on_iteration=None) -> SearchResult:
-    """Calibrate the given nodes, then run the search with remote evaluation."""
-    with Coordinator(addresses, config) as coordinator:
-        return coordinator.run(inst, params, on_iteration)

@@ -135,7 +135,6 @@ class LaneEvaluator:
         finally:
             theirs.close()
         self._processes.append(lane)
-        ours.settimeout(timeout)
         return ours
 
     # -- lifecycle ---------------------------------------------------------

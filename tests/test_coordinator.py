@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from hfstabu import coordinator as coordinator_module
 from hfstabu import protocol
 from hfstabu.coordinator import (
     CalibrationError,
@@ -14,7 +15,6 @@ from hfstabu.coordinator import (
     NodePerfHistory,
     plan_partition,
     predict,
-    run_distributed_search,
 )
 from hfstabu.instance import generate_instance
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
@@ -204,7 +204,10 @@ def test_calibrate_marks_unreachable_node_dead():
 
 
 class FaultyNode:
-    """A node that completes the HELLO handshake, then fails its CALIBRATE as told."""
+    """A node that fails its HELLO handshake, or its CALIBRATE after a good handshake, as told.
+
+    A fault named "hello ..." hits the handshake; any other hits CALIBRATE.
+    """
 
     def __init__(self, fault: str):
         self.fault = fault
@@ -216,22 +219,27 @@ class FaultyNode:
 
     def _serve(self):
         conn, _ = self._listener.accept()
+        handshake_fault = self.fault.startswith("hello ")
         with conn, conn.makefile("rb") as reader:
             for line in reader:
                 msg = protocol.decode(line)
-                if isinstance(msg, protocol.Hello):
+                if isinstance(msg, protocol.Hello) and not handshake_fault:
                     conn.sendall(protocol.encode(protocol.Hello(msg.rid, PROTOCOL_VERSION, 1)))
-                elif isinstance(msg, protocol.Calibrate):
+                elif isinstance(msg, (protocol.Hello, protocol.Calibrate)):
                     break
             else:
-                return  # closed before calibration
-            if self.fault == "error":
-                conn.sendall(protocol.encode(protocol.Error(msg.rid, "calibration failed: boom")))
-            elif self.fault == "exit":
+                return  # closed before the faulty request
+            fault = self.fault.removeprefix("hello ")
+            if fault == "error":
+                conn.sendall(protocol.encode(protocol.Error(msg.rid, f"{msg.TYPE} failed: boom")))
+            elif fault == "version 2":
+                conn.sendall(protocol.encode(protocol.Hello(msg.rid, (2, 0), 1)))
+                self.release.wait(timeout=30)
+            elif fault == "exit":
                 conn.sendall(protocol.encode(protocol.ExitReport("maintenance", 0, 0)))
-            elif self.fault == "zero speed":
+            elif fault == "zero speed":
                 conn.sendall(protocol.encode(protocol.CalibrateResult(msg.rid, 0.0)))
-            elif self.fault == "silent":
+            elif fault == "silent":
                 self.release.wait(timeout=30)
             # "drop": leaving this block closes the connection
 
@@ -258,6 +266,48 @@ def test_calibration_failure_marks_node_dead(fault):
             coordinator.close()
             faulty.close()
     assert not faulty._thread.is_alive()
+
+
+@pytest.mark.parametrize("fault", ["hello error", "hello version 2", "hello drop", "hello silent"])
+def test_handshake_failure_marks_node_dead(fault, monkeypatch):
+    if fault == "hello silent":
+        monkeypatch.setattr(coordinator_module, "CONNECT_TIMEOUT", 0.3)
+    faulty = FaultyNode(fault)
+    with WorkerServer("127.0.0.1", 0, lanes=1) as healthy:
+        coordinator = Coordinator([healthy.address, faulty.address], fast_config())
+        try:
+            coordinator.connect_all()
+            node = coordinator.proxies[1]
+            assert node.state == "dead"
+            # closed at once: connect_all does not drop dead nodes on its way out
+            assert not [key for key in coordinator._selector.get_map().values() if key.data[0] is node]
+            speeds = coordinator.calibrate(seed=5)
+            assert set(speeds) == {0} and speeds[0] > 0
+            assert coordinator.proxies[0].state == "idle"
+            assert node.state == "dead" and not node.history.count
+        finally:
+            coordinator.close()
+            faulty.close()
+    assert not faulty._thread.is_alive()
+
+
+def test_silent_peers_share_one_connect_timeout(monkeypatch):
+    timeout = 0.3
+    monkeypatch.setattr(coordinator_module, "CONNECT_TIMEOUT", timeout)
+    # the kernel completes each TCP connect; nothing ever accepts it or answers HELLO
+    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in range(3)]
+    with WorkerServer("127.0.0.1", 0, lanes=1) as worker:
+        coordinator = Coordinator([worker.address] + [s.getsockname()[:2] for s in listeners], fast_config())
+        try:
+            t0 = time.monotonic()
+            coordinator.connect_all()
+            wall = time.monotonic() - t0
+            assert [p.state for p in coordinator.proxies] == ["idle", "dead", "dead", "dead"]
+            assert wall < 2 * timeout, f"3 silent peers took {wall:.3f} s to give up on"
+        finally:
+            coordinator.close()
+            for listener in listeners:
+                listener.close()
 
 
 def test_calibration_instance_deterministic():
@@ -345,8 +395,9 @@ def test_three_workers_match_local_and_audit(monkeypatch):
 def test_distributed_search_equals_local_search():
     params = SearchParams(iterations=30, seed=11, diversify_after=6)
     local = run_search(INST, params, sequential_reference)
-    with WorkerServer("127.0.0.1", 0, lanes=1) as worker:
-        remote = run_distributed_search(INST, params, [worker.address], fast_config())
+    with WorkerServer("127.0.0.1", 0, lanes=1) as worker, \
+            Coordinator([worker.address], fast_config()) as coordinator:
+        remote = coordinator.run(INST, params)
     assert remote.trace == local.trace
     assert remote.best_order == local.best_order
     assert remote.best_makespan == local.best_makespan
@@ -503,6 +554,25 @@ def test_coordinator_starts_no_thread():
             assert threading.active_count() == threads
             want = sequential_reference(ctx)
             assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
+        finally:
+            coordinator.close()
+
+
+def test_node_lost_during_another_handshake_gets_one_strike():
+    with SubprocessWorker(lanes=1) as w0, SubprocessWorker(lanes=1) as w1:
+        coordinator = Coordinator([w0.address, w1.address], fast_config())
+        try:
+            coordinator.calibrate(seed=3)
+            coordinator.set_problem(INST)
+            w0.kill()  # returns once the process has exited, so its EOF is waiting
+            coordinator.proxies[1].state = "suspect"  # the next round reconnects it first
+            ctx = make_ctx(INST, seed=1)
+            got = coordinator.evaluate(ctx)
+            want = sequential_reference(ctx)
+            assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
+            # node 0's loss was read during node 1's handshake: one strike, and no send to a closed socket
+            assert coordinator.proxies[0].strikes == 1
+            assert coordinator.proxies[0].state != "dead"
         finally:
             coordinator.close()
 

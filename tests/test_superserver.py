@@ -229,14 +229,14 @@ def test_reconnects_keep_at_most_one_abandoned_socket(monkeypatch):
     # by its budget and the child is reconnected before the next one
     relay = LatencyRelay(child.address, up_s=0.0, down_s=0.15)
     backend = FanoutBackend([relay.address], fast_config())
-    connects = []
-    connect = NodeProxy.connect
+    opens = []
+    open_ = NodeProxy.open
 
-    def counted_connect(proxy):
-        connects.append(proxy.node_id)
-        connect(proxy)
+    def counted_open(proxy):
+        opens.append(proxy.node_id)
+        return open_(proxy)
 
-    monkeypatch.setattr(NodeProxy, "connect", counted_connect)
+    monkeypatch.setattr(NodeProxy, "open", counted_open)
     try:
         backend.calibrate(generate_instance(6, 2, 2, seed=1), 0.15)
         backend.set_problem(INST)
@@ -244,7 +244,7 @@ def test_reconnects_keep_at_most_one_abandoned_socket(monkeypatch):
         for _ in range(8):
             backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 0.03)
             assert len(proxy._drained) <= 1
-        assert len(connects) >= 8
+        assert len(opens) >= 8
         assert wait_until(lambda: len(child._conns) <= 2)
     finally:
         backend.close()
