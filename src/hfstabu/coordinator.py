@@ -26,7 +26,8 @@ strike, and one that reports its exit is dead. Each kind of request
 keeps its own failure policy on top of it:
 
 * HELLO: anything but a HELLO reply of the same major version, within
-  ``CONNECT_TIMEOUT`` of the connection's opening, marks the node dead.
+  one ``CONNECT_TIMEOUT`` after the last connection has opened, marks
+  the node dead.
 * CALIBRATE: any failure, or a zero speed, marks the node dead.
 * EVAL: the slice goes back into the queue. EXIT_REPORT marks the node
   dead, a budget cut marks it suspect (its reply may still be in
@@ -267,13 +268,17 @@ class Coordinator:
         Every connection is opened and sent its HELLO before any reply is
         read, so forked lanes start up side by side, and one ``_collect``
         reads every reply: silent peers cost one CONNECT_TIMEOUT together.
+        That wait starts once the last opener has returned, so a slow
+        opener cannot use up the wait of a node opened before it.
         """
-        requests: dict[int, tuple[NodeProxy, float, float]] = {}
+        opened = []
         for proxy in proxies:
             try:
-                requests[proxy.open()] = (proxy, time.monotonic() + CONNECT_TIMEOUT, math.inf)
+                opened.append((proxy.open(), proxy))
             except OSError as exc:
                 self._unreachable(proxy, exc)
+        deadline = time.monotonic() + CONNECT_TIMEOUT
+        requests = {rid: (proxy, deadline, math.inf) for rid, proxy in opened}
         for _, proxy, reply, failure in self._collect(requests):
             try:
                 if not isinstance(reply, protocol.Hello) or reply.version[0] != PROTOCOL_VERSION[0]:

@@ -310,6 +310,28 @@ def test_silent_peers_share_one_connect_timeout(monkeypatch):
                 listener.close()
 
 
+def test_slow_opener_leaves_earlier_handshakes_their_wait(monkeypatch):
+    timeout = 0.3
+    monkeypatch.setattr(coordinator_module, "CONNECT_TIMEOUT", timeout)
+
+    def opener(address, connect_timeout):
+        # a host that neither accepts nor refuses: the connect gives up after its timeout
+        if address == "blackholed":
+            time.sleep(connect_timeout * 1.5)
+            raise TimeoutError("timed out")
+        return socket.create_connection(address, connect_timeout)
+
+    with WorkerServer("127.0.0.1", 0, lanes=1) as healthy:
+        coordinator = Coordinator([healthy.address, "blackholed"], fast_config(), opener=opener)
+        try:
+            coordinator.connect_all()
+            assert [p.state for p in coordinator.proxies] == ["idle", "dead"]
+            speeds = coordinator.calibrate(seed=5)
+            assert set(speeds) == {0} and speeds[0] > 0
+        finally:
+            coordinator.close()
+
+
 def test_calibration_instance_deterministic():
     cfg = fast_config()
     a = generate_instance(cfg.calibration_jobs, cfg.calibration_stages, cfg.calibration_machines, 99)
