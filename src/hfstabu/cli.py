@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import signal
 import sys
 import time
@@ -54,7 +55,9 @@ def _checked(convert, accept, name: str):
 
 _positive_int = _checked(int, lambda value: value > 0, "a positive integer")
 _non_negative_int = _checked(int, lambda value: value >= 0, "a non-negative integer")
-_positive_float = _checked(float, lambda value: value > 0, "a positive number")  # NaN is refused too
+# NaN fails every comparison, so these refuse it along with the infinities
+_positive_float = _checked(float, lambda value: 0 < value < math.inf, "a positive finite number")
+_non_negative_float = _checked(float, lambda value: 0 <= value < math.inf, "a non-negative finite number")
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -185,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bind", type=_parse_endpoint, required=True, help="HOST:PORT (port 0 picks a free port)")
     p.add_argument("--lanes", type=_positive_int, default=None,
                    help="lane count (default: detected cores)")
-    p.add_argument("--per-move-delay", type=float, default=0.0,
+    p.add_argument("--per-move-delay", type=_non_negative_float, default=0.0,
                    help="pace every scan at one move per SECONDS (testing aid)")
     p.set_defaults(func=cmd_worker)
 

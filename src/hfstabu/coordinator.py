@@ -2,13 +2,12 @@
 
 One ``Coordinator`` plays the master's role at the top level of a
 distributed search and inside every super server, for its children. A
-run starts with a calibration round that measures every node's speed on
-a generated mid-complexity instance: one timed round after a one-move
-warm-up (``worker.Backend.calibrate``); the budget caps it. Those
+run starts by measuring every node's speed on a generated mid-complexity
+instance with ordinary requests: a SET_PROBLEM, a one-move warm-up EVAL
+and one timed EVAL of a whole round, which the budget caps. Those
 measurements seed each node's performance history. Only the top level
-sends CALIBRATE: the nodes of a super server's coordinator, like lanes,
-start from ``NOMINAL_SPEED``, and the super server's own calibration is
-one round over them. Each iteration then splits the neighborhood
+calibrates: the nodes of a super server's coordinator, like lanes, start
+from ``NOMINAL_SPEED``. Each iteration then splits the neighborhood
 proportionally to the predicted node speeds, dispatches one EVAL per
 node with a deadline derived from the prediction, and waits for the
 replies.
@@ -16,26 +15,27 @@ replies.
 The coordinator talks to nodes one way, on the thread that uses it.
 ``_connect`` is the only place a connection is opened; calibration and
 evaluation pick their nodes with the same ``_ready_nodes``, so a suspect
-node gets its reconnect before CALIBRATE as before EVAL. ``_collect``
-reads every node reply, HELLO included, through one selector: it
-resolves each outstanding request as a reply or a failure (lost
-connection, ERROR, EXIT_REPORT, timeout, budget cut), and alone handles
-what no request asked for: a late EVAL_RESULT is discarded but its speed
-measurement recorded, a live node lost with nothing outstanding gets a
-strike, and one that reports its exit is dead. Each kind of request
-keeps its own failure policy on top of it:
+node gets its reconnect before calibration as before evaluation.
+``_collect`` reads every node reply, HELLO included, through one
+selector: it resolves each outstanding request as a reply or a failure
+(lost connection, ERROR, EXIT_REPORT, timeout, budget cut), and alone
+handles what no request asked for: a late EVAL_RESULT is discarded but
+its speed measurement recorded, a live node lost with nothing
+outstanding gets a strike, and one that reports its exit is dead. Each
+kind of request keeps its own failure policy on top of it:
 
 * HELLO: anything but a HELLO reply of the same major version, within
   one ``CONNECT_TIMEOUT`` after the last connection has opened, marks
   the node dead.
-* CALIBRATE: any failure, or a zero speed, marks the node dead.
-* EVAL: the slice goes back into the queue. EXIT_REPORT marks the node
-  dead, a budget cut marks it suspect (its reply may still be in
-  flight), and any other failure or an inconsistent result is a strike:
-  a node with one strike is suspect and gets one reconnect attempt, a
-  second strike marks it dead for the run. Each EVAL gets at least
-  50 ms from its own send and is cut 0.1 s after those or the budget,
-  whichever ends later.
+* A calibration EVAL: any failure, an inconsistent result or a zero
+  speed marks the node dead.
+* Any other EVAL: the slice goes back into the queue. EXIT_REPORT marks
+  the node dead, a budget cut marks it suspect (its reply may still be
+  in flight), and any other failure or an inconsistent result is a
+  strike: a node with one strike is suspect and gets one reconnect
+  attempt, a second strike marks it dead for the run. Each EVAL gets at
+  least 50 ms from its own send and is cut 0.1 s after those or the
+  budget, whichever ends later.
 
 Failed and incomplete slices are fed into extra dispatch rounds over the
 remaining live nodes until the slice is covered, no node is ready, the
@@ -61,7 +61,8 @@ from . import protocol
 from .instance import ProblemInstance, generate_instance, instance_digest
 from .neighborhood import NeighborhoodSlice, neighborhood_size
 from .protocol import PROTOCOL_VERSION
-from .tabu import EvalContext, SearchParams, SearchResult, SliceResult, merge_prefix, run_search
+from .tabu import (EvalContext, SearchParams, SearchResult, SliceResult, TabuList, initial_order, merge_prefix,
+                   run_search)
 
 log = logging.getLogger(__name__)
 
@@ -216,6 +217,8 @@ class NodeProxy:
         self._sock = None
         sock = self._open(self.address, CONNECT_TIMEOUT)
         sock.setblocking(True)
+        if sock.family in (socket.AF_INET, socket.AF_INET6):  # or an EVAL right after a SET_PROBLEM waits for its ACK
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._selector.register(sock, selectors.EVENT_READ, (self, bytearray()))
         self._sock = sock
         rid = self.next_rid()
@@ -223,9 +226,14 @@ class NodeProxy:
         return rid
 
     def send(self, msg):
+        """Send on the current connection; one that fails is closed, or its EOF would fail it twice."""
         if self._sock is None:
             raise ConnectionError(f"node {self.node_id} is not connected")
-        self._sock.sendall(protocol.encode(msg))
+        try:
+            self._sock.sendall(protocol.encode(msg))
+        except OSError:
+            self.close_socket(self._sock)
+            raise
 
     def close_socket(self, sock: socket.socket):
         """Unregister ``sock`` from the selector, then close it and forget it."""
@@ -341,14 +349,14 @@ class Coordinator:
         """Read the node sockets until every request in ``requests`` is resolved.
 
         ``requests`` maps rid -> (proxy, absolute deadline, absolute cutoff),
-        at most one per node, and is emptied. The selector waits until the
-        nearest deadline or cutoff: past its deadline a request has timed
-        out, past its cutoff it is cut.
+        at most one per node, and is emptied; one the caller adds meanwhile
+        is read too. The selector waits until the nearest deadline or
+        cutoff: past its deadline a request has timed out, past its cutoff
+        it is cut.
         Yields (rid, proxy, reply, failure) for each request, one of:
 
-        * a reply, whatever message carries the request's rid (HELLO,
-          EVAL_RESULT, CALIBRATE_RESULT), failure None; the caller checks
-          its type;
+        * a reply, whatever message carries the request's rid (HELLO or
+          EVAL_RESULT), failure None; the caller checks its type;
         * a failure: reply None and one of LOST, ERROR, EXIT, TIMEOUT, CUT.
 
         What no request asked for is handled here, the same for every
@@ -416,42 +424,67 @@ class Coordinator:
     def calibrate(self, seed: int) -> dict[int, float]:
         """Connect every node and measure its speed, concurrently; requires one survivor.
 
-        Every ready node gets one CALIBRATE. A node that fails the round in
-        any way, or measures zero speed, is dead for the run. Each
-        survivor's history starts with one entry weighted by its speed x the
-        round's wall time (connects included), about the moves it could scan
-        while the round lasted, so real iterations outweigh it within a few
-        rounds. A node's own send-to-reply time would undercount that: nodes
-        that share a host's cores answer one after another, and a round can
-        be as short as a connect. Returns the measured speed of each
-        surviving node, by node id.
+        Each ready node gets the calibration instance, a one-move warm-up
+        EVAL that starts its lanes or children, then one EVAL of a whole
+        round of the initial order within what the warm-ups' send left of
+        the budget. Its speed is the round's, or the warm-up's if the round
+        evaluated no move; any failure, an inconsistent reply or zero speed
+        kills the node. Each survivor's history starts with one entry
+        weighted by its speed x the whole calibration's wall time, about the
+        moves it could scan meanwhile, so real iterations outweigh it within
+        a few rounds; its own send-to-reply time would undercount that when
+        nodes share a host's cores. Returns each survivor's speed, by node id.
         """
         inst = generate_instance(self.config.calibration_jobs, self.config.calibration_stages,
                                  self.config.calibration_machines, seed)
         budget = self.config.calibration_budget
+        if not 0 < budget < math.inf:
+            raise ValueError(f"calibration budget must be a positive finite number, got {budget}")
         start = time.monotonic()
         deadline = start + budget + self.config.calibration_grace
+        digest = self.set_problem(inst)
+        order, timed = initial_order(inst), NeighborhoodSlice(0, neighborhood_size(inst.num_jobs))
         requests: dict[int, tuple[NodeProxy, float, float]] = {}
-        for proxy in self._ready_nodes(self.proxies):
-            rid = proxy.next_rid()
+        sent: dict[int, NeighborhoodSlice] = {}
+
+        def send(proxy: NodeProxy, part: NeighborhoodSlice, compute: float):
+            rid = proxy.next_rid()  # no move is tabu, so the incumbent plays no part
+            proxy.send(protocol.Eval(rid, digest, order, TabuList(), 0, part, compute))
+            requests[rid] = (proxy, deadline, math.inf)
+            sent[rid] = part
+
+        ready = self._ready_nodes(self.proxies)
+        warmups_sent = time.monotonic()
+        for proxy in ready:
             try:
-                proxy.send(protocol.Calibrate(rid, inst, budget))
-            except (OSError, ConnectionError) as exc:
+                send(proxy, NeighborhoodSlice(0, 1), budget)
+                proxy.state = BUSY
+            except OSError as exc:
                 proxy.state = DEAD
                 log.warning("node %d dropped from calibration: send failed: %s", proxy.node_id, exc)
-                continue
-            proxy.state = BUSY
-            requests[rid] = (proxy, deadline, math.inf)
+        warmup_speed: dict[NodeProxy, float] = {}
         answered: dict[NodeProxy, float] = {}
-        for _, proxy, reply, failure in self._collect(requests):
-            if isinstance(reply, protocol.CalibrateResult) and reply.speed > 0:
-                proxy.state = IDLE
-                proxy.strikes = 0
-                answered[proxy] = reply.speed
-            else:
-                proxy.state = DEAD
-                log.warning("node %d dropped from calibration: %s", proxy.node_id,
-                            failure or "no speed measured")
+        for rid, proxy, reply, failure in self._collect(requests):  # send() adds the timed rounds
+            part = sent.pop(rid)
+            if failure is None and not self._result_consistent(reply, part):
+                failure = "inconsistent result"
+            if failure is None and part is not timed:
+                warmup_speed[proxy] = reply.speed
+                try:
+                    send(proxy, timed, max(0.0, warmups_sent + budget - time.monotonic()))
+                    continue
+                except OSError as exc:
+                    failure = f"send failed: {exc}"
+            if failure is None:
+                speed = reply.speed if reply.moves_evaluated else warmup_speed[proxy]
+                if speed > 0:
+                    proxy.state = IDLE
+                    proxy.strikes = 0
+                    answered[proxy] = speed
+                    continue
+                failure = "no speed measured"
+            proxy.state = DEAD
+            log.warning("node %d dropped from calibration: %s", proxy.node_id, failure)
         elapsed = time.monotonic() - start
         for proxy, speed in answered.items():
             proxy.history = NodePerfHistory([(max(1, round(speed * elapsed)), speed)])

@@ -6,10 +6,10 @@ and super servers: same plan, deadlines, failure policy and prefix
 reducer. A lane is a forked process that runs the worker request loop
 (``WorkerServer`` with one lane) on one end of a socket pair, with no
 listener, until that socket closes. Lanes are forked on first use and
-never get CALIBRATE: each starts from one nominal history entry, as a
-super server's children do, and the worker's ``Backend.calibrate`` times
-one round over all of them. The lanes get each new instance as a
-SET_PROBLEM before its first round.
+are never calibrated on their own: each starts from one nominal history
+entry, as a super server's children do, and a worker's calibration EVALs
+are split over all of them, as any EVAL is. The lanes get each new
+instance as a SET_PROBLEM before its first round.
 
 A failed lane's range goes to the other lanes, and its reconnect forks
 a replacement; a lane that fails twice is dead. When no lane is live,

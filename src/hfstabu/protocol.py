@@ -1,16 +1,14 @@
 """Wire protocol between the coordinator and worker daemons.
 
 Framing: one UTF-8 JSON object per message, newline-terminated, no
-embedded newlines. Every frame carries a ``type`` and, except for
-EXIT_REPORT, a ``rid`` (request id); replies echo the rid of the request
-they answer. One connection carries at most one outstanding EVAL or
-CALIBRATE at a time.
+embedded newlines, at most ``MAX_FRAME_BYTES``. Every frame carries a
+``type`` and, except for EXIT_REPORT, a ``rid`` (request id); replies
+echo the rid of the request they answer. One connection carries at most
+one outstanding EVAL at a time. A calibration is a SET_PROBLEM and EVALs.
 
 Message types and bodies
 ------------------------
 HELLO            version [major, minor], lanes        (both directions)
-CALIBRATE        instance, budget (seconds)
-CALIBRATE_RESULT speed (moves/second)
 SET_PROBLEM      instance (stored under its canonical digest; no reply)
 EVAL             digest, order, tabu {entries, tenure}, incumbent,
                  slice [begin, end), deadline (seconds of compute budget)
@@ -21,21 +19,24 @@ EXIT_REPORT      reason, requests_served, moves_evaluated   (no rid)
 
 The codec is total: decoding never raises anything but ProtocolError,
 naming the offending field, and decode(encode(m)) == m for every valid
-message. ``read_frames`` splits what a ready socket delivers into frames,
-for the coordinator's collect loop and the worker's loop alike.
+message; neither passes NaN or an infinity. ``read_frames`` splits what a
+ready socket delivers into frames, for the coordinator's collect loop and
+the worker's loop alike.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .instance import InstanceError, ProblemInstance, instance_from_obj, instance_to_obj
 from .neighborhood import NeighborhoodSlice
 from .tabu import TabuList
 
-PROTOCOL_VERSION = (1, 0)
+PROTOCOL_VERSION = (2, 0)
 READ_SIZE = 65536
+MAX_FRAME_BYTES = 64 << 20  # a partial frame longer than this closes the connection
 
 
 class ProtocolError(Exception):
@@ -61,8 +62,9 @@ def _need_int(body, msg_type, key, minimum=None):
 
 def _need_number(body, msg_type, key, minimum=None):
     v = _need(body, msg_type, key)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ProtocolError(f"{msg_type}.{key}: expected a number", field=key)
+    # NaN fails every comparison; an integer too large for a float is refused too
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ProtocolError(f"{msg_type}.{key}: expected a finite number", field=key)
     if minimum is not None and v < minimum:
         raise ProtocolError(f"{msg_type}.{key}: must be >= {minimum}, got {v}", field=key)
     return float(v)
@@ -149,40 +151,6 @@ class Hello:
 
 
 @dataclass(frozen=True)
-class Calibrate:
-    rid: int
-    instance: ProblemInstance
-    budget: float
-
-    TYPE = "CALIBRATE"
-
-    def body(self):
-        return {"instance": instance_to_obj(self.instance), "budget": self.budget}
-
-    @classmethod
-    def from_body(cls, rid, body):
-        budget = _need_number(body, cls.TYPE, "budget")
-        if budget <= 0:
-            raise ProtocolError("CALIBRATE.budget: must be > 0", field="budget")
-        return cls(rid, _need_instance(body, cls.TYPE, "instance"), budget)
-
-
-@dataclass(frozen=True)
-class CalibrateResult:
-    rid: int
-    speed: float
-
-    TYPE = "CALIBRATE_RESULT"
-
-    def body(self):
-        return {"speed": self.speed}
-
-    @classmethod
-    def from_body(cls, rid, body):
-        return cls(rid, _need_number(body, cls.TYPE, "speed", minimum=0.0))
-
-
-@dataclass(frozen=True)
 class SetProblem:
     rid: int
     instance: ProblemInstance
@@ -221,18 +189,14 @@ class Eval:
 
     @classmethod
     def from_body(cls, rid, body):
-        digest = _need_str(body, cls.TYPE, "digest")
-        deadline = _need_number(body, cls.TYPE, "deadline")
-        if deadline < 0:
-            raise ProtocolError("EVAL.deadline: must be >= 0", field="deadline")
         return cls(
             rid,
-            digest,
+            _need_str(body, cls.TYPE, "digest"),
             _need_order(body, cls.TYPE, "order"),
             _need_tabu(body, cls.TYPE, "tabu"),
             _need_int(body, cls.TYPE, "incumbent", minimum=0),
             _need_slice(body, cls.TYPE, "slice"),
-            deadline,
+            _need_number(body, cls.TYPE, "deadline", minimum=0.0),
         )
 
 
@@ -333,11 +297,11 @@ class ExitReport:
         )
 
 
-Message = Hello | Calibrate | CalibrateResult | SetProblem | Eval | EvalResult | Error | ExitReport
+Message = Hello | SetProblem | Eval | EvalResult | Error | ExitReport
 
 _REGISTRY = {
     cls.TYPE: cls
-    for cls in (Hello, Calibrate, CalibrateResult, SetProblem, Eval, EvalResult, Error, ExitReport)
+    for cls in (Hello, SetProblem, Eval, EvalResult, Error, ExitReport)
 }
 
 
@@ -347,7 +311,7 @@ def encode(msg: Message) -> bytes:
     if msg.TYPE != ExitReport.TYPE:
         frame["rid"] = msg.rid
     frame.update(msg.body())
-    return json.dumps(frame, separators=(",", ":")).encode("utf-8") + b"\n"
+    return json.dumps(frame, separators=(",", ":"), allow_nan=False).encode("utf-8") + b"\n"
 
 
 def decode(line: bytes | str) -> Message:
@@ -384,20 +348,24 @@ def read_frames(sock, buffer: bytearray) -> tuple[list[Message], Exception | Non
     Every complete frame is decoded; a partial line stays in ``buffer``.
     The second item is None while the connection is usable. Otherwise it
     is the reason to close it: a ConnectionError at EOF (a partial line is
-    then dropped), the OSError of a reset connection, or the ProtocolError
-    of a malformed frame, in which case the frames before it are returned
-    and the rest of the buffer is not decoded.
+    then dropped), the OSError of a reset connection, or a ProtocolError
+    for a malformed frame (the frames before it are returned, the rest is
+    not decoded) or for a partial line longer than ``MAX_FRAME_BYTES``.
     """
     try:
         chunk = sock.recv(READ_SIZE)
     except OSError as exc:
         return [], exc
     buffer += chunk
-    *lines, buffer[:] = buffer.split(b"\n")
+    lines = []
+    if b"\n" in chunk:  # otherwise the buffer still holds one partial line
+        *lines, buffer[:] = buffer.split(b"\n")
     messages: list[Message] = []
     for line in lines:
         try:
             messages.append(decode(bytes(line)))
         except ProtocolError as exc:
             return messages, exc
+    if len(buffer) > MAX_FRAME_BYTES:
+        return messages, ProtocolError(f"frame longer than {MAX_FRAME_BYTES} bytes")
     return messages, None if chunk else ConnectionError("connection closed")

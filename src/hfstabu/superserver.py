@@ -7,11 +7,11 @@ redistribution and fault handling. Each EVAL is one call to
 ``Coordinator.evaluate_blocks``: the reply covers the contiguous prefix
 of the request, and the rest goes back upstream as the remaining range.
 Children may themselves be super servers, so arbitrary trees compose;
-the client only ever balances over its direct children. Children never
-get CALIBRATE: each starts from one nominal history entry, as a lane
-does, and a CALIBRATE to the super server times one round split across
-them (``Backend.calibrate``). So its answer, like the speed reported
-with each evaluation, is the throughput of the subtree.
+the client only ever balances over its direct children. Children are
+never calibrated on their own: each starts from one nominal history
+entry, as a lane does, and the EVALs that calibrate the super server are
+split across them like any other. So its calibrated speed, like the
+speed reported with each evaluation, is the throughput of the subtree.
 """
 
 from __future__ import annotations

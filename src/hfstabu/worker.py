@@ -5,12 +5,13 @@ single fast server, whatever the local lane count: one evaluator for its
 whole life, so a ``--lanes N`` worker forks its lanes once. Evaluation
 requests carry a compute deadline; when it elapses the worker stops at a
 move boundary and returns the best move over the evaluated prefix
-together with the untouched remaining range. The server runs one
-selector loop over the listener and every connection, and serves one
-request at a time across all of them, in arrival order: a HELLO on a new
-connection is answered once the request being served is. On graceful
-shutdown that request is answered first; then every open connection
-receives an EXIT_REPORT before the socket closes.
+together with the untouched remaining range. A calibration is EVALs like
+any other. The server runs one selector loop over the listener and every
+connection, and serves one request at a time across all of them, in
+arrival order: a HELLO on a new connection is answered once the request
+being served is. On graceful shutdown that request is answered first;
+then every open connection receives an EXIT_REPORT before the socket
+closes.
 
 ``per_move_delay`` paces every scan: move k of a scan waits until k + 1
 delays after the scan started, so a throttled worker runs at a steady
@@ -27,11 +28,10 @@ import time
 
 from . import protocol
 from .instance import ProblemInstance, instance_digest
-from .neighborhood import NeighborhoodSlice, neighborhood_size
+from .neighborhood import NeighborhoodSlice
 from .parallel import LaneEvaluator
 from .protocol import PROTOCOL_VERSION
-from .schedule import evaluate_makespan
-from .tabu import EvalContext, SliceResult, TabuList, initial_order
+from .tabu import EvalContext, SliceResult, TabuList
 
 log = logging.getLogger(__name__)
 
@@ -40,9 +40,9 @@ class Backend:
     """A worker server's evaluation: the last few problems set, by digest, over one evaluator.
 
     The evaluator is a ``LaneEvaluator`` or a super server's ``Coordinator``:
-    both answer ``evaluate_blocks``, and ``calibrate`` times one round of it.
-    An EVAL for an evicted problem is answered "unknown problem". Use it
-    from one thread at a time: a worker server calls it only from its loop.
+    both answer ``evaluate_blocks``. An EVAL for an evicted problem is
+    answered "unknown problem". Use it from one thread at a time: a worker
+    server calls it only from its loop.
     """
 
     MAX_CACHED_PROBLEMS = 4
@@ -67,40 +67,12 @@ class Backend:
         return self.evaluator.evaluate_blocks(EvalContext(self._problems[digest], order, tabu, incumbent), nslice,
                                               time.monotonic() + deadline)
 
-    def calibrate(self, inst: ProblemInstance, budget: float) -> float:
-        """Measure the evaluator's speed on ``inst`` in moves/second; ``inst`` is not cached.
-
-        One timed round after a one-move warm-up; the budget caps it. The
-        warm-up move starts the evaluator's nodes (forks lanes, connects
-        children) before the clock. Then one full neighborhood round of the
-        instance's initial order is timed, cut short if ``budget`` (counted
-        from the warm-up) elapses, and the answer is its contiguous prefix
-        over its elapsed time; if the budget left no move to time, it is the
-        warm-up move's speed. Raises when neither scanned a move, as when a
-        super server has no live child.
-        """
-        if budget <= 0:
-            raise ValueError(f"calibration budget must be > 0, got {budget}")
-        total = neighborhood_size(inst.num_jobs)
-        if total == 0:
-            raise ValueError("calibration instance needs at least 2 jobs")
-        order = initial_order(inst)
-        ctx = EvalContext(inst, order, TabuList(), evaluate_makespan(inst, order))
-        deadline = time.monotonic() + budget
-        warmup, _ = self.evaluator.evaluate_blocks(ctx, NeighborhoodSlice(0, 1), None)
-        timed, _ = self.evaluator.evaluate_blocks(ctx, NeighborhoodSlice(0, total), deadline)
-        if not timed.moves_evaluated:
-            timed = warmup
-        if not timed.moves_evaluated:
-            raise RuntimeError("no move was evaluated")
-        return timed.moves_evaluated / timed.elapsed if timed.elapsed > 0 else float(timed.moves_evaluated)
-
     def close(self):
         self.evaluator.close()
 
 
 class LocalBackend(Backend):
-    """Evaluation backend on this host's lanes: one ``LaneEvaluator`` for every problem and calibration."""
+    """Evaluation backend on this host's lanes: one ``LaneEvaluator`` for every problem."""
 
     def __init__(self, lanes: int | None = None, per_move_delay: float = 0.0):
         super().__init__(LaneEvaluator(None, lanes, per_move_delay))
@@ -278,16 +250,6 @@ class WorkerServer:
             except Exception as exc:
                 return protocol.Error(msg.rid, f"set_problem failed: {exc}"), None
             return None, ("SET_PROBLEM %s n=%d m=%d", digest[:12], msg.instance.num_jobs, msg.instance.num_stages)
-
-        if isinstance(msg, protocol.Calibrate):
-            t0 = time.perf_counter()
-            try:
-                speed = self._backend.calibrate(msg.instance, msg.budget)
-            except Exception as exc:
-                return protocol.Error(msg.rid, f"calibration failed: {exc}"), None
-            self.requests_served += 1
-            note = ("CALIBRATE budget=%.3fs speed=%.1f moves/s (%.3fs)", msg.budget, speed, time.perf_counter() - t0)
-            return protocol.CalibrateResult(msg.rid, speed), note
 
         if isinstance(msg, protocol.Eval):
             if not self._backend.has_problem(msg.digest):

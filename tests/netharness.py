@@ -66,13 +66,6 @@ class WireClient:
         assert getattr(reply, "rid", None) == rid, f"unexpected reply {reply}"
         return reply
 
-    def calibrate(self, inst, budget):
-        rid = self.next_rid()
-        self.send(protocol.Calibrate(rid, inst, budget))
-        reply = self.recv()
-        assert reply.rid == rid
-        return reply
-
     def close(self):
         # the reader holds a reference to the socket: both must close for the peer to see EOF
         for f in (self.reader, self.sock):
@@ -94,14 +87,16 @@ class LatencyRelay:
 
     Each line travelling to the target is forwarded ``up_s`` seconds after
     it was read, each line coming back ``down_s`` seconds after, one line
-    at a time per direction. When either side of a relayed connection
+    at a time per direction; ``rewrite(line)``, if given, is what each line
+    coming back is replaced with. When either side of a relayed connection
     closes, the relay closes both.
     """
 
-    def __init__(self, target, up_s: float, down_s: float):
+    def __init__(self, target, up_s: float, down_s: float, rewrite=None):
         self.target = target
         self.up_s = up_s
         self.down_s = down_s
+        self.rewrite = rewrite
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.address = self._listener.getsockname()[:2]
         self._sockets = [self._listener]
@@ -120,18 +115,19 @@ class LatencyRelay:
                 client.close()
                 continue
             self._sockets += [client, server]
-            for src, dst, delay in ((client, server, self.up_s), (server, client, self.down_s)):
-                thread = threading.Thread(target=self._pump, args=(src, dst, delay), daemon=True)
+            for src, dst, delay, rewrite in ((client, server, self.up_s, None),
+                                             (server, client, self.down_s, self.rewrite)):
+                thread = threading.Thread(target=self._pump, args=(src, dst, delay, rewrite), daemon=True)
                 self._threads.append(thread)
                 thread.start()
 
     @staticmethod
-    def _pump(src, dst, delay):
+    def _pump(src, dst, delay, rewrite):
         try:
             with src.makefile("rb") as lines:
                 for line in lines:
                     time.sleep(delay)
-                    dst.sendall(line)
+                    dst.sendall(line if rewrite is None else rewrite(line))
         except OSError:
             pass
         _shut(src, dst)

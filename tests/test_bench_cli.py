@@ -244,11 +244,17 @@ def test_cli_error_reporting_without_traceback(tmp_path):
                   ["--iterations", "1", "--lanes", "-1"], ["--iterations", "1", "--lanes", "0"],
                   ["--iterations", "1", "--diversify-after", "-1"],
                   ["--iterations", "1", "--diversify-strength", "-1"],
-                  ["--iterations", "1", "--calibration-budget", "0"]):
+                  ["--iterations", "1", "--calibration-budget", "0"],
+                  ["--iterations", "1", "--calibration-budget", "inf"],
+                  ["--iterations", "1", "--calibration-budget", "nan"]):
         out = run_cli(*solve, *extra)
         assert out.returncode == 2, extra
         assert "Traceback" not in out.stderr
         assert f"argument {extra[-2]}: expected" in out.stderr
+    for delay in ("inf", "nan", "-0.1"):
+        out = run_cli("worker", "--bind", "127.0.0.1:0", "--per-move-delay", delay)
+        assert out.returncode == 2, delay
+        assert "argument --per-move-delay: expected" in out.stderr
 
 
 def test_cli_worker_lanes_flag_sets_the_ready_line_lanes():

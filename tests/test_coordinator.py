@@ -1,4 +1,5 @@
 import random
+import re
 import socket
 import threading
 import time
@@ -23,7 +24,7 @@ from hfstabu.tabu import EvalContext, SearchParams, TabuList, run_search
 from hfstabu.schedule import evaluate_makespan
 from hfstabu.worker import WorkerServer
 
-from netharness import SubprocessWorker, record_cover
+from netharness import LatencyRelay, SubprocessWorker, record_cover
 from oracles import evaluate_slice, largest_remainder_reference, verify_exact_cover
 
 INST = generate_instance(8, 3, 3, seed=42)
@@ -204,9 +205,12 @@ def test_calibrate_marks_unreachable_node_dead():
 
 
 class FaultyNode:
-    """A node that fails its HELLO handshake, or its CALIBRATE after a good handshake, as told.
+    """A node that fails its HELLO handshake, or its first EVAL after a good handshake, as told.
 
-    A fault named "hello ..." hits the handshake; any other hits CALIBRATE.
+    A fault named "hello ..." hits the handshake; any other hits the first
+    EVAL, which is the calibration's warm-up. SET_PROBLEM is ignored.
+    "zero speed" answers that EVAL, and every later one, with no move
+    evaluated.
     """
 
     def __init__(self, fault: str):
@@ -225,20 +229,25 @@ class FaultyNode:
                 msg = protocol.decode(line)
                 if isinstance(msg, protocol.Hello) and not handshake_fault:
                     conn.sendall(protocol.encode(protocol.Hello(msg.rid, PROTOCOL_VERSION, 1)))
-                elif isinstance(msg, (protocol.Hello, protocol.Calibrate)):
+                elif isinstance(msg, (protocol.Hello, protocol.Eval)):
                     break
             else:
                 return  # closed before the faulty request
             fault = self.fault.removeprefix("hello ")
             if fault == "error":
                 conn.sendall(protocol.encode(protocol.Error(msg.rid, f"{msg.TYPE} failed: boom")))
-            elif fault == "version 2":
-                conn.sendall(protocol.encode(protocol.Hello(msg.rid, (2, 0), 1)))
+            elif fault == "version 2":  # the name is historical: any major but ours
+                conn.sendall(protocol.encode(protocol.Hello(msg.rid, (PROTOCOL_VERSION[0] + 1, 0), 1)))
                 self.release.wait(timeout=30)
             elif fault == "exit":
                 conn.sendall(protocol.encode(protocol.ExitReport("maintenance", 0, 0)))
             elif fault == "zero speed":
-                conn.sendall(protocol.encode(protocol.CalibrateResult(msg.rid, 0.0)))
+                while msg is not None:
+                    if isinstance(msg, protocol.Eval):
+                        empty = protocol.EvalResult(msg.rid, None, None, 0, 0.0, 0.0, False, msg.nslice)
+                        conn.sendall(protocol.encode(empty))
+                    line = reader.readline()
+                    msg = protocol.decode(line) if line else None
             elif fault == "silent":
                 self.release.wait(timeout=30)
             # "drop": leaving this block closes the connection
@@ -266,6 +275,32 @@ def test_calibration_failure_marks_node_dead(fault):
             coordinator.close()
             faulty.close()
     assert not faulty._thread.is_alive()
+
+
+def test_node_reporting_an_infinite_speed_cannot_change_the_trajectory():
+    params = SearchParams(iterations=12, seed=11, diversify_after=6)
+    local = run_search(INST, params, sequential_reference)
+    calibrated = []
+
+    def infinite_speed(line):
+        # once calibrated, every EVAL_RESULT of the relayed worker claims an infinite speed
+        if calibrated and line.startswith(b'{"type":"EVAL_RESULT"'):
+            return re.sub(rb'"speed":[^,}]+', b'"speed":Infinity', line)
+        return line
+
+    with WorkerServer("127.0.0.1", 0, lanes=1) as healthy, WorkerServer("127.0.0.1", 0, lanes=1) as other, \
+            LatencyRelay(other.address, 0.0, 0.0, rewrite=infinite_speed) as relay:
+        coordinator = Coordinator([healthy.address, relay.address], fast_config())
+        try:
+            coordinator.calibrate(seed=3)
+            calibrated.append(True)
+            coordinator.set_problem(INST)
+            remote = run_search(INST, params, coordinator.evaluate)
+            assert remote.trace == local.trace
+            # each such frame is a protocol error that closes the connection: two strikes
+            assert [p.state for p in coordinator.proxies] == ["idle", "dead"]
+        finally:
+            coordinator.close()
 
 
 @pytest.mark.parametrize("fault", ["hello error", "hello version 2", "hello drop", "hello silent"])

@@ -164,19 +164,31 @@ def _full_scan(inst, ctx):
     return scan_slice(inst, ctx.order, ctx.tabu.entries, ctx.incumbent, 0, neighborhood_size(len(ctx.order)))
 
 
-def test_killed_lane_process_is_replaced():
+def test_killed_lane_process_is_replaced(monkeypatch):
     inst = generate_instance(7, 2, 3, seed=5)
     ctx = make_ctx(inst, seed=2)
     want = _full_scan(inst, ctx)
     known = set(multiprocessing.active_children())
+    forked = []
+    start = multiprocessing.get_context("fork").Process.start
+
+    def counting_start(process):
+        forked.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", counting_start)
     with LaneEvaluator(inst, 2) as evaluator:
         evaluator.evaluate(ctx)  # starts the lanes
         killed = kill_lane_child(known)
-        for _ in range(2):
+        for _ in range(3):
             result = evaluator.evaluate(ctx)
             assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
         lanes = {p.pid for p in multiprocessing.active_children() if p not in known}
         assert lanes and killed not in lanes  # a fresh lane is serving
+        # the failed send closed the dead lane's socket, so its EOF was no second strike:
+        # the lane was replaced, and its node is back in service
+        assert len(forked) == 3
+        assert [(p.state, p.strikes) for p in evaluator._coordinator.proxies] == [("idle", 0)] * 2
 
 
 def test_lanes_that_keep_dying_fall_back_inline(monkeypatch):

@@ -1,17 +1,19 @@
+import dataclasses
 import json
 import random
+import re
 import socket
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hfstabu import protocol
 from hfstabu.instance import generate_instance
 from hfstabu.neighborhood import NeighborhoodSlice
 from hfstabu.protocol import (
     PROTOCOL_VERSION,
-    Calibrate,
-    CalibrateResult,
     Error,
     Eval,
     EvalResult,
@@ -31,8 +33,6 @@ INST = generate_instance(6, 3, 4, seed=123)
 def sample_messages():
     return [
         Hello(1, PROTOCOL_VERSION, 4),
-        Calibrate(2, INST, 2.0),
-        CalibrateResult(2, 812.5),
         SetProblem(3, INST),
         Eval(4, "ab" * 32, (2, 0, 1, 3, 5, 4), TabuList(((1, 2), (0, 4)), 7), 341,
              NeighborhoodSlice(0, 2450), 12.5),
@@ -58,17 +58,13 @@ def test_round_trip_random_corpus():
                                    seed=rng.randrange(10**6)) for _ in range(5)]
     count = 0
     for _ in range(1000):
-        kind = rng.randrange(8)
+        kind = rng.randrange(6)
         rid = rng.randrange(10**9)
         if kind == 0:
             msg = Hello(rid, (1, rng.randrange(5)), rng.randrange(64))
         elif kind == 1:
-            msg = Calibrate(rid, rng.choice(instances), rng.random() * 10 + 0.01)
-        elif kind == 2:
-            msg = CalibrateResult(rid, rng.random() * 1e4)
-        elif kind == 3:
             msg = SetProblem(rid, rng.choice(instances))
-        elif kind == 4:
+        elif kind == 2:
             n = rng.randint(2, 8)
             order = tuple(rng.sample(range(n), n))
             entries = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 4)))
@@ -76,7 +72,7 @@ def test_round_trip_random_corpus():
             end = rng.randint(begin + 1, n * (n - 1))
             msg = Eval(rid, "%064x" % rng.randrange(16**64), order, TabuList(entries, 7),
                        rng.randrange(10**6), NeighborhoodSlice(begin, end), rng.random() * 100)
-        elif kind == 5:
+        elif kind == 3:
             moves = rng.randrange(500)
             if rng.random() < 0.5:
                 msg = EvalResult(rid, rng.randrange(1000) if moves else None,
@@ -86,7 +82,7 @@ def test_round_trip_random_corpus():
                 begin = rng.randrange(1000)
                 msg = EvalResult(rid, None, None, moves, rng.random(), rng.random() * 1e4,
                                  False, NeighborhoodSlice(begin, begin + 1 + rng.randrange(100)))
-        elif kind == 6:
+        elif kind == 4:
             msg = Error(rid, "e" * rng.randrange(40))
         else:
             msg = ExitReport("shutdown", rng.randrange(100), rng.randrange(10**7))
@@ -145,10 +141,29 @@ def test_unknown_type_rejected():
 
 
 def test_missing_field_names_field():
-    with pytest.raises(ProtocolError, match="budget") as err:
-        decode(json.dumps({"type": "CALIBRATE", "rid": 1,
-                           "instance": {"n": 1, "m": 1, "machines": [1], "p": [[1]], "size": [[1]]}}))
-    assert err.value.field == "budget"
+    body = json.loads(encode(Eval(1, "00" * 32, (1, 0), TabuList(), 5, NeighborhoodSlice(0, 2), 1.0)))
+    del body["deadline"]
+    with pytest.raises(ProtocolError, match="deadline") as err:
+        decode(json.dumps(body))
+    assert err.value.field == "deadline"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
+                         ids=["NaN", "Infinity", "-Infinity", "too large for a float"])
+@pytest.mark.parametrize("msg, field", [
+    (Eval(1, "00" * 32, (1, 0), TabuList(), 5, NeighborhoodSlice(0, 2), 1.0), "deadline"),
+    (EvalResult(4, 17, 322, 2450, 1.25, 1960.0, True, None), "elapsed"),
+    (EvalResult(4, 17, 322, 2450, 1.25, 1960.0, True, None), "speed"),
+], ids=["EVAL.deadline", "EVAL_RESULT.elapsed", "EVAL_RESULT.speed"])
+def test_non_finite_numbers_are_refused_both_ways(msg, field, value):
+    body = json.loads(encode(msg))
+    body[field] = value
+    with pytest.raises(ProtocolError, match=field) as err:
+        decode(json.dumps(body))  # json writes NaN and Infinity unless told not to
+    assert err.value.field == field
+    if isinstance(value, float):
+        with pytest.raises(ValueError):
+            encode(dataclasses.replace(msg, **{field: value}))
 
 
 def test_incomplete_result_requires_remaining():
@@ -186,8 +201,8 @@ def test_eval_rejects_non_permutation_order():
         decode(json.dumps(body))
 
 
-def test_eval_rejects_bad_instance_inside_calibrate():
-    frame = {"type": "CALIBRATE", "rid": 1, "budget": 1.0,
+def test_set_problem_rejects_bad_instance():
+    frame = {"type": "SET_PROBLEM", "rid": 1,
              "instance": {"n": 1, "m": 1, "machines": [1], "p": [[0]], "size": [[1]]}}
     with pytest.raises(ProtocolError, match="instance"):
         decode(json.dumps(frame))
@@ -204,6 +219,13 @@ def test_progress_frame_rejected_as_unknown_type():
     # PROGRESS is no longer a message type: no worker sent it and every client skipped it
     with pytest.raises(ProtocolError, match="unknown message type"):
         decode(json.dumps({"type": "PROGRESS", "rid": 1, "fraction": 0.5}))
+
+
+def test_protocol_doc_names_every_message_type_and_the_version():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "protocol.md").read_text()
+    headings = re.findall(r"^### ([A-Z_]+)", doc, flags=re.MULTILINE)
+    assert sorted(headings) == sorted(protocol._REGISTRY)
+    assert f"Protocol version is `{PROTOCOL_VERSION[0]}.{PROTOCOL_VERSION[1]}`" in doc
 
 
 def test_non_object_frames_rejected():
@@ -237,12 +259,21 @@ def test_read_frames_keeps_a_split_frame_until_it_is_whole(pair):
 
 def test_read_frames_returns_every_frame_of_one_read(pair):
     reader, writer = pair
-    messages = [Hello(1, PROTOCOL_VERSION, 2), CalibrateResult(2, 812.5)]
+    messages = [Hello(1, PROTOCOL_VERSION, 2), SetProblem(2, INST)]
     tail = encode(Error(3, "x"))[:5]
     writer.sendall(b"".join(encode(m) for m in messages) + tail)
     buffer = bytearray()
     assert read_frames(reader, buffer) == (messages, None)
     assert buffer == tail
+
+
+def test_read_frames_refuses_a_line_longer_than_a_frame(pair, monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 100)
+    reader, writer = pair
+    writer.sendall(encode(Error(1, "x")) + b"y" * 101)
+    messages, closed = read_frames(reader, bytearray())
+    assert messages == [Error(1, "x")]
+    assert isinstance(closed, ProtocolError) and "longer than 100 bytes" in str(closed)
 
 
 def test_read_frames_stops_at_a_malformed_frame(pair):

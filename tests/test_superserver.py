@@ -1,5 +1,7 @@
+import pytest
+
 from hfstabu import protocol
-from hfstabu.coordinator import Coordinator, CoordinatorConfig, NodeProxy
+from hfstabu.coordinator import CalibrationError, Coordinator, CoordinatorConfig, NodeProxy
 from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.superserver import FanoutBackend, serve_as_super_server
@@ -38,8 +40,6 @@ def test_super_server_answers_like_its_children():
         with WireClient(sup.address) as client:
             hello = client.hello()
             assert hello.lanes == 2  # aggregate of both children
-            calib = client.calibrate(generate_instance(6, 2, 2, seed=1), 0.2)
-            assert calib.speed > 0
             client.set_problem(INST)
             reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 120.0)
             local = evaluate_slice(INST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N))
@@ -51,26 +51,18 @@ def test_super_server_answers_like_its_children():
         w2.shutdown()
 
 
-def test_super_calibration_times_one_round_over_its_children(monkeypatch):
+def test_super_calibration_times_one_round_over_its_children():
     children = [WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002) for _ in range(2)]
-    calibrated = []
     for child in children:
-        def counted(inst, budget, calibrate=child._backend.calibrate):
-            calibrated.append(inst)
-            return calibrate(inst, budget)
-
-        monkeypatch.setattr(child._backend, "calibrate", counted)
         child.start()
     sup = serve_as_super_server("127.0.0.1", 0, [c.address for c in children], fast_config())
     sup.start()
     try:
-        with WireClient(sup.address) as client:
-            client.hello()
-            reply = client.calibrate(generate_instance(6, 2, 2, seed=1), 0.3)
-        assert isinstance(reply, protocol.CalibrateResult) and reply.speed > 0
-        # the round was split across both children, and neither was asked to calibrate
+        with Coordinator([sup.address], fast_config(calibration_budget=0.3)) as coordinator:
+            assert coordinator.calibrate(seed=1)[0] > 0
+        # split as any EVAL is: the one-move warm-up went to one child, the round to both
         assert all(stats["moves"] > 0 for stats in sup._backend.coordinator.node_stats().values())
-        assert not calibrated
+        assert sorted(child.requests_served for child in children) == [1, 2]
     finally:
         sup.shutdown()
         for child in children:
@@ -83,11 +75,13 @@ def test_super_calibration_errors_without_a_live_child():
     sup = serve_as_super_server("127.0.0.1", 0, [w.address], fast_config())
     sup.start()
     try:
-        with WireClient(sup.address) as client:
-            client.hello()
+        with Coordinator([sup.address], fast_config()) as coordinator:
+            coordinator.connect_all()
             w.shutdown(reason="gone")
-            reply = client.calibrate(generate_instance(6, 2, 2, seed=1), 0.15)
-            assert isinstance(reply, protocol.Error)
+            # the super server answers the warm-up EVAL with ERROR: no node survives
+            with pytest.raises(CalibrationError):
+                coordinator.calibrate(seed=1)
+            assert coordinator.proxies[0].state == "dead"
     finally:
         sup.shutdown()
         w.shutdown()
@@ -101,7 +95,6 @@ def test_super_problem_cache_eviction():
     try:
         with WireClient(sup.address) as client:
             client.hello()
-            client.calibrate(generate_instance(6, 2, 2, seed=1), 0.15)
             digests = [client.set_problem(generate_instance(8, 3, 3, seed=seed))
                        for seed in range(LocalBackend.MAX_CACHED_PROBLEMS + 2)]
             reply = client.eval(digests[0], ORDER, empty_tabu(), 10**6, 0, N, 10.0)
@@ -210,7 +203,6 @@ def test_super_with_all_children_dead_errors_upstream():
     try:
         with WireClient(sup.address) as client:
             client.hello()
-            client.calibrate(generate_instance(6, 2, 2, seed=1), 0.15)
             client.set_problem(INST)
             w.shutdown(reason="gone")
             reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 10.0)
@@ -238,7 +230,6 @@ def test_reconnects_keep_at_most_one_abandoned_socket(monkeypatch):
 
     monkeypatch.setattr(NodeProxy, "open", counted_open)
     try:
-        backend.calibrate(generate_instance(6, 2, 2, seed=1), 0.15)
         backend.set_problem(INST)
         proxy = backend.coordinator.proxies[0]
         for _ in range(8):

@@ -1,3 +1,4 @@
+import json
 import logging
 import multiprocessing
 import random
@@ -8,6 +9,7 @@ import time
 import pytest
 
 from hfstabu import protocol
+from hfstabu.coordinator import Coordinator, CoordinatorConfig
 from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.protocol import ProtocolError
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
@@ -23,6 +25,17 @@ INST = generate_instance(8, 3, 3, seed=42)
 DIGEST = instance_digest(INST)
 N = neighborhood_size(8)
 ORDER = tuple(range(8))
+
+
+def calibrate(address, budget, size=(6, 2, 2), seed=9) -> float:
+    """The speed one ``Coordinator.calibrate`` measures for the worker at ``address``.
+
+    The calibration instance is ``generate_instance(*size, seed=seed)``.
+    """
+    config = CoordinatorConfig(calibration_budget=budget, calibration_jobs=size[0], calibration_stages=size[1],
+                               calibration_machines=size[2])
+    with Coordinator([address], config) as coordinator:
+        return coordinator.calibrate(seed)[0]
 
 
 @pytest.fixture
@@ -41,7 +54,7 @@ def test_hello_reports_lanes(server):
 
 def test_version_major_mismatch_refused(server):
     with WireClient(server.address) as client:
-        client.send(protocol.Hello(client.next_rid(), (2, 0), 0))
+        client.send(protocol.Hello(client.next_rid(), (protocol.PROTOCOL_VERSION[0] + 1, 0), 0))
         reply = client.recv()
         assert isinstance(reply, protocol.Error)
         with pytest.raises(ConnectionError):
@@ -129,67 +142,52 @@ def test_deadline_compliance():
 
 
 def test_calibrate_positive_speed(server):
-    with WireClient(server.address) as client:
-        client.hello()
-        reply = client.calibrate(generate_instance(6, 2, 2, seed=9), 0.2)
-        assert isinstance(reply, protocol.CalibrateResult)
-        assert reply.speed > 0
+    assert calibrate(server.address, 0.2) > 0
 
 
 def test_calibrate_speed_stability():
     # delay-dominated worker: two calibrations land within 25% of each other
     with WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002) as server:
-        with WireClient(server.address) as client:
-            client.hello()
-            inst = generate_instance(6, 2, 2, seed=9)
-            a = client.calibrate(inst, 0.3).speed
-            b = client.calibrate(inst, 0.3).speed
-            assert abs(a - b) / max(a, b) < 0.25
+        a = calibrate(server.address, 0.3)
+        b = calibrate(server.address, 0.3)
+        assert abs(a - b) / max(a, b) < 0.25
+
+
+def _round_speed(inst, per_move_delay):
+    """The whole-round speed over 0.6 s of back-to-back paced rounds of ``inst``'s initial order."""
+    order = initial_order(inst)
+    incumbent = evaluate_makespan(inst, order)
+    moves, t0 = 0, time.monotonic()
+    while time.monotonic() < t0 + 0.6:
+        moves += scan_slice(inst, order, (), incumbent, 0, neighborhood_size(inst.num_jobs), None,
+                            per_move_delay)[2]
+    return moves / (time.monotonic() - t0)
 
 
 def test_calibrate_takes_one_timed_round():
     # delay-dominated worker: a full round of the 30-move neighborhood takes about 60 ms, and
     # calibration times one timed round, far inside the 3 s budget
-    inst = generate_instance(6, 2, 2, seed=9)
-    order = initial_order(inst)
-    incumbent = evaluate_makespan(inst, order)
-    # reference: the whole-round speed over 0.6 s of back-to-back rounds
-    moves, t0 = 0, time.monotonic()
-    while time.monotonic() < t0 + 0.6:
-        moves += scan_slice(inst, order, (), incumbent, 0, neighborhood_size(6), None, 0.002)[2]
-    reference = moves / (time.monotonic() - t0)
+    reference = _round_speed(generate_instance(6, 2, 2, seed=9), 0.002)
     with WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002) as server:
-        with WireClient(server.address) as client:
-            client.hello()
-            t0 = time.monotonic()
-            speed = client.calibrate(inst, 3.0).speed
-            wall = time.monotonic() - t0
+        t0 = time.monotonic()
+        speed = calibrate(server.address, 3.0)
+        wall = time.monotonic() - t0
     assert wall < 1.0
     assert abs(speed - reference) / reference < 0.25
 
 
 def test_paced_worker_answers_calibrate_within_one_round():
     # a full round of the 30-move neighborhood takes about 60 ms; one round is the answer
-    inst = generate_instance(6, 2, 2, seed=9)
-    order = initial_order(inst)
-    incumbent = evaluate_makespan(inst, order)
-    # reference: the whole-round speed over 0.6 s of back-to-back rounds
-    moves, t0 = 0, time.monotonic()
-    while time.monotonic() < t0 + 0.6:
-        moves += scan_slice(inst, order, (), incumbent, 0, neighborhood_size(6), None, 0.002)[2]
-    reference = moves / (time.monotonic() - t0)
+    reference = _round_speed(generate_instance(6, 2, 2, seed=9), 0.002)
     with WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002) as server:
-        with WireClient(server.address) as client:
-            client.hello()
-            t0 = time.monotonic()
-            speed = client.calibrate(inst, 3.0).speed
-            wall = time.monotonic() - t0
+        t0 = time.monotonic()
+        speed = calibrate(server.address, 3.0)
+        wall = time.monotonic() - t0
     assert wall < 0.15
     assert abs(speed - reference) / reference < 0.25
 
 
 def test_calibration_times_its_round_with_the_lanes_started(monkeypatch):
-    inst = generate_instance(6, 2, 2, seed=9)
     known = set(multiprocessing.active_children())
     alive = []  # lane processes alive as each full round starts
     evaluate_blocks = LaneEvaluator.evaluate_blocks
@@ -200,54 +198,54 @@ def test_calibration_times_its_round_with_the_lanes_started(monkeypatch):
         return evaluate_blocks(self, ctx, nslice, *args)
 
     monkeypatch.setattr("hfstabu.worker.LaneEvaluator.evaluate_blocks", spy)
-    backend = LocalBackend(lanes=2)
-    try:
-        assert backend.calibrate(inst, 3.0) > 0
-    finally:
-        backend.close()
+    with WorkerServer("127.0.0.1", 0, lanes=2) as server:
+        assert calibrate(server.address, 3.0) > 0
     assert alive == [2]
 
 
 def test_calibration_budget_caps_a_round_that_does_not_fit():
     # one round takes about 0.6 s, so no full round fits in the budget
     with WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.02) as server:
-        with WireClient(server.address) as client:
-            client.hello()
-            t0 = time.monotonic()
-            speed = client.calibrate(generate_instance(6, 2, 2, seed=9), 0.3).speed
-            wall = time.monotonic() - t0
+        t0 = time.monotonic()
+        speed = calibrate(server.address, 0.3)
+        wall = time.monotonic() - t0
     assert 0.3 <= wall < 0.5
     assert speed > 0
 
 
 def test_calibration_leaves_problem_cache_alone():
+    # a calibration sends its instance like any problem: it takes one of the worker's cache
+    # slots, and the problem set before it stays cached, on the same lanes
     calibration = generate_instance(6, 2, 2, seed=9)
     known = set(multiprocessing.active_children())
-    backend = LocalBackend(lanes=2)
-    try:
-        backend.set_problem(INST)
-        backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 60.0)
+    with WorkerServer("127.0.0.1", 0, lanes=2) as server, WireClient(server.address) as client:
+        client.hello()
+        client.set_problem(INST)
+        assert client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0).complete
         lanes = {p.pid for p in multiprocessing.active_children() if p not in known}
         assert len(lanes) == 2
-        assert backend.calibrate(calibration, 0.3) > 0
-        assert not backend.has_problem(instance_digest(calibration))
-        assert backend.has_problem(DIGEST)
+        assert calibrate(server.address, 0.3) > 0
+        assert server._backend.has_problem(instance_digest(calibration))
+        assert server._backend.has_problem(DIGEST)
         # calibration ran on the same lanes: none was forked or lost
         assert {p.pid for p in multiprocessing.active_children() if p not in known} == lanes
         # calibrating on a cached instance keeps it cached
-        assert backend.calibrate(INST, 0.3) > 0
-        assert backend.has_problem(DIGEST)
-        result, frontier = backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 60.0)
-        assert frontier == N and result.moves_evaluated == N
-    finally:
-        backend.close()
+        assert calibrate(server.address, 0.3, size=(8, 3, 3), seed=42) > 0
+        assert server._backend.has_problem(DIGEST)
+        reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
+        assert reply.complete and reply.moves_evaluated == N
 
 
 def test_one_lane_set_serves_every_problem_and_calibration():
     known = set(multiprocessing.active_children())
     backend = LocalBackend(lanes=2)
     try:
-        assert backend.calibrate(generate_instance(6, 2, 2, seed=9), 0.3) > 0
+        # what a calibration asks of a worker: its instance, a one-move warm-up and a full round
+        calibration = generate_instance(6, 2, 2, seed=9)
+        digest = backend.set_problem(calibration)
+        for part in (NeighborhoodSlice(0, 1), NeighborhoodSlice(0, neighborhood_size(6))):
+            result, _ = backend.evaluate(digest, initial_order(calibration), empty_tabu(), 0, part, 0.3)
+            assert result.moves_evaluated > 0
         for seed in range(6):
             inst = generate_instance(8, 3, 3, seed=100 + seed)
             digest = backend.set_problem(inst)
@@ -263,15 +261,36 @@ def test_one_lane_set_serves_every_problem_and_calibration():
 
 
 def test_calibrate_rejects_zero_budget(server):
-    with WireClient(server.address) as client:
-        client.hello()
-        with pytest.raises(protocol.ProtocolError):
-            # the codec itself refuses a non-positive budget
-            protocol.decode(protocol.encode(protocol.Calibrate(1, INST, 0.0)))
-        # a budget that passes the codec but is rejected by the backend
-        backend = LocalBackend(lanes=1)
-        with pytest.raises(ValueError):
-            backend.calibrate(INST, 0.0)
+    # refused before any node is asked, so the worker stays usable
+    config = CoordinatorConfig(calibration_budget=0.0, calibration_jobs=6, calibration_stages=2,
+                               calibration_machines=2)
+    with Coordinator([server.address], config) as coordinator:
+        with pytest.raises(ValueError, match="budget"):
+            coordinator.calibrate(seed=9)
+        assert coordinator.proxies[0].state == "idle"
+    assert calibrate(server.address, 0.2) > 0
+
+
+def test_a_number_too_large_for_a_float_drops_only_its_connection(server):
+    # decoding one used to raise OverflowError, which ended the worker's loop
+    body = json.loads(protocol.encode(protocol.Eval(1, DIGEST, ORDER, empty_tabu(), 10**6,
+                                                    NeighborhoodSlice(0, N), 1.0)))
+    with WireClient(server.address) as bad, WireClient(server.address) as good:
+        bad.send_raw(json.dumps({**body, "deadline": 10**400}).encode() + b"\n")
+        with pytest.raises(ConnectionError):
+            bad.recv()
+        assert isinstance(good.hello(), protocol.Hello)
+
+
+def test_a_line_longer_than_a_frame_drops_only_its_connection(server, monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
+    with WireClient(server.address) as flooder, WireClient(server.address) as other:
+        flooder.send_raw(b"x" * 10_000)  # never a newline
+        with pytest.raises(ConnectionError):
+            flooder.recv()
+        assert isinstance(other.hello(), protocol.Hello)
+        other.set_problem(INST)
+        assert other.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0).complete
 
 
 def test_exit_report_on_shutdown():
@@ -405,7 +424,9 @@ def test_one_thread_serves_every_connection():
                 reply = client.recv()
                 assert isinstance(reply, protocol.EvalResult) and reply.rid == rid
             for client in clients:
-                assert client.calibrate(calibration, 0.05).speed > 0
+                digest = client.set_problem(calibration)
+                reply = client.eval(digest, initial_order(calibration), empty_tabu(), 0, 0, 30, 0.05)
+                assert isinstance(reply, protocol.EvalResult) and reply.moves_evaluated > 0
             assert len(new_threads()) == 1
         finally:
             for client in clients:
