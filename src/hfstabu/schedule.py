@@ -26,8 +26,12 @@ the whole schedule, processor ids included, as their reference:
   neighbourhood, the inner loop of the search. It decodes the
   permutation without the moved job once, with the same sorted
   multisets, and resumes each insertion from the schedule prefix it
-  shares with that reference. It stops an insertion once a lower bound
-  on its makespan reaches a given bound.
+  shares with that reference. At stage 0 it also stops dispatching at
+  the first task after the insertion point that takes every processor:
+  from there on both schedules have all processors free at one time,
+  so the later stage-0 completions are the reference's, shifted. It
+  stops an insertion once a lower bound on its makespan reaches a given
+  bound.
 """
 
 from __future__ import annotations
@@ -83,30 +87,43 @@ def insertion_decoder(inst: ProblemInstance, order, from_pos: int):
     makespan is known to be >= ``bound`` (``math.inf`` for no bound).
     When it returns a number, that number is the exact makespan.
 
-    Keys are ``ready * 2n + slot``: the reference job of rank r has slot
-    2r + 1 and the moved job slot 2 * to_pos, so slot order is position
-    order in the candidate and reference keys do not depend on to_pos.
+    Keys are ``ready * w + slot``, with w the smallest power of two above
+    2n - 1, so a shift and a mask split a key. The reference job of rank
+    r has slot 2r + 1 and the moved job slot 2 * to_pos, so slot order
+    is position order in the candidate and reference keys do not depend
+    on to_pos.
     A candidate resumes each stage from the longest dispatch prefix it
     provably shares with the reference: the same tasks in the same order
     with the same ready times leave the same availability multiset.
-    Stage 0 shares to_pos steps. Stage i > 0 shares min(A, B) steps: A
+    Stage 0 shares to_pos steps, and dispatches only the moved job and
+    the reference ranks from to_pos up to the first one whose task takes
+    every processor of the stage (rank b; the last rank when there is
+    none). After rank b every processor is free at one time, at T_c in
+    the candidate and at T_r in the reference. Every stage-0 task is
+    ready at 0 and the later ranks come in the same order, so each
+    completes at its reference time plus T_c - T_r: their keys are the
+    reference's, shifted. Stage i > 0 shares min(A, B) steps: A
     is the longest prefix of the reference's dispatch order whose jobs
     all lie in the shared prefix of stage i - 1, B the number of
     reference keys below the smallest key the candidate recomputed at
     stage i - 1. Every recomputed task's completion time plus its job's
     work at later stages (``ProblemInstance.stage_tails``) bounds the
     makespan from below; the candidate stops once that reaches ``bound``.
+    The shifted stage-0 tasks go unchecked, but their jobs lie outside
+    every shared prefix, so each later stage recomputes and checks them.
     """
     n = len(order)
-    width = 2 * n
+    bits = (2 * n - 1).bit_length()
+    width = 1 << bits
+    mask = width - 1
     rest = list(order)
     job = rest.pop(from_pos)
     by_slot = [job] * width
-    by_slot[1:width - 1:2] = rest
+    by_slot[1:2 * n - 1:2] = rest
     pick = itemgetter(*by_slot)
 
     stages = []
-    keys = list(range(1, width - 1, 2))
+    keys = list(range(1, 2 * n - 1, 2))
     done = reach = None
     for (mi, dur, wid), tail in zip(inst.stage_columns, inst.stage_tails):
         if done is not None:
@@ -118,7 +135,7 @@ def insertion_decoder(inst: ProblemInstance, order, from_pos: int):
         after = [avail]
         done = []
         for key in keys:
-            ready, slot = divmod(key, width)
+            ready, slot = key >> bits, key & mask
             q = wid_s[slot]
             t = avail[q - 1]
             if ready > t:
@@ -129,15 +146,22 @@ def insertion_decoder(inst: ProblemInstance, order, from_pos: int):
             avail[at:at] = [t] * q
             after.append(avail)
             done.append(t * width + slot)
-        stages.append((keys, reach, after, done, dur_s, wid_s, tail_s))
+        stages.append((keys, reach, after, done, dur_s, wid_s, tail_s, mi))
     first_keys = stages[0][0]
     peak = list(accumulate(done, max, initial=0))
+    # per rank r, the first rank >= r whose stage-0 task takes every processor;
+    # n - 2, the last rank, when there is none
+    m0, wid0 = inst.processors_per_stage[0], stages[0][5]
+    next_full = [n - 2] * n
+    for r in range(n - 2, -1, -1):
+        next_full[r] = r if wid0[2 * r + 1] == m0 else next_full[r + 1]
 
     def makespan_below(to_pos: int, bound) -> int | None:
         shared = to_pos
-        redone = [2 * to_pos, *first_keys[to_pos:]]
+        last = next_full[to_pos]
+        redone = [2 * to_pos, *first_keys[to_pos:last + 1]]
         prev_done = None
-        for ref_keys, reach, after, ref_done, dur_s, wid_s, tail_s in stages:
+        for ref_keys, reach, after, ref_done, dur_s, wid_s, tail_s, mi in stages:
             if prev_done is not None:
                 lowest = min(redone)
                 redone = prev_done[:shared] + redone
@@ -147,7 +171,7 @@ def insertion_decoder(inst: ProblemInstance, order, from_pos: int):
             avail = after[shared].copy()
             keys, redone = redone, []
             for key in keys:
-                ready, slot = divmod(key, width)
+                ready, slot = key >> bits, key & mask
                 q = wid_s[slot]
                 t = avail[q - 1]
                 if ready > t:
@@ -155,11 +179,22 @@ def insertion_decoder(inst: ProblemInstance, order, from_pos: int):
                 t += dur_s[slot]
                 if t + tail_s[slot] >= bound:
                     return None
-                del avail[:q]
-                at = bisect_right(avail, t)
-                avail[at:at] = [t] * q
+                if q == 1:
+                    del avail[0]
+                    avail.insert(bisect_right(avail, t), t)
+                elif q == mi:
+                    avail = [t] * q
+                else:
+                    del avail[:q]
+                    at = bisect_right(avail, t)
+                    avail[at:at] = [t] * q
                 redone.append(t * width + slot)
+            if prev_done is None:
+                # after rank `last` every processor is free at one time in both
+                # schedules, so the later ranks complete as in the reference, shifted
+                shift = redone[-1] - ref_done[last]
+                redone += [key + shift for key in ref_done[last + 1:]]
             prev_done = ref_done
-        return max(peak[shared], max(redone)) // width
+        return max(peak[shared], max(redone)) >> bits
 
     return makespan_below

@@ -77,6 +77,28 @@ def test_lean_twin_agrees_on_30x5(seed):
         assert evaluate_makespan(inst, order) == build_schedule(inst, order).makespan
 
 
+def _stage0_cases(inst, job, later, before, after):
+    """The stage-0 cases that inserting ``job`` before the reference jobs ``later`` meets.
+
+    ``before`` and ``after`` are the oracle schedules of the reference (the
+    moved job last, which stage 0 dispatches after every other job) and of
+    the candidate. A stage-0 task that takes every processor frees them
+    all at one time, in both schedules, so the jobs after it complete as
+    in the reference, shifted by the difference of its completions.
+    """
+    m0 = inst.processors_per_stage[0]
+    cases = {"inserted job full width"} if inst.widths[job][0] == m0 else set()
+    full = [j for j in later if inst.widths[j][0] == m0]
+    if not full:
+        return cases | {"no full-width task after to_pos"}
+    delta = after.completion[full[0]][0] - before.completion[full[0]][0]
+    assert delta >= 0
+    cases.add("full width after to_pos, delta > 0" if delta else "full width after to_pos, delta == 0")
+    if full[0] == later[-1]:
+        cases.add("full width at the last rank")
+    return cases
+
+
 def test_insertion_decoder_matches_full_decodes():
     rng = random.Random(31)
     seen = set()
@@ -90,16 +112,22 @@ def test_insertion_decoder_matches_full_decodes():
         order = tuple(rng.sample(range(n), n))
         for from_pos in range(n):
             makespan_below = insertion_decoder(inst, order, from_pos)
+            job, rest = order[from_pos], order[:from_pos] + order[from_pos + 1:]
+            before = build_schedule(inst, rest + (job,))
             for to_pos in range(n):
                 if to_pos == from_pos:
                     continue
-                exact = evaluate_makespan(inst, apply_move(order, Move(from_pos, to_pos)))
+                after = build_schedule(inst, apply_move(order, Move(from_pos, to_pos)))
+                seen |= _stage0_cases(inst, job, rest[to_pos:], before, after)
+                exact = after.makespan
                 assert makespan_below(to_pos, math.inf) == exact
                 bound = exact + rng.randint(-3, 3)
                 got = makespan_below(to_pos, bound)
                 # exact below the bound; at or above it, either exact or stopped
                 assert got == exact or (got is None and exact >= bound)
-    assert seen == {"n == 2", "one stage", "mi == 1"}
+    assert seen == {"n == 2", "one stage", "mi == 1", "inserted job full width", "no full-width task after to_pos",
+                    "full width after to_pos, delta > 0", "full width after to_pos, delta == 0",
+                    "full width at the last rank"}
 
 
 def test_lower_bounds_hold():

@@ -1,8 +1,10 @@
+import functools
 import random
 import time
 
 import pytest
 
+from hfstabu.bench import trace_digest
 from hfstabu.instance import ProblemInstance, generate_instance
 from hfstabu.neighborhood import Move, NeighborhoodSlice, apply_move, decode_move, neighborhood_size
 from hfstabu.schedule import evaluate_makespan
@@ -136,15 +138,21 @@ def test_scan_matches_reference_scan():
     assert {"mi == 1", "q == mi > 1"} <= seen
 
 
-def _trajectory_contexts(inst, iterations):
+def _trajectory(inst, iterations, seed=1):
+    """(result, contexts) of a one-lane search."""
     contexts = []
 
     def record(ctx):
         contexts.append(ctx)
         return sequential_evaluator(ctx)
 
-    run_search(inst, SearchParams(iterations=iterations, seed=1), record)
-    return contexts
+    return run_search(inst, SearchParams(iterations=iterations, seed=seed), record), contexts
+
+
+@functools.cache
+def _benchmark_trajectory(seed):
+    """Ten iterations on the benchmark's 30x5 instance of ``seed``: (result, contexts)."""
+    return _trajectory(generate_instance(30, 5, 5, seed), 10, seed)
 
 
 def _inner(rng, group, span):
@@ -159,7 +167,7 @@ def test_scan_matches_reference_on_a_search_trajectory():
     total = neighborhood_size(n)
     rng = random.Random(99)
     aspired = 0
-    for it, ctx in enumerate(_trajectory_contexts(inst, 60)):
+    for it, ctx in enumerate(_trajectory(inst, 60)[1]):
         first = rng.randrange(n)
         last = rng.randrange(first, n)
         scans = [(*sorted((_inner(rng, first, span), _inner(rng, last, span))), ctx.incumbent)]
@@ -182,11 +190,42 @@ def test_scan_matches_reference_on_a_search_trajectory():
     assert aspired >= 5
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+def test_scan_matches_reference_on_the_benchmark_instance(seed):
+    # the benchmark checks every lane mode against the same scan_slice, so only an oracle
+    # catches a decoder error on its instances; 30 jobs at 5 processors give long runs of
+    # stage-0 tasks narrower than the stage between full-width ones
+    inst = generate_instance(30, 5, 5, seed)
+    n, span = 30, 29
+    total = neighborhood_size(n)
+    rng = random.Random(seed)
+    _, contexts = _benchmark_trajectory(seed)
+    for it, ctx in enumerate(contexts):
+        first = rng.randrange(n)
+        # from inside one group to inside the same group or a later one
+        lo, hi = sorted((_inner(rng, first, span), _inner(rng, rng.randrange(first, min(n, first + 8)), span)))
+        scans = [(lo, hi + 1)]
+        if it % 5 == 0:
+            scans.append((0, total))
+        for lo, hi in scans:
+            assert scan_slice(inst, ctx.order, ctx.tabu.entries, ctx.incumbent, lo, hi) == reference_scan(
+                inst, ctx.order, ctx.tabu.entries, ctx.incumbent, lo, hi
+            )
+
+
+@pytest.mark.parametrize("seed, digest, best", [(1, "494cd4bbb7e485b4", 1548), (7, "3f7ba1833c9be870", 1328)])
+def test_benchmark_trajectory_is_pinned(seed, digest, best):
+    # the same trajectory on every supported Python version: `hfstabu bench local --sizes 30x5
+    # --iterations 10 --seed 1` gives this digest on 3.10 to 3.13
+    result, _ = _benchmark_trajectory(seed)
+    assert (trace_digest(result), result.best_makespan) == (digest, best)
+
+
 def test_scan_cut_by_deadline_is_a_prefix():
     inst = generate_instance(10, 5, 5, seed=1)
     rng = random.Random(5)
     cut = 0
-    for ctx in _trajectory_contexts(inst, 60)[::6]:
+    for ctx in _trajectory(inst, 60)[1][::6]:
         begin = _inner(rng, rng.randrange(3), 9)
         end = neighborhood_size(10)
         deadline = time.monotonic() + 0.03
