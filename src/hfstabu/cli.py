@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diversify-after", type=_non_negative_int, default=20)
     p.add_argument("--diversify-strength", type=_non_negative_int, default=None)
     p.add_argument("--calibration-budget", type=_positive_float, default=2.0,
-                   help="seconds; one timed round after a one-move warm-up; the budget caps it")
+                   help="seconds; the compute deadline of the pre-flight's one-move warm-up EVAL")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("worker", help="run an evaluation worker daemon")
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machines", type=int, default=5)
     p.add_argument("--repeats", type=_positive_int, default=1)
     p.add_argument("--calibration-budget", type=_positive_float, default=2.0,
-                   help="seconds; one timed round after a one-move warm-up; the budget caps it")
+                   help="seconds; the compute deadline of the pre-flight's one-move warm-up EVAL")
     p.add_argument("-o", "--output", help="CSV output file (default stdout)")
     p.set_defaults(func=cmd_bench)
     return parser

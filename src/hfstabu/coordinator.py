@@ -1,16 +1,17 @@
 """Load-balancing coordinator for distributed neighborhood evaluation.
 
 One ``Coordinator`` plays the master's role at the top level of a
-distributed search and inside every super server, for its children. A
-run starts by measuring every node's speed on a generated mid-complexity
-instance with ordinary requests: a SET_PROBLEM, a one-move warm-up EVAL
-and one timed EVAL of a whole round, which the budget caps. Those
-measurements seed each node's performance history. Only the top level
-calibrates: the nodes of a super server's coordinator, like lanes, start
-from ``NOMINAL_SPEED``. Each iteration then splits the neighborhood
-proportionally to the predicted node speeds, dispatches one EVAL per
-node with a deadline derived from the prediction, and waits for the
-replies.
+distributed search and inside every super server, for its children, and
+every node starts the same way at every level: from ``NOMINAL_SPEED``,
+measured by the rounds it serves. A top-level run starts with a
+pre-flight check, ``calibrate``, made of ordinary requests: the
+handshake, a SET_PROBLEM of a small generated instance and a one-move
+warm-up EVAL that forks a worker's lanes or reaches a super server's
+children. It times no round and records no speed, so the first rounds of
+the real problem measure each node. Each iteration splits the
+neighborhood proportionally to the predicted node speeds, dispatches one
+EVAL per node with a deadline derived from the prediction, and waits for
+the replies.
 
 The coordinator talks to nodes one way, on the thread that uses it.
 ``_connect`` is the only place a connection is opened; calibration and
@@ -27,8 +28,8 @@ kind of request keeps its own failure policy on top of it:
 * HELLO: anything but a HELLO reply of the same major version, within
   one ``CONNECT_TIMEOUT`` after the last connection has opened, marks
   the node dead.
-* A calibration EVAL: any failure, an inconsistent result or a zero
-  speed marks the node dead.
+* The warm-up EVAL: any failure, an inconsistent result or a zero speed
+  marks the node dead.
 * Any other EVAL: the slice goes back into the queue. EXIT_REPORT marks
   the node dead, a budget cut marks it suspect (its reply may still be
   in flight), and any other failure or an inconsistent result is a
@@ -71,10 +72,14 @@ BUSY = "busy"
 SUSPECT = "suspect"
 DEAD = "dead"
 
-# An uncalibrated node's assumed speed, in moves/s, about one core on 30x5: it
-# sets the first round's deadlines (a slower node answers with a prefix) and weighs one move.
+# The predicted speed, in moves/s, of a node not yet measured, about one core on 30x5: it
+# splits a node's first round and sets its deadline (a slower node answers with a prefix).
 NOMINAL_SPEED = 10_000.0
 CONNECT_TIMEOUT = 5.0  # seconds a node's opener may take to connect, and then its HELLO reply
+DEADLINE_SLACK = 2.0  # an EVAL's compute deadline is its predicted duration x slack + floor, in seconds
+DEADLINE_FLOOR = 0.25
+RESPONSE_GRACE = 1.0  # seconds a reply may take beyond its compute deadline
+WARMUP_SHAPE = (6, 2, 2)  # jobs, stages and processors per stage of the pre-flight's instance
 
 # how Coordinator._collect reports a request that got no reply
 LOST = "connection lost"
@@ -89,7 +94,7 @@ class PlanningError(RuntimeError):
 
 
 class CalibrationError(RuntimeError):
-    """No node survived the calibration round."""
+    """No node passed the pre-flight check."""
 
 
 class CoverageError(RuntimeError):
@@ -122,9 +127,9 @@ class NodePerfHistory:
 
 
 def predict(history: NodePerfHistory) -> float:
-    """Weighted average speed; each measurement is weighted by its move count."""
+    """Weighted average speed, each measurement weighted by its move count; ``NOMINAL_SPEED`` if none."""
     if not history.count:
-        raise ValueError("empty performance history; calibrate first")
+        return NOMINAL_SPEED
     return history.weighted / history.moves
 
 
@@ -158,14 +163,8 @@ def plan_partition(speeds, total: int, begin: int = 0) -> list[NeighborhoodSlice
 
 @dataclass
 class CoordinatorConfig:
-    calibration_budget: float = 2.0
-    calibration_jobs: int = 30
-    calibration_stages: int = 5
-    calibration_machines: int = 5
-    deadline_slack: float = 2.0        # per-node deadline = predicted duration * slack + floor
-    deadline_floor: float = 0.25
-    response_grace: float = 1.0        # extra wall time allowed beyond the worker's deadline
-    calibration_grace: float = 10.0
+    calibration_budget: float = 2.0  # seconds: the warm-up EVAL's compute deadline
+    calibration_grace: float = 10.0  # seconds the pre-flight waits beyond the budget
 
 
 class NodeProxy:
@@ -422,76 +421,51 @@ class Coordinator:
         return digest
 
     def calibrate(self, seed: int) -> dict[int, float]:
-        """Connect every node and measure its speed, concurrently; requires one survivor.
+        """Pre-flight check: connect every node and see it evaluate, concurrently; requires one survivor.
 
-        Each ready node gets the calibration instance, a one-move warm-up
-        EVAL that starts its lanes or children, then one EVAL of a whole
-        round of the initial order within what the warm-ups' send left of
-        the budget. Its speed is the round's, or the warm-up's if the round
-        evaluated no move; any failure, an inconsistent reply or zero speed
-        kills the node. Each survivor's history starts with one entry
-        weighted by its speed x the whole calibration's wall time, about the
-        moves it could scan meanwhile, so real iterations outweigh it within
-        a few rounds; its own send-to-reply time would undercount that when
-        nodes share a host's cores. Returns each survivor's speed, by node id.
+        Each ready node gets a small instance generated from ``seed``
+        (``WARMUP_SHAPE``) and one one-move warm-up EVAL, which forks a
+        worker's lanes or reaches a super server's children. The budget is
+        the warm-up's compute deadline, and the whole check waits at most
+        the budget plus ``calibration_grace``. Any failure, an inconsistent
+        reply or zero speed kills the node. No speed is recorded: every
+        node starts from ``NOMINAL_SPEED``, and the real problem's first
+        rounds measure it. Returns each survivor's warm-up speed, by node id.
         """
-        inst = generate_instance(self.config.calibration_jobs, self.config.calibration_stages,
-                                 self.config.calibration_machines, seed)
         budget = self.config.calibration_budget
         if not 0 < budget < math.inf:
             raise ValueError(f"calibration budget must be a positive finite number, got {budget}")
-        start = time.monotonic()
-        deadline = start + budget + self.config.calibration_grace
+        deadline = time.monotonic() + budget + self.config.calibration_grace
+        inst = generate_instance(*WARMUP_SHAPE, seed)
         digest = self.set_problem(inst)
-        order, timed = initial_order(inst), NeighborhoodSlice(0, neighborhood_size(inst.num_jobs))
+        order, warmup = initial_order(inst), NeighborhoodSlice(0, 1)
         requests: dict[int, tuple[NodeProxy, float, float]] = {}
-        sent: dict[int, NeighborhoodSlice] = {}
-
-        def send(proxy: NodeProxy, part: NeighborhoodSlice, compute: float):
+        for proxy in self._ready_nodes(self.proxies):
             rid = proxy.next_rid()  # no move is tabu, so the incumbent plays no part
-            proxy.send(protocol.Eval(rid, digest, order, TabuList(), 0, part, compute))
-            requests[rid] = (proxy, deadline, math.inf)
-            sent[rid] = part
-
-        ready = self._ready_nodes(self.proxies)
-        warmups_sent = time.monotonic()
-        for proxy in ready:
             try:
-                send(proxy, NeighborhoodSlice(0, 1), budget)
-                proxy.state = BUSY
+                proxy.send(protocol.Eval(rid, digest, order, TabuList(), 0, warmup, budget))
             except OSError as exc:
                 proxy.state = DEAD
                 log.warning("node %d dropped from calibration: send failed: %s", proxy.node_id, exc)
-        warmup_speed: dict[NodeProxy, float] = {}
-        answered: dict[NodeProxy, float] = {}
-        for rid, proxy, reply, failure in self._collect(requests):  # send() adds the timed rounds
-            part = sent.pop(rid)
-            if failure is None and not self._result_consistent(reply, part):
+                continue
+            proxy.state = BUSY
+            requests[rid] = (proxy, deadline, math.inf)
+        speeds: dict[int, float] = {}
+        for _, proxy, reply, failure in self._collect(requests):
+            if failure is None and not self._result_consistent(reply, warmup):
                 failure = "inconsistent result"
-            if failure is None and part is not timed:
-                warmup_speed[proxy] = reply.speed
-                try:
-                    send(proxy, timed, max(0.0, warmups_sent + budget - time.monotonic()))
-                    continue
-                except OSError as exc:
-                    failure = f"send failed: {exc}"
-            if failure is None:
-                speed = reply.speed if reply.moves_evaluated else warmup_speed[proxy]
-                if speed > 0:
-                    proxy.state = IDLE
-                    proxy.strikes = 0
-                    answered[proxy] = speed
-                    continue
+            if failure is None and reply.speed <= 0:
                 failure = "no speed measured"
-            proxy.state = DEAD
-            log.warning("node %d dropped from calibration: %s", proxy.node_id, failure)
-        elapsed = time.monotonic() - start
-        for proxy, speed in answered.items():
-            proxy.history = NodePerfHistory([(max(1, round(speed * elapsed)), speed)])
+            if failure is not None:
+                proxy.state = DEAD
+                log.warning("node %d dropped from calibration: %s", proxy.node_id, failure)
+                continue
+            proxy.state = IDLE
+            proxy.strikes = 0
+            speeds[proxy.node_id] = reply.speed
         self._drop_dead()
-        if not answered:
+        if not speeds:
             raise CalibrationError("no node completed calibration")
-        speeds = {proxy.node_id: speed for proxy, speed in answered.items()}
         log.info("calibrated %d node(s): %s", len(speeds), {k: round(v, 1) for k, v in speeds.items()})
         return speeds
 
@@ -538,7 +512,7 @@ class Coordinator:
         first_range = True
         stalled = 0
         while pending and time.monotonic() < budget_abs and stalled <= len(self.proxies) + 2:
-            ready = self._ready_nodes(p for p in self.proxies if p.history.count)
+            ready = self._ready_nodes(self.proxies)
             if not ready:
                 break
             begin, end = pending.popleft()
@@ -556,7 +530,7 @@ class Coordinator:
                     continue
                 now = time.monotonic()
                 left = max(budget_abs - now, 0.05)  # every node gets 50 ms, counted from its own send
-                deadline = min(len(part) / speed * self.config.deadline_slack + self.config.deadline_floor, left)
+                deadline = min(len(part) / speed * DEADLINE_SLACK + DEADLINE_FLOOR, left)
                 rid = proxy.next_rid()
                 try:
                     proxy.send(protocol.Eval(rid, digest, ctx.order, ctx.tabu, ctx.incumbent, part, deadline))
@@ -565,7 +539,7 @@ class Coordinator:
                     pending.append((part.begin, part.end))
                     continue
                 proxy.state = BUSY
-                requests[rid] = (proxy, now + deadline + self.config.response_grace, now + left + 0.1)
+                requests[rid] = (proxy, now + deadline + RESPONSE_GRACE, now + left + 0.1)
                 sent[rid] = part
 
             round_moves = 0

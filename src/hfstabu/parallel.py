@@ -6,10 +6,9 @@ and super servers: same plan, deadlines, failure policy and prefix
 reducer. A lane is a forked process that runs the worker request loop
 (``WorkerServer`` with one lane) on one end of a socket pair, with no
 listener, until that socket closes. Lanes are forked on first use and
-are never calibrated on their own: each starts from one nominal history
-entry, as a super server's children do, and a worker's calibration EVALs
-are split over all of them, as any EVAL is. The lanes get each new
-instance as a SET_PROBLEM before its first round.
+are never calibrated on their own: like every node, each starts from
+``NOMINAL_SPEED`` and is measured by the rounds it serves. The lanes get
+each new instance as a SET_PROBLEM before its first round.
 
 A failed lane's range goes to the other lanes, and its reconnect forks
 a replacement; a lane that fails twice is dead. When no lane is live,
@@ -27,7 +26,7 @@ import os
 import socket
 import time
 
-from .coordinator import NOMINAL_SPEED, Coordinator
+from .coordinator import Coordinator
 from .instance import ProblemInstance
 from .neighborhood import NeighborhoodSlice, neighborhood_size
 from .tabu import EvalContext, SliceResult, merge_prefix, scan_slice
@@ -115,8 +114,6 @@ class LaneEvaluator:
             self._coordinator = Coordinator([("lane", i) for i in range(self.lanes)], opener=self._fork_lane)
             if instance is not None:
                 self._coordinator.set_problem(instance)  # sent to each lane as it connects
-            for proxy in self._coordinator.proxies:
-                proxy.history.record(1, NOMINAL_SPEED)
 
     def _fork_lane(self, address, timeout: float) -> socket.socket:
         """The opener of every lane: fork a lane process and return our end of its socket pair."""

@@ -8,17 +8,17 @@ redistribution and fault handling. Each EVAL is one call to
 of the request, and the rest goes back upstream as the remaining range.
 Children may themselves be super servers, so arbitrary trees compose;
 the client only ever balances over its direct children. Children are
-never calibrated on their own: each starts from one nominal history
-entry, as a lane does, and the EVALs that calibrate the super server are
-split across them like any other. So its calibrated speed, like the
-speed reported with each evaluation, is the throughput of the subtree.
+never calibrated on their own: like every node, each starts from
+``NOMINAL_SPEED`` and is measured by the rounds it serves. So the speed
+the super server reports with each evaluation, the warm-up's included, is
+the throughput of the subtree.
 """
 
 from __future__ import annotations
 
 import threading
 
-from .coordinator import NOMINAL_SPEED, Coordinator, CoordinatorConfig
+from .coordinator import Coordinator, CoordinatorConfig
 from .tabu import SliceResult
 from .worker import Backend, WorkerServer
 
@@ -32,8 +32,6 @@ class FanoutBackend(Backend):
 
     def __init__(self, children, config: CoordinatorConfig | None = None):
         self.coordinator = Coordinator(children, config)
-        for proxy in self.coordinator.proxies:
-            proxy.history.record(1, NOMINAL_SPEED)
         super().__init__(self.coordinator)
         self._connected = False
         self._lock = threading.Lock()

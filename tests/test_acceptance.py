@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from hfstabu.coordinator import Coordinator, CoordinatorConfig, NodePerfHistory, predict
+from hfstabu.coordinator import NOMINAL_SPEED, Coordinator, CoordinatorConfig, NodePerfHistory, predict
 from hfstabu.instance import generate_instance
 from hfstabu.neighborhood import NeighborhoodSlice, decode_move, neighborhood_size
 from hfstabu.parallel import LaneEvaluator
@@ -49,8 +49,7 @@ def physical_cores():
 
 
 def fast_config(**overrides):
-    defaults = dict(calibration_budget=0.2, calibration_jobs=6, calibration_stages=2,
-                    calibration_machines=2, calibration_grace=5.0)
+    defaults = dict(calibration_budget=0.2, calibration_grace=5.0)
     defaults.update(overrides)
     return CoordinatorConfig(**defaults)
 
@@ -304,8 +303,7 @@ def test_criterion_9_predictor_arithmetic():
     assert predict(NodePerfHistory([(7, 123.0)])) == 123.0
     assert predict(NodePerfHistory([(1, 4.0), (10**6, 4.0), (3, 4.0)])) == 4.0
     assert predict(NodePerfHistory([(50, 2.0), (50, 6.0)])) == 4.0
-    with pytest.raises(ValueError):
-        predict(NodePerfHistory())
+    assert predict(NodePerfHistory()) == NOMINAL_SPEED  # a node not yet measured
     report(9, "predictor arithmetic", "weighted-average formula exact")
 
 

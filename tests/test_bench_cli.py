@@ -22,8 +22,7 @@ def run_cli(*args, **kwargs):
 
 
 def fast_config():
-    return CoordinatorConfig(calibration_budget=0.15, calibration_jobs=6,
-                             calibration_stages=2, calibration_machines=2)
+    return CoordinatorConfig(calibration_budget=0.15)
 
 
 # -- bench harness ----------------------------------------------------------------

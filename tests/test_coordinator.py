@@ -9,6 +9,8 @@ import pytest
 from hfstabu import coordinator as coordinator_module
 from hfstabu import protocol
 from hfstabu.coordinator import (
+    NOMINAL_SPEED,
+    WARMUP_SHAPE,
     CalibrationError,
     Coordinator,
     CoordinatorConfig,
@@ -17,11 +19,12 @@ from hfstabu.coordinator import (
     plan_partition,
     predict,
 )
-from hfstabu.instance import generate_instance
+from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.protocol import PROTOCOL_VERSION
 from hfstabu.tabu import EvalContext, SearchParams, TabuList, run_search
 from hfstabu.schedule import evaluate_makespan
+from hfstabu.superserver import serve_as_super_server
 from hfstabu.worker import WorkerServer
 
 from netharness import LatencyRelay, SubprocessWorker, record_cover
@@ -32,8 +35,7 @@ N = neighborhood_size(8)
 
 
 def fast_config(**overrides):
-    defaults = dict(calibration_budget=0.15, calibration_jobs=6, calibration_stages=2,
-                    calibration_machines=2, calibration_grace=5.0)
+    defaults = dict(calibration_budget=0.15, calibration_grace=5.0)
     defaults.update(overrides)
     return CoordinatorConfig(**defaults)
 
@@ -69,8 +71,8 @@ def test_predict_constant_speed():
 
 
 def test_predict_empty_history_unavailable():
-    with pytest.raises(ValueError, match="calibrate"):
-        predict(NodePerfHistory())
+    # a node with no measurement yet is planned at the nominal speed
+    assert predict(NodePerfHistory()) == NOMINAL_SPEED
 
 
 def test_history_rejects_non_positive():
@@ -156,6 +158,8 @@ def test_verify_exact_cover():
 
 
 def test_calibrate_initializes_histories():
+    # calibration records nothing: every node starts at the nominal speed, and the real
+    # problem's first round measures it
     with WorkerServer("127.0.0.1", 0, lanes=1) as w1, WorkerServer("127.0.0.1", 0, lanes=1) as w2:
         coordinator = Coordinator([w1.address, w2.address], fast_config())
         try:
@@ -163,30 +167,33 @@ def test_calibrate_initializes_histories():
             assert set(speeds) == {0, 1}
             assert all(v > 0 for v in speeds.values())
             for history in (p.history for p in coordinator.proxies):
-                assert history.count == 1
-                assert history.moves > 0 and predict(history) > 0
+                assert history.count == 0 and predict(history) == NOMINAL_SPEED
+            coordinator.set_problem(INST)
+            coordinator.evaluate(make_ctx(INST))
+            assert all(p.history.count >= 1 and p.history.moves > 0 for p in coordinator.proxies)
         finally:
             coordinator.close()
 
 
-def test_calibration_entry_is_weighted_by_request_time():
-    budget = 2.0
-    with WorkerServer("127.0.0.1", 0, lanes=1) as w1, WorkerServer("127.0.0.1", 0, lanes=1) as w2:
-        coordinator = Coordinator([w1.address, w2.address], fast_config(calibration_budget=budget))
-        try:
-            t0 = time.monotonic()
-            speeds = coordinator.calibrate(seed=5)
-            wall = time.monotonic() - t0
-            assert set(speeds) == {0, 1}
-            assert wall < budget / 2  # each node answered after one timed round, well inside the budget
-            for node, speed in speeds.items():
-                history = coordinator.proxies[node].history
-                assert history.count == 1
-                # weighted by the moves scanned in the request's time, not by the budget
-                assert history.moves < 0.5 * speed * budget
-                assert 0.5 * speed * wall <= history.moves <= speed * wall + 1
-        finally:
-            coordinator.close()
+def test_calibrate_costs_each_node_one_one_move_eval():
+    flat = WorkerServer("127.0.0.1", 0, lanes=1)
+    children = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(2)]
+    for server in (flat, *children):
+        server.start()
+    sup = serve_as_super_server("127.0.0.1", 0, [c.address for c in children], fast_config())
+    sup.start()
+    try:
+        with Coordinator([flat.address, sup.address], fast_config()) as coordinator:
+            assert set(coordinator.calibrate(seed=5)) == {0, 1}
+        for server in (flat, sup):
+            assert server.requests_served == 1 and server.moves_evaluated <= 1
+        # the super server's warm-up reaches one of its children, and costs them one move in all
+        assert sum(c.requests_served for c in children) == 1
+        assert sum(c.moves_evaluated for c in children) <= 1
+    finally:
+        sup.shutdown()
+        for server in (flat, *children):
+            server.shutdown()
 
 
 def test_calibrate_marks_unreachable_node_dead():
@@ -268,7 +275,7 @@ def test_calibration_failure_marks_node_dead(fault):
             speeds = coordinator.calibrate(seed=5)
             assert set(speeds) == {0} and speeds[0] > 0
             assert coordinator.proxies[0].state == "idle"
-            assert coordinator.proxies[0].history.count == 1
+            assert coordinator.proxies[0].history.count == 0  # nothing recorded until the first round
             assert coordinator.proxies[1].state == "dead"
             assert not coordinator.proxies[1].history.count
         finally:
@@ -368,10 +375,13 @@ def test_slow_opener_leaves_earlier_handshakes_their_wait(monkeypatch):
 
 
 def test_calibration_instance_deterministic():
-    cfg = fast_config()
-    a = generate_instance(cfg.calibration_jobs, cfg.calibration_stages, cfg.calibration_machines, 99)
-    b = generate_instance(cfg.calibration_jobs, cfg.calibration_stages, cfg.calibration_machines, 99)
-    assert a == b
+    # the pre-flight's instance has a fixed shape and depends on the seed alone
+    assert generate_instance(*WARMUP_SHAPE, 99) == generate_instance(*WARMUP_SHAPE, 99)
+    with WorkerServer("127.0.0.1", 0, lanes=1) as worker:
+        for _ in range(2):
+            with Coordinator([worker.address], fast_config()) as coordinator:
+                coordinator.calibrate(seed=99)
+        assert list(worker._backend._problems) == [instance_digest(generate_instance(*WARMUP_SHAPE, 99))]
 
 
 def test_all_nodes_unreachable_raises():
@@ -490,8 +500,10 @@ def test_timeout_suspect_and_late_sample(monkeypatch):
     servers = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(2)]
     for s in servers:
         s.start()
-    config = fast_config(deadline_slack=1.2, deadline_floor=0.05, response_grace=0.1)
-    coordinator = Coordinator([s.address for s in servers], config)
+    monkeypatch.setattr(coordinator_module, "DEADLINE_SLACK", 1.2)
+    monkeypatch.setattr(coordinator_module, "DEADLINE_FLOOR", 0.05)
+    monkeypatch.setattr(coordinator_module, "RESPONSE_GRACE", 0.1)
+    coordinator = Coordinator([s.address for s in servers], fast_config())
     audits, _ = record_cover(monkeypatch, coordinator)
     try:
         coordinator.calibrate(seed=4)
@@ -525,18 +537,20 @@ def test_timeout_suspect_and_late_sample(monkeypatch):
             s.shutdown()
 
 
-def test_slow_worker_returns_prefix_and_rest_is_redistributed():
+def test_slow_worker_returns_prefix_and_rest_is_redistributed(monkeypatch):
     big = generate_instance(12, 3, 3, seed=77)
     big_n = neighborhood_size(12)
     servers = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(2)]
     for s in servers:
         s.start()
-    config = fast_config(deadline_slack=1.5, deadline_floor=0.02, response_grace=2.0)
-    coordinator = Coordinator([s.address for s in servers], config)
+    monkeypatch.setattr(coordinator_module, "DEADLINE_SLACK", 1.5)
+    monkeypatch.setattr(coordinator_module, "DEADLINE_FLOOR", 0.02)
+    monkeypatch.setattr(coordinator_module, "RESPONSE_GRACE", 2.0)
+    coordinator = Coordinator([s.address for s in servers], fast_config())
     try:
         coordinator.calibrate(seed=4)
-        # slow down one worker after calibration so its prediction is now wrong; a
-        # one-lane worker's evaluator reads the delay as each scan starts
+        # slow down one worker after calibration so the nominal speed it is planned at is
+        # far too high; a one-lane worker's evaluator reads the delay as each scan starts
         servers[0]._backend.evaluator.per_move_delay = 0.004
         coordinator.set_problem(big)
         ctx = make_ctx(big, seed=5)

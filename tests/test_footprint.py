@@ -80,8 +80,7 @@ order = initial_order(inst)
 ctx = EvalContext(inst, order, TabuList(), evaluate_makespan(inst, order))
 with LaneEvaluator(inst, lanes=1) as evaluator:
     trace_digest(run_search(inst, SearchParams(iterations=5, seed=1), evaluator.evaluate))
-config = CoordinatorConfig(calibration_budget=0.15, calibration_jobs=6, calibration_stages=2,
-                           calibration_machines=2)
+config = CoordinatorConfig(calibration_budget=0.15)
 with WorkerServer("127.0.0.1", 0, lanes=1) as server:
     coordinator = Coordinator([server.address], config)
     try:

@@ -8,7 +8,7 @@ from hfstabu.superserver import FanoutBackend, serve_as_super_server
 from hfstabu.tabu import SearchParams, run_search
 from hfstabu.worker import LocalBackend, WorkerServer
 
-from netharness import LatencyRelay, WireClient, empty_tabu, wait_until
+from netharness import LatencyRelay, WireClient, empty_tabu, record_cover, wait_until
 from oracles import evaluate_slice
 
 INST = generate_instance(8, 3, 3, seed=42)
@@ -18,8 +18,7 @@ ORDER = tuple(range(8))
 
 
 def fast_config(**overrides):
-    defaults = dict(calibration_budget=0.15, calibration_jobs=6, calibration_stages=2,
-                    calibration_machines=2, calibration_grace=5.0)
+    defaults = dict(calibration_budget=0.15, calibration_grace=5.0)
     defaults.update(overrides)
     return CoordinatorConfig(**defaults)
 
@@ -51,18 +50,27 @@ def test_super_server_answers_like_its_children():
         w2.shutdown()
 
 
-def test_super_calibration_times_one_round_over_its_children():
-    children = [WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002) for _ in range(2)]
+def test_paced_children_reach_their_speed_ratio_by_the_second_iteration(monkeypatch):
+    # children paced at 2 and 8 ms per move: the first round, split at the nominal speed,
+    # measures them, so the second iteration is planned 4:1
+    inst = generate_instance(10, 2, 5, seed=7)
+    total = neighborhood_size(10)
+    children = [WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=delay) for delay in (0.002, 0.008)]
     for child in children:
         child.start()
     sup = serve_as_super_server("127.0.0.1", 0, [c.address for c in children], fast_config())
     sup.start()
+    _, plans = record_cover(monkeypatch, sup._backend.coordinator)
     try:
-        with Coordinator([sup.address], fast_config(calibration_budget=0.3)) as coordinator:
-            assert coordinator.calibrate(seed=1)[0] > 0
-        # split as any EVAL is: the one-move warm-up went to one child, the round to both
-        assert all(stats["moves"] > 0 for stats in sup._backend.coordinator.node_stats().values())
-        assert sorted(child.requests_served for child in children) == [1, 2]
+        with WireClient(sup.address) as client:
+            client.hello()
+            digest = client.set_problem(inst)
+            for _ in range(2):
+                reply = client.eval(digest, tuple(range(10)), empty_tabu(), 10**6, 0, total, 60.0)
+                assert reply.complete and reply.moves_evaluated == total
+        assert plans[0][0] == [total // 2, total - total // 2]  # both children at the nominal speed
+        fast, slow = plans[1][0]
+        assert abs(fast / slow / 4.0 - 1.0) <= 0.10, f"second plan {fast}:{slow} not within 10% of 4:1"
     finally:
         sup.shutdown()
         for child in children:

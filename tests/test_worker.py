@@ -9,11 +9,10 @@ import time
 import pytest
 
 from hfstabu import protocol
-from hfstabu.coordinator import Coordinator, CoordinatorConfig
+from hfstabu.coordinator import WARMUP_SHAPE, Coordinator, CoordinatorConfig
 from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.protocol import ProtocolError
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
-from hfstabu.parallel import LaneEvaluator
 from hfstabu.schedule import evaluate_makespan
 from hfstabu.tabu import SliceResult, initial_order, scan_slice
 from hfstabu.worker import LocalBackend, WorkerServer
@@ -27,14 +26,12 @@ N = neighborhood_size(8)
 ORDER = tuple(range(8))
 
 
-def calibrate(address, budget, size=(6, 2, 2), seed=9) -> float:
-    """The speed one ``Coordinator.calibrate`` measures for the worker at ``address``.
+def calibrate(address, budget, seed=9) -> float:
+    """The warm-up speed one ``Coordinator.calibrate`` reports for the worker at ``address``.
 
-    The calibration instance is ``generate_instance(*size, seed=seed)``.
+    The calibration instance is ``generate_instance(*WARMUP_SHAPE, seed)``.
     """
-    config = CoordinatorConfig(calibration_budget=budget, calibration_jobs=size[0], calibration_stages=size[1],
-                               calibration_machines=size[2])
-    with Coordinator([address], config) as coordinator:
+    with Coordinator([address], CoordinatorConfig(calibration_budget=budget)) as coordinator:
         return coordinator.calibrate(seed)[0]
 
 
@@ -165,9 +162,9 @@ def _round_speed(inst, per_move_delay):
 
 
 def test_calibrate_takes_one_timed_round():
-    # delay-dominated worker: a full round of the 30-move neighborhood takes about 60 ms, and
-    # calibration times one timed round, far inside the 3 s budget
-    reference = _round_speed(generate_instance(6, 2, 2, seed=9), 0.002)
+    # delay-dominated worker: its one-move warm-up runs at the speed of its whole rounds, and
+    # calibration ends with the warm-up, far inside the 3 s budget
+    reference = _round_speed(generate_instance(*WARMUP_SHAPE, seed=9), 0.002)
     with WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002) as server:
         t0 = time.monotonic()
         speed = calibrate(server.address, 3.0)
@@ -177,8 +174,8 @@ def test_calibrate_takes_one_timed_round():
 
 
 def test_paced_worker_answers_calibrate_within_one_round():
-    # a full round of the 30-move neighborhood takes about 60 ms; one round is the answer
-    reference = _round_speed(generate_instance(6, 2, 2, seed=9), 0.002)
+    # a full round of the 30-move neighborhood takes about 60 ms; calibration takes less
+    reference = _round_speed(generate_instance(*WARMUP_SHAPE, seed=9), 0.002)
     with WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002) as server:
         t0 = time.monotonic()
         speed = calibrate(server.address, 3.0)
@@ -187,36 +184,20 @@ def test_paced_worker_answers_calibrate_within_one_round():
     assert abs(speed - reference) / reference < 0.25
 
 
-def test_calibration_times_its_round_with_the_lanes_started(monkeypatch):
+def test_calibration_times_its_round_with_the_lanes_started():
+    # the one-move warm-up forks both lanes, so the first round of the real problem
+    # finds them started
     known = set(multiprocessing.active_children())
-    alive = []  # lane processes alive as each full round starts
-    evaluate_blocks = LaneEvaluator.evaluate_blocks
-
-    def spy(self, ctx, nslice, *args):
-        if len(nslice) == neighborhood_size(6):
-            alive.append(len(set(multiprocessing.active_children()) - known))
-        return evaluate_blocks(self, ctx, nslice, *args)
-
-    monkeypatch.setattr("hfstabu.worker.LaneEvaluator.evaluate_blocks", spy)
     with WorkerServer("127.0.0.1", 0, lanes=2) as server:
         assert calibrate(server.address, 3.0) > 0
-    assert alive == [2]
-
-
-def test_calibration_budget_caps_a_round_that_does_not_fit():
-    # one round takes about 0.6 s, so no full round fits in the budget
-    with WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.02) as server:
-        t0 = time.monotonic()
-        speed = calibrate(server.address, 0.3)
-        wall = time.monotonic() - t0
-    assert 0.3 <= wall < 0.5
-    assert speed > 0
+        assert len(set(multiprocessing.active_children()) - known) == 2
+        assert server.requests_served == 1 and server.moves_evaluated == 1
 
 
 def test_calibration_leaves_problem_cache_alone():
     # a calibration sends its instance like any problem: it takes one of the worker's cache
     # slots, and the problem set before it stays cached, on the same lanes
-    calibration = generate_instance(6, 2, 2, seed=9)
+    calibration = generate_instance(*WARMUP_SHAPE, seed=9)
     known = set(multiprocessing.active_children())
     with WorkerServer("127.0.0.1", 0, lanes=2) as server, WireClient(server.address) as client:
         client.hello()
@@ -229,8 +210,9 @@ def test_calibration_leaves_problem_cache_alone():
         assert server._backend.has_problem(DIGEST)
         # calibration ran on the same lanes: none was forked or lost
         assert {p.pid for p in multiprocessing.active_children() if p not in known} == lanes
-        # calibrating on a cached instance keeps it cached
-        assert calibrate(server.address, 0.3, size=(8, 3, 3), seed=42) > 0
+        # calibrating again on the cached calibration instance keeps both cached
+        assert calibrate(server.address, 0.3) > 0
+        assert server._backend.has_problem(instance_digest(calibration))
         assert server._backend.has_problem(DIGEST)
         reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
         assert reply.complete and reply.moves_evaluated == N
@@ -240,12 +222,11 @@ def test_one_lane_set_serves_every_problem_and_calibration():
     known = set(multiprocessing.active_children())
     backend = LocalBackend(lanes=2)
     try:
-        # what a calibration asks of a worker: its instance, a one-move warm-up and a full round
-        calibration = generate_instance(6, 2, 2, seed=9)
+        # what a calibration asks of a worker: its instance and a one-move warm-up
+        calibration = generate_instance(*WARMUP_SHAPE, seed=9)
         digest = backend.set_problem(calibration)
-        for part in (NeighborhoodSlice(0, 1), NeighborhoodSlice(0, neighborhood_size(6))):
-            result, _ = backend.evaluate(digest, initial_order(calibration), empty_tabu(), 0, part, 0.3)
-            assert result.moves_evaluated > 0
+        result, _ = backend.evaluate(digest, initial_order(calibration), empty_tabu(), 0, NeighborhoodSlice(0, 1), 0.3)
+        assert result.moves_evaluated == 1
         for seed in range(6):
             inst = generate_instance(8, 3, 3, seed=100 + seed)
             digest = backend.set_problem(inst)
@@ -262,9 +243,7 @@ def test_one_lane_set_serves_every_problem_and_calibration():
 
 def test_calibrate_rejects_zero_budget(server):
     # refused before any node is asked, so the worker stays usable
-    config = CoordinatorConfig(calibration_budget=0.0, calibration_jobs=6, calibration_stages=2,
-                               calibration_machines=2)
-    with Coordinator([server.address], config) as coordinator:
+    with Coordinator([server.address], CoordinatorConfig(calibration_budget=0.0)) as coordinator:
         with pytest.raises(ValueError, match="budget"):
             coordinator.calibrate(seed=9)
         assert coordinator.proxies[0].state == "idle"
