@@ -37,7 +37,6 @@ from .parallel import EvaluationError, LaneEvaluator
 from .coordinator import (
     CalibrationError,
     Coordinator,
-    CoordinatorConfig,
     CoverageError,
     NodePerfHistory,
     PlanningError,
@@ -79,7 +78,6 @@ __all__ = [
     "LaneEvaluator",
     "CalibrationError",
     "Coordinator",
-    "CoordinatorConfig",
     "CoverageError",
     "NodePerfHistory",
     "PlanningError",

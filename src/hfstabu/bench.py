@@ -18,7 +18,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from .coordinator import Coordinator, CoordinatorConfig
+from .coordinator import Coordinator
 from .instance import generate_instance, instance_digest, sha256
 from .parallel import LaneEvaluator
 from .schedule import evaluate_makespan
@@ -110,13 +110,12 @@ def bench_local(sizes, lane_counts, iterations: int, seed: int, machines: int = 
     return _speedups(rows), meta
 
 
-def bench_distributed(endpoints, sizes, iterations: int, seed: int, machines: int = 5,
-                      host_counts=None, config: CoordinatorConfig | None = None):
+def bench_distributed(endpoints, sizes, iterations: int, seed: int, machines: int = 5, host_counts=None):
     """Time distributed runs over growing prefixes of the endpoint list.
 
     Per cell the meta records per-node utilization (accepted moves and
     mean speed) and the number of redistribution rounds. Unreachable
-    endpoints surface as CalibrationError from the coordinator.
+    endpoints surface as CalibrationError from ``Coordinator.handshake``.
     """
     endpoints = list(endpoints)
     if host_counts is None:
@@ -137,10 +136,10 @@ def bench_distributed(endpoints, sizes, iterations: int, seed: int, machines: in
         meta["instances"][f"{n}x{m}"] = instance_digest(inst)
         params = SearchParams(iterations=iterations, seed=seed)
         for hosts in host_counts:
-            # calibration happens before the clock starts: rows time the
+            # the handshakes happen before the clock starts: rows time the
             # iterations themselves, as speedups are computed from them
-            with Coordinator(endpoints[:hosts], config) as coordinator:
-                coordinator.calibrate(params.seed)
+            with Coordinator(endpoints[:hosts]) as coordinator:
+                coordinator.handshake()
                 coordinator.set_problem(inst)
                 t0 = time.perf_counter()
                 result = run_search(inst, params, coordinator.evaluate)

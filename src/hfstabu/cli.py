@@ -11,7 +11,7 @@ import sys
 import time
 
 from .bench import DESK_GRID, bench_distributed, bench_local, full_grid, write_csv
-from .coordinator import CalibrationError, Coordinator, CoordinatorConfig, CoverageError
+from .coordinator import CalibrationError, Coordinator, CoverageError
 from .instance import InstanceError, generate_instance, parse_instance, serialize_instance
 from .parallel import LaneEvaluator, detected_lane_count
 from .tabu import SearchError, SearchParams, run_search
@@ -55,8 +55,7 @@ def _checked(convert, accept, name: str):
 
 _positive_int = _checked(int, lambda value: value > 0, "a positive integer")
 _non_negative_int = _checked(int, lambda value: value >= 0, "a non-negative integer")
-# NaN fails every comparison, so these refuse it along with the infinities
-_positive_float = _checked(float, lambda value: 0 < value < math.inf, "a positive finite number")
+# NaN fails every comparison, so this refuses it along with the infinities
 _non_negative_float = _checked(float, lambda value: 0 <= value < math.inf, "a non-negative finite number")
 
 
@@ -97,8 +96,7 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     nodes_summary = None
     if args.nodes:
-        config = CoordinatorConfig(calibration_budget=args.calibration_budget)
-        with Coordinator(args.nodes, config) as coordinator:
+        with Coordinator(args.nodes) as coordinator:
             result = coordinator.run(inst, params, on_iteration=emit)
             nodes_summary = coordinator.node_stats()
     else:
@@ -143,9 +141,7 @@ def cmd_bench(args) -> int:
         if not args.nodes:
             log.error("bench distributed requires --nodes")
             return 2
-        config = CoordinatorConfig(calibration_budget=args.calibration_budget)
-        rows, meta = bench_distributed(args.nodes, sizes, args.iterations, args.seed,
-                                       machines=args.machines, config=config)
+        rows, meta = bench_distributed(args.nodes, sizes, args.iterations, args.seed, machines=args.machines)
     if args.output:
         with open(args.output, "w") as fh:
             write_csv(fh, rows, meta)
@@ -180,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tenure", type=_positive_int, default=7)
     p.add_argument("--diversify-after", type=_non_negative_int, default=20)
     p.add_argument("--diversify-strength", type=_non_negative_int, default=None)
-    p.add_argument("--calibration-budget", type=_positive_float, default=2.0,
-                   help="seconds; the compute deadline of the pre-flight's one-move warm-up EVAL")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("worker", help="run an evaluation worker daemon")
@@ -202,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--machines", type=int, default=5)
     p.add_argument("--repeats", type=_positive_int, default=1)
-    p.add_argument("--calibration-budget", type=_positive_float, default=2.0,
-                   help="seconds; the compute deadline of the pre-flight's one-move warm-up EVAL")
     p.add_argument("-o", "--output", help="CSV output file (default stdout)")
     p.set_defaults(func=cmd_bench)
     return parser

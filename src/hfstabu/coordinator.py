@@ -3,20 +3,17 @@
 One ``Coordinator`` plays the master's role at the top level of a
 distributed search and inside every super server, for its children, and
 every node starts the same way at every level: from ``NOMINAL_SPEED``,
-measured by the rounds it serves. A top-level run starts with a
-pre-flight check, ``calibrate``, made of ordinary requests: the
-handshake, a SET_PROBLEM of a small generated instance and a one-move
-warm-up EVAL that forks a worker's lanes or reaches a super server's
-children. It times no round and records no speed, so the first rounds of
-the real problem measure each node. Each iteration splits the
-neighborhood proportionally to the predicted node speeds, dispatches one
-EVAL per node with a deadline derived from the prediction, and waits for
-the replies.
+measured by the rounds it serves. A top-level run starts with
+``handshake``, then sends the problem; a node's first EVAL is an ordinary
+one, which forks a worker's lanes or reaches a super server's children.
+Each iteration splits the neighborhood proportionally to the predicted
+node speeds, dispatches one EVAL per node with a deadline derived from
+the prediction, and waits for the replies.
 
 The coordinator talks to nodes one way, on the thread that uses it.
-``_connect`` is the only place a connection is opened; calibration and
+``_connect`` is the only place a connection is opened; ``handshake`` and
 evaluation pick their nodes with the same ``_ready_nodes``, so a suspect
-node gets its reconnect before calibration as before evaluation.
+node gets its reconnect before either.
 ``_collect`` reads every node reply, HELLO included, through one
 selector: it resolves each outstanding request as a reply or a failure
 (lost connection, ERROR, EXIT_REPORT, timeout, budget cut), and alone
@@ -28,15 +25,14 @@ kind of request keeps its own failure policy on top of it:
 * HELLO: anything but a HELLO reply of the same major version, within
   one ``CONNECT_TIMEOUT`` after the last connection has opened, marks
   the node dead.
-* The warm-up EVAL: any failure, an inconsistent result or a zero speed
-  marks the node dead.
-* Any other EVAL: the slice goes back into the queue. EXIT_REPORT marks
-  the node dead, a budget cut marks it suspect (its reply may still be
-  in flight), and any other failure or an inconsistent result is a
-  strike: a node with one strike is suspect and gets one reconnect
-  attempt, a second strike marks it dead for the run. Each EVAL gets at
-  least 50 ms from its own send and is cut 0.1 s after those or the
-  budget, whichever ends later.
+* EVAL, the first included: the slice goes back into the queue.
+  EXIT_REPORT marks the node dead, a budget cut marks it suspect (its
+  reply may still be in flight), and any other failure, an inconsistent
+  result or no move evaluated within a deadline of at least
+  ``DEADLINE_FLOOR`` is a strike: a node with one strike is suspect and
+  gets one reconnect attempt, a second strike marks it dead for the run.
+  Each EVAL gets at least 50 ms from its own send and is cut 0.1 s after
+  those or the budget, whichever ends later.
 
 Failed and incomplete slices are fed into extra dispatch rounds over the
 remaining live nodes until the slice is covered, no node is ready, the
@@ -56,14 +52,12 @@ import selectors
 import socket
 import time
 from collections import deque
-from dataclasses import dataclass
 
 from . import protocol
-from .instance import ProblemInstance, generate_instance, instance_digest
+from .instance import ProblemInstance, instance_digest
 from .neighborhood import NeighborhoodSlice, neighborhood_size
 from .protocol import PROTOCOL_VERSION
-from .tabu import (EvalContext, SearchParams, SearchResult, SliceResult, TabuList, initial_order, merge_prefix,
-                   run_search)
+from .tabu import EvalContext, SearchParams, SearchResult, SliceResult, merge_prefix, run_search
 
 log = logging.getLogger(__name__)
 
@@ -79,7 +73,6 @@ CONNECT_TIMEOUT = 5.0  # seconds a node's opener may take to connect, and then i
 DEADLINE_SLACK = 2.0  # an EVAL's compute deadline is its predicted duration x slack + floor, in seconds
 DEADLINE_FLOOR = 0.25
 RESPONSE_GRACE = 1.0  # seconds a reply may take beyond its compute deadline
-WARMUP_SHAPE = (6, 2, 2)  # jobs, stages and processors per stage of the pre-flight's instance
 
 # how Coordinator._collect reports a request that got no reply
 LOST = "connection lost"
@@ -94,7 +87,7 @@ class PlanningError(RuntimeError):
 
 
 class CalibrationError(RuntimeError):
-    """No node passed the pre-flight check."""
+    """No node answered the handshake."""
 
 
 class CoverageError(RuntimeError):
@@ -159,12 +152,6 @@ def plan_partition(speeds, total: int, begin: int = 0) -> list[NeighborhoodSlice
         slices.append(NeighborhoodSlice(cursor, cursor + size))
         cursor += size
     return slices
-
-
-@dataclass
-class CoordinatorConfig:
-    calibration_budget: float = 2.0  # seconds: the warm-up EVAL's compute deadline
-    calibration_grace: float = 10.0  # seconds the pre-flight waits beyond the budget
 
 
 class NodeProxy:
@@ -253,14 +240,13 @@ class Coordinator:
     """Fans neighborhood evaluation out over a fixed set of nodes.
 
     One class serves the top-level search and every super server: it owns
-    the selector, the node proxies, calibration and the dispatch cycle.
+    the selector, the node proxies, the start-up check and the dispatch cycle.
     Use it from one thread at a time: it starts no thread, and reads every
     node socket on the caller's thread through its one selector. A
     reconnect opens what ``opener`` opens: a TCP connection, or a new lane.
     """
 
-    def __init__(self, addresses, config: CoordinatorConfig | None = None, opener=socket.create_connection):
-        self.config = config or CoordinatorConfig()
+    def __init__(self, addresses, opener=socket.create_connection):
         self._selector = selectors.DefaultSelector()
         self.proxies = [NodeProxy(i, addr, self._selector, opener) for i, addr in enumerate(addresses)]
         self.late_results = 0
@@ -406,7 +392,7 @@ class Coordinator:
                     elif isinstance(msg, protocol.EvalResult):
                         self._record_late(proxy, msg)
 
-    # -- problem transfer and calibration -------------------------------------
+    # -- problem transfer and start-up ------------------------------------------
 
     def set_problem(self, inst: ProblemInstance) -> str:
         digest = instance_digest(inst)
@@ -420,54 +406,23 @@ class Coordinator:
                 self._strike(proxy, "send failed during problem transfer")
         return digest
 
-    def calibrate(self, seed: int) -> dict[int, float]:
-        """Pre-flight check: connect every node and see it evaluate, concurrently; requires one survivor.
+    def handshake(self) -> list[NodeProxy]:
+        """The start-up check: connect every node and require one; returns the ready nodes.
 
-        Each ready node gets a small instance generated from ``seed``
-        (``WARMUP_SHAPE``) and one one-move warm-up EVAL, which forks a
-        worker's lanes or reaches a super server's children. The budget is
-        the warm-up's compute deadline, and the whole check waits at most
-        the budget plus ``calibration_grace``. Any failure, an inconsistent
-        reply or zero speed kills the node. No speed is recorded: every
-        node starts from ``NOMINAL_SPEED``, and the real problem's first
-        rounds measure it. Returns each survivor's warm-up speed, by node id.
+        It sends no EVAL and records nothing: every node starts at
+        ``NOMINAL_SPEED``, and the real problem's first rounds measure it.
         """
-        budget = self.config.calibration_budget
-        if not 0 < budget < math.inf:
-            raise ValueError(f"calibration budget must be a positive finite number, got {budget}")
-        deadline = time.monotonic() + budget + self.config.calibration_grace
-        inst = generate_instance(*WARMUP_SHAPE, seed)
-        digest = self.set_problem(inst)
-        order, warmup = initial_order(inst), NeighborhoodSlice(0, 1)
-        requests: dict[int, tuple[NodeProxy, float, float]] = {}
-        for proxy in self._ready_nodes(self.proxies):
-            rid = proxy.next_rid()  # no move is tabu, so the incumbent plays no part
-            try:
-                proxy.send(protocol.Eval(rid, digest, order, TabuList(), 0, warmup, budget))
-            except OSError as exc:
-                proxy.state = DEAD
-                log.warning("node %d dropped from calibration: send failed: %s", proxy.node_id, exc)
-                continue
-            proxy.state = BUSY
-            requests[rid] = (proxy, deadline, math.inf)
-        speeds: dict[int, float] = {}
-        for _, proxy, reply, failure in self._collect(requests):
-            if failure is None and not self._result_consistent(reply, warmup):
-                failure = "inconsistent result"
-            if failure is None and reply.speed <= 0:
-                failure = "no speed measured"
-            if failure is not None:
-                proxy.state = DEAD
-                log.warning("node %d dropped from calibration: %s", proxy.node_id, failure)
-                continue
-            proxy.state = IDLE
-            proxy.strikes = 0
-            speeds[proxy.node_id] = reply.speed
-        self._drop_dead()
-        if not speeds:
-            raise CalibrationError("no node completed calibration")
-        log.info("calibrated %d node(s): %s", len(speeds), {k: round(v, 1) for k, v in speeds.items()})
-        return speeds
+        ready = self._ready_nodes(self.proxies)
+        if not ready:
+            raise CalibrationError("no node reachable")
+        return ready
+
+    def calibrate(self, seed: int) -> dict[int, float]:
+        """``handshake``, returning ``NOMINAL_SPEED`` for each ready node, by node id; ``seed`` is unused.
+
+        Only perfbench's ``setup_distributed`` calls it, and it goes once that call does.
+        """
+        return dict.fromkeys((proxy.node_id for proxy in self.handshake()), NOMINAL_SPEED)
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -524,7 +479,7 @@ class Coordinator:
             slices = plan_partition(speeds, end - begin, begin)
 
             requests: dict[int, tuple[NodeProxy, float, float]] = {}
-            sent: dict[int, NeighborhoodSlice] = {}
+            sent: dict[int, tuple[NeighborhoodSlice, float]] = {}  # rid -> (slice, compute deadline)
             for proxy, speed, part in zip(ready, speeds, slices):
                 if not part:
                     continue
@@ -540,12 +495,16 @@ class Coordinator:
                     continue
                 proxy.state = BUSY
                 requests[rid] = (proxy, now + deadline + RESPONSE_GRACE, now + left + 0.1)
-                sent[rid] = part
+                sent[rid] = (part, deadline)
 
             round_moves = 0
             for rid, proxy, reply, failure in self._collect(requests):
-                part = sent.pop(rid)
-                if failure is None and self._result_consistent(reply, part):
+                part, deadline = sent.pop(rid)
+                if failure is None and not self._result_consistent(reply, part):
+                    failure = "inconsistent result"
+                elif failure is None and not reply.moves_evaluated and deadline >= DEADLINE_FLOOR:
+                    failure = "no move evaluated"  # in a deadline that fits many: a broken node
+                if failure is None:
                     round_moves += self._accept(proxy, reply, part, results, pending)
                     continue
                 pending.append((part.begin, part.end))
@@ -554,7 +513,7 @@ class Coordinator:
                 elif failure == CUT:
                     proxy.state = SUSPECT  # its reply may still be in flight; reconnect before reuse
                 else:
-                    self._strike(proxy, failure or "inconsistent result")
+                    self._strike(proxy, failure)
             stalled = stalled + 1 if round_moves == 0 else 0
         self._drop_dead()
         return results
@@ -597,7 +556,7 @@ class Coordinator:
     # -- full runs ---------------------------------------------------------------
 
     def run(self, inst: ProblemInstance, params: SearchParams, on_iteration=None) -> SearchResult:
-        self.calibrate(params.seed)
+        self.handshake()
         self.set_problem(inst)
         return run_search(inst, params, self.evaluate, on_iteration)
 

@@ -7,18 +7,17 @@ redistribution and fault handling. Each EVAL is one call to
 ``Coordinator.evaluate_blocks``: the reply covers the contiguous prefix
 of the request, and the rest goes back upstream as the remaining range.
 Children may themselves be super servers, so arbitrary trees compose;
-the client only ever balances over its direct children. Children are
-never calibrated on their own: like every node, each starts from
-``NOMINAL_SPEED`` and is measured by the rounds it serves. So the speed
-the super server reports with each evaluation, the warm-up's included, is
-the throughput of the subtree.
+the client only ever balances over its direct children. Each child gets
+its handshake while the server is built, and its first EVAL in the first
+round asked of the server. Like every node, each child starts from
+``NOMINAL_SPEED`` and is measured by the rounds it serves, so the speed
+the super server reports with each evaluation is the throughput of the
+subtree.
 """
 
 from __future__ import annotations
 
-import threading
-
-from .coordinator import Coordinator, CoordinatorConfig
+from .coordinator import Coordinator
 from .tabu import SliceResult
 from .worker import Backend, WorkerServer
 
@@ -30,20 +29,13 @@ class FanoutBackend(Backend):
     to the children before the first EVAL that needs it.
     """
 
-    def __init__(self, children, config: CoordinatorConfig | None = None):
-        self.coordinator = Coordinator(children, config)
+    def __init__(self, children):
+        self.coordinator = Coordinator(children)
         super().__init__(self.coordinator)
-        self._connected = False
-        self._lock = threading.Lock()
+        self.coordinator.connect_all()  # before the server starts: upstream's HELLO reads the lanes
 
     @property
     def lanes(self) -> int:
-        # upstream's HELLO asks first; every child is connected once to answer it,
-        # later requests connect (or reconnect) the children they pick
-        with self._lock:
-            if not self._connected:
-                self.coordinator.connect_all()
-                self._connected = True
         return sum(p.lanes for p in self.coordinator.live_nodes())
 
     def evaluate(self, digest, order, tabu, incumbent, nslice, deadline) -> tuple[SliceResult, int]:
@@ -55,7 +47,11 @@ class FanoutBackend(Backend):
         return reply
 
 
-def serve_as_super_server(host: str, port: int, children,
-                          config: CoordinatorConfig | None = None, **kwargs) -> WorkerServer:
-    """Create (unstarted) a worker-protocol server backed by child nodes."""
-    return WorkerServer(host, port, backend=FanoutBackend(children, config), **kwargs)
+def serve_as_super_server(host: str, port: int, children, **kwargs) -> WorkerServer:
+    """Create (unstarted) a worker-protocol server backed by child nodes, connected to them."""
+    backend = FanoutBackend(children)
+    try:
+        return WorkerServer(host, port, backend=backend, **kwargs)
+    except BaseException:
+        backend.close()  # the children's connections are already open
+        raise

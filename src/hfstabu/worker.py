@@ -5,8 +5,9 @@ single fast server, whatever the local lane count: one evaluator for its
 whole life, so a ``--lanes N`` worker forks its lanes once. Evaluation
 requests carry a compute deadline; when it elapses the worker stops at a
 move boundary and returns the best move over the evaluated prefix
-together with the untouched remaining range. A calibration's warm-up is
-an EVAL like any other. The server runs one selector loop over the listener and every
+together with the untouched remaining range. The first EVAL it serves
+is like any other; a ``--lanes N`` worker forks its lanes while serving
+it. The server runs one selector loop over the listener and every
 connection, and serves one request at a time across all of them, in
 arrival order: a HELLO on a new connection is answered once the request
 being served is. On graceful shutdown that request is answered first;

@@ -160,20 +160,28 @@ def record_cover(monkeypatch, coordinator):
 
     Returns (audits, plans), each with one entry per call: the sorted
     (begin, end) intervals it accepted, and the move counts of each of its
-    dispatch rounds in ready-node order.
+    dispatch rounds in ready-node order. A plan is recorded only on a
+    thread inside that ``cover``, so the other coordinators of the process
+    (a super server's, or the one that drives it) do not mix in.
     """
     audits, plans = [], []
+    covering = set()  # the threads inside the recorded cover
     cover, plan_partition = coordinator.cover, coordinator_module.plan_partition
 
     def recording_cover(*args, **kwargs):
         plans.append([])
-        results = cover(*args, **kwargs)
+        covering.add(threading.get_ident())
+        try:
+            results = cover(*args, **kwargs)
+        finally:
+            covering.discard(threading.get_ident())
         audits.append(sorted((begin, end) for begin, end, _, _ in results))
         return results
 
     def recording_plan(*args, **kwargs):
         slices = plan_partition(*args, **kwargs)
-        plans[-1].append([len(s) for s in slices])
+        if threading.get_ident() in covering:
+            plans[-1].append([len(s) for s in slices])
         return slices
 
     monkeypatch.setattr(coordinator, "cover", recording_cover)

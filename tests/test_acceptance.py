@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from hfstabu.coordinator import NOMINAL_SPEED, Coordinator, CoordinatorConfig, NodePerfHistory, predict
+from hfstabu.coordinator import NOMINAL_SPEED, Coordinator, NodePerfHistory, predict
 from hfstabu.instance import generate_instance
 from hfstabu.neighborhood import NeighborhoodSlice, decode_move, neighborhood_size
 from hfstabu.parallel import LaneEvaluator
@@ -46,12 +46,6 @@ def physical_cores():
     import os
 
     return os.cpu_count() or 1
-
-
-def fast_config(**overrides):
-    defaults = dict(calibration_budget=0.2, calibration_grace=5.0)
-    defaults.update(overrides)
-    return CoordinatorConfig(**defaults)
 
 
 def sequential_evaluator(ctx):
@@ -150,7 +144,7 @@ def test_criterion_4_determinism_ladder():
     labels.append("4-lane")
 
     with WorkerServer("127.0.0.1", 0, lanes=1) as w:
-        single = Coordinator([w.address], fast_config())
+        single = Coordinator([w.address])
         try:
             got = single.run(inst, params)
         finally:
@@ -163,7 +157,7 @@ def test_criterion_4_determinism_ladder():
     for w in workers:
         w.start()
     try:
-        triple = Coordinator([w.address for w in workers], fast_config())
+        triple = Coordinator([w.address for w in workers])
         try:
             got = triple.run(inst, params)
         finally:
@@ -178,10 +172,10 @@ def test_criterion_4_determinism_ladder():
     leaves = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(3)]
     for w in leaves:
         w.start()
-    sup = serve_as_super_server("127.0.0.1", 0, [leaves[0].address, leaves[1].address], fast_config())
+    sup = serve_as_super_server("127.0.0.1", 0, [leaves[0].address, leaves[1].address])
     sup.start()
     try:
-        tree = Coordinator([sup.address, leaves[2].address], fast_config())
+        tree = Coordinator([sup.address, leaves[2].address])
         try:
             got = tree.run(inst, params)
         finally:
@@ -237,7 +231,7 @@ def test_criterion_7_proportional_balancing(monkeypatch):
     slow = WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.016)
     fast.start()
     slow.start()
-    coordinator = Coordinator([fast.address, slow.address], fast_config(calibration_budget=0.4))
+    coordinator = Coordinator([fast.address, slow.address])
     _, plans = record_cover(monkeypatch, coordinator)
     try:
         coordinator.run(inst, SearchParams(iterations=11, seed=7))
@@ -262,7 +256,7 @@ def test_criterion_8_fault_tolerance():
 
     def run_with_workers(kill_at=None):
         workers = [SubprocessWorker(lanes=1) for _ in range(3)]
-        coordinator = Coordinator([w.address for w in workers], fast_config())
+        coordinator = Coordinator([w.address for w in workers])
         try:
             killed = []
 
@@ -318,7 +312,7 @@ def test_criterion_10_hardware_bound_results_stated_and_latency_run():
     inst = generate_instance(10, 2, 5, seed=10)
     params = SearchParams(iterations=5, seed=10)
     with WorkerServer("127.0.0.1", 0, lanes=1) as worker:
-        plain = Coordinator([worker.address], fast_config())
+        plain = Coordinator([worker.address])
         try:
             t0 = time.perf_counter()
             base = plain.run(inst, params)
@@ -326,7 +320,7 @@ def test_criterion_10_hardware_bound_results_stated_and_latency_run():
         finally:
             plain.close()
         with LatencyRelay(worker.address, up_s=0.1, down_s=0.1) as relay:
-            lagged = Coordinator([relay.address], fast_config())
+            lagged = Coordinator([relay.address])
             try:
                 t0 = time.perf_counter()
                 slow = lagged.run(inst, params)

@@ -1,6 +1,7 @@
 import io
 import json
 import multiprocessing
+import socket
 import subprocess
 import sys
 
@@ -8,7 +9,6 @@ import pytest
 
 import hfstabu.bench
 from hfstabu.bench import CSV_HEADER, bench_distributed, bench_local, full_grid, write_csv
-from hfstabu.coordinator import CoordinatorConfig
 from hfstabu.instance import parse_instance
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.worker import WorkerServer
@@ -19,10 +19,6 @@ from netharness import SubprocessWorker, WireClient, empty_tabu
 def run_cli(*args, **kwargs):
     return subprocess.run([sys.executable, "-m", "hfstabu", *args],
                           capture_output=True, text=True, timeout=120, **kwargs)
-
-
-def fast_config():
-    return CoordinatorConfig(calibration_budget=0.15)
 
 
 # -- bench harness ----------------------------------------------------------------
@@ -75,8 +71,7 @@ def test_bench_distributed_utilization_accounting():
         s.start()
     try:
         iterations = 3
-        rows, meta = bench_distributed([s.address for s in servers], [(6, 2)], iterations,
-                                       seed=5, machines=3, config=fast_config())
+        rows, meta = bench_distributed([s.address for s in servers], [(6, 2)], iterations, seed=5, machines=3)
         assert len(rows) == 2  # host counts 1 and 2
         total_moves = neighborhood_size(6) * iterations
         for key, cell in meta["cells"].items():
@@ -140,8 +135,7 @@ def test_cli_solve_distributed_matches_local(tmp_path):
                     "--lanes", "1")
     with SubprocessWorker(lanes=1) as worker:
         remote = run_cli("solve", "--instance", str(target), "--iterations", "8", "--seed", "1",
-                         "--nodes", f"{worker.address[0]}:{worker.address[1]}",
-                         "--calibration-budget", "0.2")
+                         "--nodes", f"{worker.address[0]}:{worker.address[1]}")
     assert remote.returncode == 0
     local_lines = [json.loads(l) for l in local.stdout.splitlines()]
     remote_lines = [json.loads(l) for l in remote.stdout.splitlines()]
@@ -155,14 +149,26 @@ def test_cli_solve_distributed_matches_local(tmp_path):
     assert remote_summary["nodes"] is not None
 
 
-def test_cli_worker_ready_line_and_sigterm_exit_report():
-    import socket as socketlib
+def test_cli_solve_with_no_reachable_node_exits_1(tmp_path):
+    target = tmp_path / "inst.json"
+    run_cli("gen", "--jobs", "6", "--stages", "2", "--seed", "1", "-o", str(target))
+    with socket.create_server(("127.0.0.1", 0)) as probe:
+        host, port = probe.getsockname()[:2]
+    # nothing listens there any more: the connection is refused
+    out = run_cli("solve", "--instance", str(target), "--iterations", "2", "--seed", "1",
+                  "--nodes", f"{host}:{port}")
+    assert out.returncode == 1
+    assert "no node reachable" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
 
+
+def test_cli_worker_ready_line_and_sigterm_exit_report():
     from hfstabu import protocol
 
     worker = SubprocessWorker(lanes=1)
     try:
-        sock = socketlib.create_connection(worker.address, timeout=10)
+        sock = socket.create_connection(worker.address, timeout=10)
         reader = sock.makefile("rb")
         sock.sendall(protocol.encode(protocol.Hello(1, protocol.PROTOCOL_VERSION, 0)))
         reply = protocol.decode(reader.readline())
@@ -242,10 +248,7 @@ def test_cli_error_reporting_without_traceback(tmp_path):
     for extra in (["--iterations", "0"], ["--iterations", "1", "--tenure", "0"],
                   ["--iterations", "1", "--lanes", "-1"], ["--iterations", "1", "--lanes", "0"],
                   ["--iterations", "1", "--diversify-after", "-1"],
-                  ["--iterations", "1", "--diversify-strength", "-1"],
-                  ["--iterations", "1", "--calibration-budget", "0"],
-                  ["--iterations", "1", "--calibration-budget", "inf"],
-                  ["--iterations", "1", "--calibration-budget", "nan"]):
+                  ["--iterations", "1", "--diversify-strength", "-1"]):
         out = run_cli(*solve, *extra)
         assert out.returncode == 2, extra
         assert "Traceback" not in out.stderr

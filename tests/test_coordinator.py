@@ -10,10 +10,8 @@ from hfstabu import coordinator as coordinator_module
 from hfstabu import protocol
 from hfstabu.coordinator import (
     NOMINAL_SPEED,
-    WARMUP_SHAPE,
     CalibrationError,
     Coordinator,
-    CoordinatorConfig,
     CoverageError,
     NodePerfHistory,
     plan_partition,
@@ -32,12 +30,6 @@ from oracles import evaluate_slice, largest_remainder_reference, verify_exact_co
 
 INST = generate_instance(8, 3, 3, seed=42)
 N = neighborhood_size(8)
-
-
-def fast_config(**overrides):
-    defaults = dict(calibration_budget=0.15, calibration_grace=5.0)
-    defaults.update(overrides)
-    return CoordinatorConfig(**defaults)
 
 
 def sequential_reference(ctx):
@@ -161,11 +153,9 @@ def test_calibrate_initializes_histories():
     # calibration records nothing: every node starts at the nominal speed, and the real
     # problem's first round measures it
     with WorkerServer("127.0.0.1", 0, lanes=1) as w1, WorkerServer("127.0.0.1", 0, lanes=1) as w2:
-        coordinator = Coordinator([w1.address, w2.address], fast_config())
+        coordinator = Coordinator([w1.address, w2.address])
         try:
-            speeds = coordinator.calibrate(seed=5)
-            assert set(speeds) == {0, 1}
-            assert all(v > 0 for v in speeds.values())
+            assert coordinator.calibrate(seed=5) == {0: NOMINAL_SPEED, 1: NOMINAL_SPEED}
             for history in (p.history for p in coordinator.proxies):
                 assert history.count == 0 and predict(history) == NOMINAL_SPEED
             coordinator.set_problem(INST)
@@ -175,21 +165,40 @@ def test_calibrate_initializes_histories():
             coordinator.close()
 
 
-def test_calibrate_costs_each_node_one_one_move_eval():
+def record_requests(server: WorkerServer) -> list[tuple[str, str | None]]:
+    """Record each message ``server`` is asked to handle, as (type, digest of its problem or None)."""
+    seen = []
+    handle = server._handle
+
+    def recording(msg):
+        digest = instance_digest(msg.instance) if isinstance(msg, protocol.SetProblem) else getattr(msg, "digest", None)
+        seen.append((msg.TYPE, digest))
+        return handle(msg)
+
+    server._handle = recording
+    return seen
+
+
+def test_a_run_sends_each_node_its_handshake_the_problem_and_evals_only():
+    # the handshake is the whole set-up, at every level: each node gets HELLO, one SET_PROBLEM
+    # of the real problem and EVALs of it, and caches no other problem
     flat = WorkerServer("127.0.0.1", 0, lanes=1)
     children = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(2)]
+    seen = [record_requests(server) for server in (flat, *children)]
     for server in (flat, *children):
         server.start()
-    sup = serve_as_super_server("127.0.0.1", 0, [c.address for c in children], fast_config())
+    sup = serve_as_super_server("127.0.0.1", 0, [c.address for c in children])
+    seen.append(record_requests(sup))
     sup.start()
+    digest = instance_digest(INST)
     try:
-        with Coordinator([flat.address, sup.address], fast_config()) as coordinator:
-            assert set(coordinator.calibrate(seed=5)) == {0, 1}
-        for server in (flat, sup):
-            assert server.requests_served == 1 and server.moves_evaluated <= 1
-        # the super server's warm-up reaches one of its children, and costs them one move in all
-        assert sum(c.requests_served for c in children) == 1
-        assert sum(c.moves_evaluated for c in children) <= 1
+        with Coordinator([flat.address, sup.address]) as coordinator:
+            coordinator.run(INST, SearchParams(iterations=3, seed=5))
+        for requests in seen:
+            assert requests[:2] == [("HELLO", None), ("SET_PROBLEM", digest)]
+            assert requests[2:] and set(requests[2:]) == {("EVAL", digest)}
+        for server in (flat, sup, *children):
+            assert list(server._backend._problems) == [digest]
     finally:
         sup.shutdown()
         for server in (flat, *children):
@@ -202,10 +211,9 @@ def test_calibrate_marks_unreachable_node_dead():
         probe = WorkerServer("127.0.0.1", 0, lanes=1)
         dead_addr = probe.address
         probe.shutdown()
-        coordinator = Coordinator([w1.address, dead_addr], fast_config())
+        coordinator = Coordinator([w1.address, dead_addr])
         try:
-            speeds = coordinator.calibrate(seed=5)
-            assert set(speeds) == {0}
+            assert coordinator.calibrate(seed=5) == {0: NOMINAL_SPEED}
             assert coordinator.proxies[1].state == "dead"
         finally:
             coordinator.close()
@@ -214,10 +222,10 @@ def test_calibrate_marks_unreachable_node_dead():
 class FaultyNode:
     """A node that fails its HELLO handshake, or its first EVAL after a good handshake, as told.
 
-    A fault named "hello ..." hits the handshake; any other hits the first
-    EVAL, which is the calibration's warm-up. SET_PROBLEM is ignored.
-    "zero speed" answers that EVAL, and every later one, with no move
-    evaluated.
+    It accepts any number of connections and fails the same way on each.
+    A fault named "hello ..." hits the handshake; any other hits the
+    first EVAL of the connection. SET_PROBLEM is ignored. "zero speed"
+    answers that EVAL, and every later one, with no move evaluated.
     """
 
     def __init__(self, fault: str):
@@ -225,11 +233,20 @@ class FaultyNode:
         self.release = threading.Event()
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.address = self._listener.getsockname()[:2]
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
+        self.threads = [threading.Thread(target=self._accept_loop, daemon=True)]
+        self.threads[0].start()
 
-    def _serve(self):
-        conn, _ = self._listener.accept()
+    def _accept_loop(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return  # closed
+            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
+            self.threads.append(thread)
+            thread.start()
+
+    def _serve(self, conn):
         handshake_fault = self.fault.startswith("hello ")
         with conn, conn.makefile("rb") as reader:
             for line in reader:
@@ -261,46 +278,84 @@ class FaultyNode:
 
     def close(self):
         self.release.set()
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)  # wakes the accept loop; close() alone would not
+        except OSError:
+            pass
         self._listener.close()
-        self._thread.join(timeout=5)
+        for thread in self.threads:
+            thread.join(timeout=5)
+
+    def alive(self) -> bool:
+        return any(thread.is_alive() for thread in self.threads)
 
 
 @pytest.mark.parametrize("fault", ["error", "drop", "exit", "silent", "zero speed"])
-def test_calibration_failure_marks_node_dead(fault):
+def test_calibration_failure_marks_node_dead(fault, monkeypatch):
+    # a node is calibrated by its first round of the real problem, and a fault there follows the
+    # ordinary EVAL policy: a strike, a reconnect, and dead on the second strike. "zero speed"
+    # evaluates no move in a deadline of at least DEADLINE_FLOOR, which is a strike too
+    monkeypatch.setattr(coordinator_module, "RESPONSE_GRACE", 0.2)  # "silent" answers nothing
+    params = SearchParams(iterations=6, seed=11, diversify_after=3)
+    local = run_search(INST, params, sequential_reference)
     faulty = FaultyNode(fault)
+    states = []
     with WorkerServer("127.0.0.1", 0, lanes=1) as healthy:
-        # "silent" answers nothing within calibration_budget + calibration_grace
-        coordinator = Coordinator([healthy.address, faulty.address], fast_config(calibration_grace=1.0))
+        coordinator = Coordinator([healthy.address, faulty.address])
         try:
-            speeds = coordinator.calibrate(seed=5)
-            assert set(speeds) == {0} and speeds[0] > 0
-            assert coordinator.proxies[0].state == "idle"
-            assert coordinator.proxies[0].history.count == 0  # nothing recorded until the first round
-            assert coordinator.proxies[1].state == "dead"
-            assert not coordinator.proxies[1].history.count
+            result = coordinator.run(INST, params, on_iteration=lambda _: states.append(coordinator.proxies[1].state))
+            assert result.trace == local.trace
+            assert states[1] == "dead", f"faulty node {states[:2]} after 2 iterations"
+            assert coordinator.proxies[0].state == "idle" and coordinator.proxies[0].strikes == 0
+            assert not coordinator.proxies[1].history.count and not coordinator.proxies[1].moves
         finally:
             coordinator.close()
             faulty.close()
-    assert not faulty._thread.is_alive()
+    assert not faulty.alive()
+
+
+def test_a_worker_shared_by_two_coordinators_is_struck_out_by_neither():
+    # the worker serves one request at a time, so each coordinator's EVAL may wait for the
+    # other's; its compute deadline counts from when it is served, so no round is empty
+    params = SearchParams(iterations=10, seed=11, diversify_after=4)
+    local = run_search(INST, params, sequential_reference)
+    results = {}
+
+    def search(name, address):
+        with Coordinator([address]) as coordinator:
+            results[name] = (coordinator.run(INST, params), coordinator.proxies[0].strikes,
+                             coordinator.redistribution_rounds)
+
+    with WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.001) as shared:
+        threads = [threading.Thread(target=search, args=(name, shared.address)) for name in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    assert set(results) == {"a", "b"}
+    for result, strikes, redistributions in results.values():
+        assert result.trace == local.trace
+        assert (strikes, redistributions) == (0, 0)
+    assert shared.requests_served == 2 * params.iterations
 
 
 def test_node_reporting_an_infinite_speed_cannot_change_the_trajectory():
     params = SearchParams(iterations=12, seed=11, diversify_after=6)
     local = run_search(INST, params, sequential_reference)
-    calibrated = []
+    connected = []
 
     def infinite_speed(line):
-        # once calibrated, every EVAL_RESULT of the relayed worker claims an infinite speed
-        if calibrated and line.startswith(b'{"type":"EVAL_RESULT"'):
+        # once connected, every EVAL_RESULT of the relayed worker claims an infinite speed
+        if connected and line.startswith(b'{"type":"EVAL_RESULT"'):
             return re.sub(rb'"speed":[^,}]+', b'"speed":Infinity', line)
         return line
 
     with WorkerServer("127.0.0.1", 0, lanes=1) as healthy, WorkerServer("127.0.0.1", 0, lanes=1) as other, \
             LatencyRelay(other.address, 0.0, 0.0, rewrite=infinite_speed) as relay:
-        coordinator = Coordinator([healthy.address, relay.address], fast_config())
+        coordinator = Coordinator([healthy.address, relay.address])
         try:
-            coordinator.calibrate(seed=3)
-            calibrated.append(True)
+            coordinator.handshake()
+            connected.append(True)
             coordinator.set_problem(INST)
             remote = run_search(INST, params, coordinator.evaluate)
             assert remote.trace == local.trace
@@ -316,21 +371,20 @@ def test_handshake_failure_marks_node_dead(fault, monkeypatch):
         monkeypatch.setattr(coordinator_module, "CONNECT_TIMEOUT", 0.3)
     faulty = FaultyNode(fault)
     with WorkerServer("127.0.0.1", 0, lanes=1) as healthy:
-        coordinator = Coordinator([healthy.address, faulty.address], fast_config())
+        coordinator = Coordinator([healthy.address, faulty.address])
         try:
             coordinator.connect_all()
             node = coordinator.proxies[1]
             assert node.state == "dead"
             # closed at once: connect_all does not drop dead nodes on its way out
             assert not [key for key in coordinator._selector.get_map().values() if key.data[0] is node]
-            speeds = coordinator.calibrate(seed=5)
-            assert set(speeds) == {0} and speeds[0] > 0
+            assert coordinator.handshake() == [coordinator.proxies[0]]
             assert coordinator.proxies[0].state == "idle"
             assert node.state == "dead" and not node.history.count
         finally:
             coordinator.close()
             faulty.close()
-    assert not faulty._thread.is_alive()
+    assert not faulty.alive()
 
 
 def test_silent_peers_share_one_connect_timeout(monkeypatch):
@@ -339,7 +393,7 @@ def test_silent_peers_share_one_connect_timeout(monkeypatch):
     # the kernel completes each TCP connect; nothing ever accepts it or answers HELLO
     listeners = [socket.create_server(("127.0.0.1", 0)) for _ in range(3)]
     with WorkerServer("127.0.0.1", 0, lanes=1) as worker:
-        coordinator = Coordinator([worker.address] + [s.getsockname()[:2] for s in listeners], fast_config())
+        coordinator = Coordinator([worker.address] + [s.getsockname()[:2] for s in listeners])
         try:
             t0 = time.monotonic()
             coordinator.connect_all()
@@ -364,33 +418,22 @@ def test_slow_opener_leaves_earlier_handshakes_their_wait(monkeypatch):
         return socket.create_connection(address, connect_timeout)
 
     with WorkerServer("127.0.0.1", 0, lanes=1) as healthy:
-        coordinator = Coordinator([healthy.address, "blackholed"], fast_config(), opener=opener)
+        coordinator = Coordinator([healthy.address, "blackholed"], opener=opener)
         try:
             coordinator.connect_all()
             assert [p.state for p in coordinator.proxies] == ["idle", "dead"]
-            speeds = coordinator.calibrate(seed=5)
-            assert set(speeds) == {0} and speeds[0] > 0
+            assert coordinator.handshake() == [coordinator.proxies[0]]
         finally:
             coordinator.close()
-
-
-def test_calibration_instance_deterministic():
-    # the pre-flight's instance has a fixed shape and depends on the seed alone
-    assert generate_instance(*WARMUP_SHAPE, 99) == generate_instance(*WARMUP_SHAPE, 99)
-    with WorkerServer("127.0.0.1", 0, lanes=1) as worker:
-        for _ in range(2):
-            with Coordinator([worker.address], fast_config()) as coordinator:
-                coordinator.calibrate(seed=99)
-        assert list(worker._backend._problems) == [instance_digest(generate_instance(*WARMUP_SHAPE, 99))]
 
 
 def test_all_nodes_unreachable_raises():
     probe = WorkerServer("127.0.0.1", 0, lanes=1)
     addr = probe.address
     probe.shutdown()
-    coordinator = Coordinator([addr], fast_config())
+    coordinator = Coordinator([addr])
     try:
-        with pytest.raises(CalibrationError):
+        with pytest.raises(CalibrationError, match="no node reachable"):
             coordinator.calibrate(seed=1)
     finally:
         coordinator.close()
@@ -401,9 +444,9 @@ def test_all_nodes_unreachable_raises():
 
 def test_single_worker_matches_local_evaluation():
     with WorkerServer("127.0.0.1", 0, lanes=1) as worker:
-        coordinator = Coordinator([worker.address], fast_config())
+        coordinator = Coordinator([worker.address])
         try:
-            coordinator.calibrate(seed=3)
+            coordinator.handshake()
             coordinator.set_problem(INST)
             for seed in range(4):
                 ctx = make_ctx(INST, seed=seed)
@@ -419,9 +462,9 @@ def test_evaluate_answers_for_the_context_instance():
     a = generate_instance(8, 3, 3, seed=1)
     b = generate_instance(8, 3, 3, seed=2)
     with WorkerServer("127.0.0.1", 0, lanes=1) as worker:
-        coordinator = Coordinator([worker.address], fast_config())
+        coordinator = Coordinator([worker.address])
         try:
-            coordinator.calibrate(seed=3)
+            coordinator.handshake()
             coordinator.set_problem(a)
             for inst in (b, a, b):
                 ctx = make_ctx(inst, seed=1)
@@ -436,10 +479,10 @@ def test_three_workers_match_local_and_audit(monkeypatch):
     servers = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(3)]
     for s in servers:
         s.start()
-    coordinator = Coordinator([s.address for s in servers], fast_config())
+    coordinator = Coordinator([s.address for s in servers])
     audits, _ = record_cover(monkeypatch, coordinator)
     try:
-        coordinator.calibrate(seed=3)
+        coordinator.handshake()
         coordinator.set_problem(INST)
         for seed in range(3):
             ctx = make_ctx(INST, seed=seed)
@@ -463,7 +506,7 @@ def test_distributed_search_equals_local_search():
     params = SearchParams(iterations=30, seed=11, diversify_after=6)
     local = run_search(INST, params, sequential_reference)
     with WorkerServer("127.0.0.1", 0, lanes=1) as worker, \
-            Coordinator([worker.address], fast_config()) as coordinator:
+            Coordinator([worker.address]) as coordinator:
         remote = coordinator.run(INST, params)
     assert remote.trace == local.trace
     assert remote.best_order == local.best_order
@@ -476,7 +519,7 @@ def test_graceful_worker_exit_mid_run_redistributes(monkeypatch):
     servers = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(3)]
     for s in servers:
         s.start()
-    coordinator = Coordinator([s.address for s in servers], fast_config())
+    coordinator = Coordinator([s.address for s in servers])
     audits, _ = record_cover(monkeypatch, coordinator)
     try:
         stopped = []
@@ -503,10 +546,10 @@ def test_timeout_suspect_and_late_sample(monkeypatch):
     monkeypatch.setattr(coordinator_module, "DEADLINE_SLACK", 1.2)
     monkeypatch.setattr(coordinator_module, "DEADLINE_FLOOR", 0.05)
     monkeypatch.setattr(coordinator_module, "RESPONSE_GRACE", 0.1)
-    coordinator = Coordinator([s.address for s in servers], fast_config())
+    coordinator = Coordinator([s.address for s in servers])
     audits, _ = record_cover(monkeypatch, coordinator)
     try:
-        coordinator.calibrate(seed=4)
+        coordinator.handshake()
         coordinator.set_problem(INST)
 
         slow_once = {"armed": True}
@@ -546,10 +589,10 @@ def test_slow_worker_returns_prefix_and_rest_is_redistributed(monkeypatch):
     monkeypatch.setattr(coordinator_module, "DEADLINE_SLACK", 1.5)
     monkeypatch.setattr(coordinator_module, "DEADLINE_FLOOR", 0.02)
     monkeypatch.setattr(coordinator_module, "RESPONSE_GRACE", 2.0)
-    coordinator = Coordinator([s.address for s in servers], fast_config())
+    coordinator = Coordinator([s.address for s in servers])
     try:
-        coordinator.calibrate(seed=4)
-        # slow down one worker after calibration so the nominal speed it is planned at is
+        coordinator.handshake()
+        # slow down one worker after the handshake so the nominal speed it is planned at is
         # far too high; a one-lane worker's evaluator reads the delay as each scan starts
         servers[0]._backend.evaluator.per_move_delay = 0.004
         coordinator.set_problem(big)
@@ -568,9 +611,9 @@ def test_all_workers_dying_mid_iteration_is_fatal():
     servers = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(2)]
     for s in servers:
         s.start()
-    coordinator = Coordinator([s.address for s in servers], fast_config())
+    coordinator = Coordinator([s.address for s in servers])
     try:
-        coordinator.calibrate(seed=4)
+        coordinator.handshake()
         coordinator.set_problem(INST)
         for s in servers:
             s.shutdown(reason="gone")
@@ -587,11 +630,10 @@ def test_proportional_planning_follows_speed_ratio(monkeypatch):
     slow = WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.006)
     fast.start()
     slow.start()
-    config = fast_config(calibration_budget=0.4)
-    coordinator = Coordinator([fast.address, slow.address], config)
+    coordinator = Coordinator([fast.address, slow.address])
     _, plans = record_cover(monkeypatch, coordinator)
     try:
-        coordinator.calibrate(seed=8)
+        coordinator.handshake()
         coordinator.set_problem(INST)
         ctx = make_ctx(INST, seed=2)
         for _ in range(5):
@@ -609,9 +651,9 @@ def test_proportional_planning_follows_speed_ratio(monkeypatch):
 def test_coordinator_starts_no_thread():
     with SubprocessWorker(lanes=1) as w1, SubprocessWorker(lanes=1) as w2:
         threads = threading.active_count()
-        coordinator = Coordinator([w1.address, w2.address], fast_config())
+        coordinator = Coordinator([w1.address, w2.address])
         try:
-            coordinator.calibrate(seed=3)
+            coordinator.handshake()
             assert threading.active_count() == threads
             coordinator.set_problem(INST)
             ctx = make_ctx(INST, seed=1)
@@ -631,9 +673,9 @@ def test_coordinator_starts_no_thread():
 
 def test_node_lost_during_another_handshake_gets_one_strike():
     with SubprocessWorker(lanes=1) as w0, SubprocessWorker(lanes=1) as w1:
-        coordinator = Coordinator([w0.address, w1.address], fast_config())
+        coordinator = Coordinator([w0.address, w1.address])
         try:
-            coordinator.calibrate(seed=3)
+            coordinator.handshake()
             coordinator.set_problem(INST)
             w0.kill()  # returns once the process has exited, so its EOF is waiting
             coordinator.proxies[1].state = "suspect"  # the next round reconnects it first
@@ -653,9 +695,9 @@ def test_dead_socket_does_not_keep_the_coordinator_busy():
     delay = 0.5 / N
     with SubprocessWorker(lanes=1, per_move_delay=delay) as w1, \
             SubprocessWorker(lanes=1, per_move_delay=delay) as w2:
-        coordinator = Coordinator([w1.address, w2.address], fast_config())
+        coordinator = Coordinator([w1.address, w2.address])
         try:
-            coordinator.calibrate(seed=3)
+            coordinator.handshake()
             coordinator.set_problem(INST)
             w2.kill()
             ctx = make_ctx(INST, seed=1)
@@ -674,7 +716,7 @@ def test_dead_socket_does_not_keep_the_coordinator_busy():
 def test_node_stats_track_assigned_moves():
     params = SearchParams(iterations=10, seed=6)
     with WorkerServer("127.0.0.1", 0, lanes=1) as w1, WorkerServer("127.0.0.1", 0, lanes=1) as w2:
-        coordinator = Coordinator([w1.address, w2.address], fast_config())
+        coordinator = Coordinator([w1.address, w2.address])
         try:
             coordinator.run(INST, params)
             stats = coordinator.node_stats()

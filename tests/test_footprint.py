@@ -65,7 +65,7 @@ print(json.dumps({{"source": sha256.__module__, "trace": trace_digest(trace),
 GUARD = """
 import json, sys
 from hfstabu.bench import trace_digest
-from hfstabu.coordinator import Coordinator, CoordinatorConfig
+from hfstabu.coordinator import Coordinator
 from hfstabu.instance import generate_instance
 from hfstabu.parallel import LaneEvaluator
 from hfstabu.schedule import evaluate_makespan
@@ -80,11 +80,10 @@ order = initial_order(inst)
 ctx = EvalContext(inst, order, TabuList(), evaluate_makespan(inst, order))
 with LaneEvaluator(inst, lanes=1) as evaluator:
     trace_digest(run_search(inst, SearchParams(iterations=5, seed=1), evaluator.evaluate))
-config = CoordinatorConfig(calibration_budget=0.15)
 with WorkerServer("127.0.0.1", 0, lanes=1) as server:
-    coordinator = Coordinator([server.address], config)
+    coordinator = Coordinator([server.address])
     try:
-        coordinator.calibrate(seed=5)
+        coordinator.handshake()
         coordinator.set_problem(inst)
         coordinator.evaluate(ctx)
     finally:

@@ -1,11 +1,11 @@
 import pytest
 
 from hfstabu import protocol
-from hfstabu.coordinator import CalibrationError, Coordinator, CoordinatorConfig, NodeProxy
+from hfstabu.coordinator import Coordinator, CoverageError, NodeProxy
 from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.superserver import FanoutBackend, serve_as_super_server
-from hfstabu.tabu import SearchParams, run_search
+from hfstabu.tabu import EvalContext, SearchParams, run_search
 from hfstabu.worker import LocalBackend, WorkerServer
 
 from netharness import LatencyRelay, WireClient, empty_tabu, record_cover, wait_until
@@ -15,12 +15,6 @@ INST = generate_instance(8, 3, 3, seed=42)
 DIGEST = instance_digest(INST)
 N = neighborhood_size(8)
 ORDER = tuple(range(8))
-
-
-def fast_config(**overrides):
-    defaults = dict(calibration_budget=0.15, calibration_grace=5.0)
-    defaults.update(overrides)
-    return CoordinatorConfig(**defaults)
 
 
 def sequential_reference(ctx):
@@ -33,7 +27,7 @@ def test_super_server_answers_like_its_children():
     w2 = WorkerServer("127.0.0.1", 0, lanes=1)
     w1.start()
     w2.start()
-    sup = serve_as_super_server("127.0.0.1", 0, [w1.address, w2.address], fast_config())
+    sup = serve_as_super_server("127.0.0.1", 0, [w1.address, w2.address])
     sup.start()
     try:
         with WireClient(sup.address) as client:
@@ -58,7 +52,7 @@ def test_paced_children_reach_their_speed_ratio_by_the_second_iteration(monkeypa
     children = [WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=delay) for delay in (0.002, 0.008)]
     for child in children:
         child.start()
-    sup = serve_as_super_server("127.0.0.1", 0, [c.address for c in children], fast_config())
+    sup = serve_as_super_server("127.0.0.1", 0, [c.address for c in children])
     sup.start()
     _, plans = record_cover(monkeypatch, sup._backend.coordinator)
     try:
@@ -77,19 +71,44 @@ def test_paced_children_reach_their_speed_ratio_by_the_second_iteration(monkeypa
             child.shutdown()
 
 
+def test_equal_children_get_an_equal_first_split(monkeypatch):
+    # no round runs before the real problem's first, so two equal children both start at the
+    # nominal speed and the first full-width round of a 10x5 neighborhood is split evenly
+    inst = generate_instance(10, 5, 5, seed=1)
+    total = neighborhood_size(10)
+    children = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(2)]
+    for child in children:
+        child.start()
+    sup = serve_as_super_server("127.0.0.1", 0, [c.address for c in children])
+    sup.start()
+    _, plans = record_cover(monkeypatch, sup._backend.coordinator)
+    try:
+        with Coordinator([sup.address]) as coordinator:
+            coordinator.run(inst, SearchParams(iterations=1, seed=1))
+        first = next(rounds[0] for rounds in plans if sum(rounds[0]) == total)
+        assert first == [total // 2, total - total // 2], f"first split {first[0]}:{first[1]}"
+    finally:
+        sup.shutdown()
+        for child in children:
+            child.shutdown()
+
+
 def test_super_calibration_errors_without_a_live_child():
+    # a node is calibrated by its first round of the real problem; a super server whose only
+    # child has gone answers that EVAL with ERROR, a strike like any failed EVAL, and the
+    # reconnect's second ERROR kills it
     w = WorkerServer("127.0.0.1", 0, lanes=1)
     w.start()
-    sup = serve_as_super_server("127.0.0.1", 0, [w.address], fast_config())
+    sup = serve_as_super_server("127.0.0.1", 0, [w.address])
     sup.start()
     try:
-        with Coordinator([sup.address], fast_config()) as coordinator:
-            coordinator.connect_all()
+        with Coordinator([sup.address]) as coordinator:
+            coordinator.handshake()  # the super server's children are connected already
             w.shutdown(reason="gone")
-            # the super server answers the warm-up EVAL with ERROR: no node survives
-            with pytest.raises(CalibrationError):
-                coordinator.calibrate(seed=1)
-            assert coordinator.proxies[0].state == "dead"
+            coordinator.set_problem(INST)
+            with pytest.raises(CoverageError):
+                coordinator.evaluate(EvalContext(INST, ORDER, empty_tabu(), 10**6))
+            assert coordinator.proxies[0].state == "dead" and coordinator.proxies[0].strikes == 2
     finally:
         sup.shutdown()
         w.shutdown()
@@ -98,7 +117,7 @@ def test_super_calibration_errors_without_a_live_child():
 def test_super_problem_cache_eviction():
     w = WorkerServer("127.0.0.1", 0, lanes=1)
     w.start()
-    sup = serve_as_super_server("127.0.0.1", 0, [w.address], fast_config())
+    sup = serve_as_super_server("127.0.0.1", 0, [w.address])
     sup.start()
     try:
         with WireClient(sup.address) as client:
@@ -118,12 +137,12 @@ def test_super_problem_cache_eviction():
 def test_super_over_single_worker_is_passthrough():
     w = WorkerServer("127.0.0.1", 0, lanes=1)
     w.start()
-    sup = serve_as_super_server("127.0.0.1", 0, [w.address], fast_config())
+    sup = serve_as_super_server("127.0.0.1", 0, [w.address])
     sup.start()
     try:
         params = SearchParams(iterations=20, seed=9)
         local = run_search(INST, params, sequential_reference)
-        with Coordinator([sup.address], fast_config()) as coordinator:
+        with Coordinator([sup.address]) as coordinator:
             remote = coordinator.run(INST, params)
         assert remote.trace == local.trace
         assert remote.best_makespan == local.best_makespan
@@ -136,13 +155,13 @@ def test_flat_and_super_topologies_agree():
     workers = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(2)]
     for w in workers:
         w.start()
-    sup = serve_as_super_server("127.0.0.1", 0, [w.address for w in workers], fast_config())
+    sup = serve_as_super_server("127.0.0.1", 0, [w.address for w in workers])
     sup.start()
     try:
         params = SearchParams(iterations=15, seed=4)
-        with Coordinator([w.address for w in workers], fast_config()) as flat_coord:
+        with Coordinator([w.address for w in workers]) as flat_coord:
             flat = flat_coord.run(INST, params)
-        with Coordinator([sup.address], fast_config()) as sup_coord:
+        with Coordinator([sup.address]) as sup_coord:
             grouped = sup_coord.run(INST, params)
         assert flat.trace == grouped.trace
         assert flat.best_order == grouped.best_order
@@ -157,14 +176,14 @@ def test_nested_super_servers_agree():
     w2 = WorkerServer("127.0.0.1", 0, lanes=1)
     w1.start()
     w2.start()
-    inner = serve_as_super_server("127.0.0.1", 0, [w1.address], fast_config())
+    inner = serve_as_super_server("127.0.0.1", 0, [w1.address])
     inner.start()
-    outer = serve_as_super_server("127.0.0.1", 0, [inner.address, w2.address], fast_config())
+    outer = serve_as_super_server("127.0.0.1", 0, [inner.address, w2.address])
     outer.start()
     try:
         params = SearchParams(iterations=12, seed=13)
         local = run_search(INST, params, sequential_reference)
-        with Coordinator([outer.address], fast_config()) as coordinator:
+        with Coordinator([outer.address]) as coordinator:
             nested = coordinator.run(INST, params)
         assert nested.trace == local.trace
     finally:
@@ -179,12 +198,12 @@ def test_super_survives_child_exit():
     w2 = WorkerServer("127.0.0.1", 0, lanes=1)
     w1.start()
     w2.start()
-    sup = serve_as_super_server("127.0.0.1", 0, [w1.address, w2.address], fast_config())
+    sup = serve_as_super_server("127.0.0.1", 0, [w1.address, w2.address])
     sup.start()
     try:
         params = SearchParams(iterations=16, seed=21)
         local = run_search(INST, params, sequential_reference)
-        coordinator = Coordinator([sup.address], fast_config())
+        coordinator = Coordinator([sup.address])
         try:
             killed = []
 
@@ -206,7 +225,7 @@ def test_super_survives_child_exit():
 def test_super_with_all_children_dead_errors_upstream():
     w = WorkerServer("127.0.0.1", 0, lanes=1)
     w.start()
-    sup = serve_as_super_server("127.0.0.1", 0, [w.address], fast_config())
+    sup = serve_as_super_server("127.0.0.1", 0, [w.address])
     sup.start()
     try:
         with WireClient(sup.address) as client:
@@ -228,7 +247,6 @@ def test_reconnects_keep_at_most_one_abandoned_socket(monkeypatch):
     # replies reach the backend 0.15 s late, so every 0.03 s evaluation is cut
     # by its budget and the child is reconnected before the next one
     relay = LatencyRelay(child.address, up_s=0.0, down_s=0.15)
-    backend = FanoutBackend([relay.address], fast_config())
     opens = []
     open_ = NodeProxy.open
 
@@ -237,6 +255,7 @@ def test_reconnects_keep_at_most_one_abandoned_socket(monkeypatch):
         return open_(proxy)
 
     monkeypatch.setattr(NodeProxy, "open", counted_open)
+    backend = FanoutBackend([relay.address])  # its first connection is opened here
     try:
         backend.set_problem(INST)
         proxy = backend.coordinator.proxies[0]

@@ -9,12 +9,12 @@ import time
 import pytest
 
 from hfstabu import protocol
-from hfstabu.coordinator import WARMUP_SHAPE, Coordinator, CoordinatorConfig
+from hfstabu.coordinator import NOMINAL_SPEED, Coordinator, predict
 from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.protocol import ProtocolError
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.schedule import evaluate_makespan
-from hfstabu.tabu import SliceResult, initial_order, scan_slice
+from hfstabu.tabu import EvalContext, SliceResult, initial_order, scan_slice
 from hfstabu.worker import LocalBackend, WorkerServer
 
 from netharness import WireClient, empty_tabu, kill_lane_child, wait_until
@@ -26,13 +26,20 @@ N = neighborhood_size(8)
 ORDER = tuple(range(8))
 
 
-def calibrate(address, budget, seed=9) -> float:
-    """The warm-up speed one ``Coordinator.calibrate`` reports for the worker at ``address``.
+def calibrate(address, seed=9) -> dict[int, float]:
+    """What one ``Coordinator.calibrate`` reports for the worker at ``address``."""
+    with Coordinator([address]) as coordinator:
+        return coordinator.calibrate(seed)
 
-    The calibration instance is ``generate_instance(*WARMUP_SHAPE, seed)``.
-    """
-    with Coordinator([address], CoordinatorConfig(calibration_budget=budget)) as coordinator:
-        return coordinator.calibrate(seed)[0]
+
+def first_round_speed(address, inst) -> float:
+    """The speed a coordinator predicts for the worker at ``address`` after one round of ``inst``."""
+    order = initial_order(inst)
+    with Coordinator([address]) as coordinator:
+        coordinator.handshake()
+        coordinator.set_problem(inst)
+        coordinator.evaluate(EvalContext(inst, order, empty_tabu(), evaluate_makespan(inst, order)))
+        return predict(coordinator.proxies[0].history)
 
 
 @pytest.fixture
@@ -139,14 +146,16 @@ def test_deadline_compliance():
 
 
 def test_calibrate_positive_speed(server):
-    assert calibrate(server.address, 0.2) > 0
+    # calibrate is the handshake: the worker is planned at the nominal speed, and serves nothing
+    assert calibrate(server.address) == {0: NOMINAL_SPEED}
+    assert server.requests_served == 0 and not server._backend._problems
 
 
 def test_calibrate_speed_stability():
-    # delay-dominated worker: two calibrations land within 25% of each other
+    # delay-dominated worker: the first rounds of two runs measure it within 25% of each other
     with WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002) as server:
-        a = calibrate(server.address, 0.3)
-        b = calibrate(server.address, 0.3)
+        a = first_round_speed(server.address, INST)
+        b = first_round_speed(server.address, INST)
         assert abs(a - b) / max(a, b) < 0.25
 
 
@@ -162,42 +171,49 @@ def _round_speed(inst, per_move_delay):
 
 
 def test_calibrate_takes_one_timed_round():
-    # delay-dominated worker: its one-move warm-up runs at the speed of its whole rounds, and
-    # calibration ends with the warm-up, far inside the 3 s budget
-    reference = _round_speed(generate_instance(*WARMUP_SHAPE, seed=9), 0.002)
+    # delay-dominated worker: the real problem's first round is the one timed round, and it
+    # measures the speed of the worker's whole rounds
+    reference = _round_speed(INST, 0.002)
     with WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002) as server:
         t0 = time.monotonic()
-        speed = calibrate(server.address, 3.0)
+        speed = first_round_speed(server.address, INST)
         wall = time.monotonic() - t0
+        assert server.requests_served == 1
     assert wall < 1.0
     assert abs(speed - reference) / reference < 0.25
 
 
 def test_paced_worker_answers_calibrate_within_one_round():
-    # a full round of the 30-move neighborhood takes about 60 ms; calibration takes less
-    reference = _round_speed(generate_instance(*WARMUP_SHAPE, seed=9), 0.002)
+    # paced at 2 ms per move, a full round of a 10-job neighborhood (81 moves) takes at least
+    # 162 ms; calibrate, the handshake, takes less
     with WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002) as server:
         t0 = time.monotonic()
-        speed = calibrate(server.address, 3.0)
+        assert calibrate(server.address) == {0: NOMINAL_SPEED}
         wall = time.monotonic() - t0
     assert wall < 0.15
-    assert abs(speed - reference) / reference < 0.25
 
 
 def test_calibration_times_its_round_with_the_lanes_started():
-    # the one-move warm-up forks both lanes, so the first round of the real problem
-    # finds them started
+    # a node is calibrated by its first round of the real problem: a two-lane worker forks its
+    # lanes while it serves that EVAL, before it plans its lanes' round, so the round completes
+    # with no redistribution round at either level
     known = set(multiprocessing.active_children())
-    with WorkerServer("127.0.0.1", 0, lanes=2) as server:
-        assert calibrate(server.address, 3.0) > 0
+    with WorkerServer("127.0.0.1", 0, lanes=2) as server, Coordinator([server.address]) as coordinator:
+        coordinator.handshake()
+        assert not set(multiprocessing.active_children()) - known  # the handshake forks no lane
+        coordinator.set_problem(INST)
+        got = coordinator.evaluate(EvalContext(INST, ORDER, empty_tabu(), 10**6))
+        want = evaluate_slice(INST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N))
+        assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
         assert len(set(multiprocessing.active_children()) - known) == 2
-        assert server.requests_served == 1 and server.moves_evaluated == 1
+        assert server.requests_served == 1 and server.moves_evaluated == N
+        assert coordinator.redistribution_rounds == 0
+        assert server._backend.evaluator._coordinator.redistribution_rounds == 0
 
 
 def test_calibration_leaves_problem_cache_alone():
-    # a calibration sends its instance like any problem: it takes one of the worker's cache
-    # slots, and the problem set before it stays cached, on the same lanes
-    calibration = generate_instance(*WARMUP_SHAPE, seed=9)
+    # calibrate is the handshake: it sends no problem, so the problem set before it stays the
+    # only one cached, on the same lanes
     known = set(multiprocessing.active_children())
     with WorkerServer("127.0.0.1", 0, lanes=2) as server, WireClient(server.address) as client:
         client.hello()
@@ -205,15 +221,11 @@ def test_calibration_leaves_problem_cache_alone():
         assert client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0).complete
         lanes = {p.pid for p in multiprocessing.active_children() if p not in known}
         assert len(lanes) == 2
-        assert calibrate(server.address, 0.3) > 0
-        assert server._backend.has_problem(instance_digest(calibration))
-        assert server._backend.has_problem(DIGEST)
-        # calibration ran on the same lanes: none was forked or lost
-        assert {p.pid for p in multiprocessing.active_children() if p not in known} == lanes
-        # calibrating again on the cached calibration instance keeps both cached
-        assert calibrate(server.address, 0.3) > 0
-        assert server._backend.has_problem(instance_digest(calibration))
-        assert server._backend.has_problem(DIGEST)
+        for _ in range(2):
+            assert calibrate(server.address) == {0: NOMINAL_SPEED}
+            assert list(server._backend._problems) == [DIGEST]
+            # none was forked or lost
+            assert {p.pid for p in multiprocessing.active_children() if p not in known} == lanes
         reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
         assert reply.complete and reply.moves_evaluated == N
 
@@ -221,12 +233,10 @@ def test_calibration_leaves_problem_cache_alone():
 def test_one_lane_set_serves_every_problem_and_calibration():
     known = set(multiprocessing.active_children())
     backend = LocalBackend(lanes=2)
-    try:
-        # what a calibration asks of a worker: its instance and a one-move warm-up
-        calibration = generate_instance(*WARMUP_SHAPE, seed=9)
-        digest = backend.set_problem(calibration)
-        result, _ = backend.evaluate(digest, initial_order(calibration), empty_tabu(), 0, NeighborhoodSlice(0, 1), 0.3)
-        assert result.moves_evaluated == 1
+    with WorkerServer("127.0.0.1", 0, backend=backend) as server:
+        # what calibrate asks of a worker: a handshake, which forks no lane
+        assert calibrate(server.address) == {0: NOMINAL_SPEED}
+        assert not [p for p in multiprocessing.active_children() if p not in known]
         for seed in range(6):
             inst = generate_instance(8, 3, 3, seed=100 + seed)
             digest = backend.set_problem(inst)
@@ -236,18 +246,7 @@ def test_one_lane_set_serves_every_problem_and_calibration():
                 want.best_index, want.best_makespan, N)
             assert frontier == N
         assert len([p for p in multiprocessing.active_children() if p not in known]) == 2
-    finally:
-        backend.close()
     assert not [p for p in multiprocessing.active_children() if p not in known]
-
-
-def test_calibrate_rejects_zero_budget(server):
-    # refused before any node is asked, so the worker stays usable
-    with Coordinator([server.address], CoordinatorConfig(calibration_budget=0.0)) as coordinator:
-        with pytest.raises(ValueError, match="budget"):
-            coordinator.calibrate(seed=9)
-        assert coordinator.proxies[0].state == "idle"
-    assert calibrate(server.address, 0.2) > 0
 
 
 def test_a_number_too_large_for_a_float_drops_only_its_connection(server):
@@ -386,7 +385,7 @@ def test_one_thread_serves_every_connection():
     def new_threads():  # threads that end meanwhile do not count, so earlier tests cannot interfere
         return [t for t in threading.enumerate() if t not in before]
 
-    calibration = generate_instance(6, 2, 2, seed=9)
+    small = generate_instance(6, 2, 2, seed=9)
     server = WorkerServer("127.0.0.1", 0, lanes=1)
     try:
         server.start()
@@ -403,8 +402,8 @@ def test_one_thread_serves_every_connection():
                 reply = client.recv()
                 assert isinstance(reply, protocol.EvalResult) and reply.rid == rid
             for client in clients:
-                digest = client.set_problem(calibration)
-                reply = client.eval(digest, initial_order(calibration), empty_tabu(), 0, 0, 30, 0.05)
+                digest = client.set_problem(small)
+                reply = client.eval(digest, initial_order(small), empty_tabu(), 0, 0, 30, 0.05)
                 assert isinstance(reply, protocol.EvalResult) and reply.moves_evaluated > 0
             assert len(new_threads()) == 1
         finally:
