@@ -179,6 +179,32 @@ def record_requests(server: WorkerServer) -> list[tuple[str, str | None]]:
     return seen
 
 
+def test_calibrate_costs_each_node_one_one_move_eval():
+    # the name is historical: calibrate is now the handshake alone, at every level, and the
+    # one-move warm-up EVAL it used to cost each node is gone (a node is measured by its first
+    # round of the real problem)
+    flat = WorkerServer("127.0.0.1", 0, lanes=1)
+    children = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(2)]
+    seen = [record_requests(server) for server in (flat, *children)]
+    for server in (flat, *children):
+        server.start()
+    sup = serve_as_super_server("127.0.0.1", 0, [c.address for c in children])
+    seen.append(record_requests(sup))
+    sup.start()
+    try:
+        with Coordinator([flat.address, sup.address]) as coordinator:
+            assert coordinator.calibrate(seed=5) == {0: NOMINAL_SPEED, 1: NOMINAL_SPEED}
+        for requests in seen:
+            assert requests == [("HELLO", None)]
+        for server in (flat, sup, *children):
+            assert server.requests_served == 0 and server.moves_evaluated == 0
+            assert not server._backend._problems
+    finally:
+        sup.shutdown()
+        for server in (flat, *children):
+            server.shutdown()
+
+
 def test_a_run_sends_each_node_its_handshake_the_problem_and_evals_only():
     # the handshake is the whole set-up, at every level: each node gets HELLO, one SET_PROBLEM
     # of the real problem and EVALs of it, and caches no other problem
@@ -425,6 +451,21 @@ def test_slow_opener_leaves_earlier_handshakes_their_wait(monkeypatch):
             assert coordinator.handshake() == [coordinator.proxies[0]]
         finally:
             coordinator.close()
+
+
+def test_calibration_instance_deterministic():
+    # the name is historical: calibration sends no instance, so its result depends on nothing
+    # but which nodes answer the handshake, and a worker caches no problem for it
+    with WorkerServer("127.0.0.1", 0, lanes=1) as worker:
+        speeds = []
+        for seed in (99, 99, 7):
+            with Coordinator([worker.address]) as coordinator:
+                speeds.append(coordinator.calibrate(seed=seed))
+        assert speeds == [{0: NOMINAL_SPEED}] * 3
+        assert not worker._backend._problems
+        with Coordinator([worker.address]) as coordinator:
+            coordinator.run(INST, SearchParams(iterations=1, seed=99))
+        assert list(worker._backend._problems) == [instance_digest(INST)]
 
 
 def test_all_nodes_unreachable_raises():
