@@ -43,8 +43,7 @@ from .coordinator import (
     plan_partition,
     predict,
 )
-from .worker import WorkerServer
-from .superserver import FanoutBackend, serve_as_super_server
+from .worker import WorkerServer, serve_as_super_server
 
 __version__ = "0.1.0"
 
@@ -84,6 +83,5 @@ __all__ = [
     "plan_partition",
     "predict",
     "WorkerServer",
-    "FanoutBackend",
     "serve_as_super_server",
 ]

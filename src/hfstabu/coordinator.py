@@ -307,6 +307,11 @@ class Coordinator:
     def live_nodes(self) -> list[NodeProxy]:
         return [p for p in self.proxies if p.state != DEAD]
 
+    @property
+    def lanes(self) -> int:
+        """The summed handshake lanes of the live nodes: what a super server reports upstream."""
+        return sum(p.lanes for p in self.live_nodes())
+
     def _strike(self, proxy: NodeProxy, reason: str):
         proxy.strikes += 1
         proxy.state = DEAD if proxy.strikes >= 2 else SUSPECT

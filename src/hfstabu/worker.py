@@ -17,6 +17,14 @@ closes.
 ``per_move_delay`` paces every scan: move k of a scan waits until k + 1
 delays after the scan started, so a throttled worker runs at a steady
 1/delay moves per second, for benchmarks and tests.
+
+A super server (``serve_as_super_server``) is this server with a
+``Coordinator`` over its child nodes as the evaluator, the class that
+drives the top-level search: each EVAL is one ``evaluate_blocks`` call,
+the reply covers the contiguous prefix of the request, and the rest goes
+back upstream as the remaining range. Children may be super servers, so
+trees compose. The children get their handshake while the server is
+built; its HELLO reports the summed lanes of its live children.
 """
 
 from __future__ import annotations
@@ -28,8 +36,9 @@ import threading
 import time
 
 from . import protocol
+from .coordinator import Coordinator
 from .instance import ProblemInstance, instance_digest
-from .neighborhood import NeighborhoodSlice
+from .neighborhood import NeighborhoodSlice, neighborhood_size
 from .parallel import LaneEvaluator
 from .protocol import PROTOCOL_VERSION
 from .tabu import EvalContext, SliceResult, TabuList
@@ -40,10 +49,11 @@ log = logging.getLogger(__name__)
 class Backend:
     """A worker server's evaluation: the last few problems set, by digest, over one evaluator.
 
-    The evaluator is a ``LaneEvaluator`` or a super server's ``Coordinator``:
-    both answer ``evaluate_blocks``. An EVAL for an evicted problem is
-    answered "unknown problem". Use it from one thread at a time: a worker
-    server calls it only from its loop.
+    The evaluator is a worker's ``LaneEvaluator`` or a super server's
+    ``Coordinator``: both answer ``evaluate_blocks`` and report ``lanes``,
+    a coordinator those of its live nodes. An EVAL for an evicted problem
+    is answered "unknown problem". Use it from one thread at a time: a
+    worker server calls it only from its loop.
     """
 
     MAX_CACHED_PROBLEMS = 4
@@ -51,6 +61,10 @@ class Backend:
     def __init__(self, evaluator):
         self.evaluator = evaluator
         self._problems: dict[str, ProblemInstance] = {}
+
+    @property
+    def lanes(self) -> int:
+        return self.evaluator.lanes
 
     def set_problem(self, inst: ProblemInstance) -> str:
         digest = instance_digest(inst)
@@ -64,23 +78,24 @@ class Backend:
         return digest in self._problems
 
     def evaluate(self, digest, order, tabu: TabuList, incumbent, nslice, deadline) -> tuple[SliceResult, int]:
-        """Evaluate as much of ``nslice`` as ``deadline`` seconds allow: (result, prefix end)."""
-        return self.evaluator.evaluate_blocks(EvalContext(self._problems[digest], order, tabu, incumbent), nslice,
-                                              time.monotonic() + deadline)
+        """Evaluate as much of ``nslice`` as ``deadline`` seconds allow: (result, prefix end).
+
+        Raises for an order or a slice that does not fit the problem, and
+        when no move was evaluated and no lane is left.
+        """
+        inst = self._problems[digest]
+        if len(order) != inst.num_jobs:
+            raise ValueError(f"order has {len(order)} jobs, the problem {inst.num_jobs}")
+        if nslice.end > neighborhood_size(inst.num_jobs):
+            raise ValueError(f"slice ends at {nslice.end}, past the problem's {neighborhood_size(inst.num_jobs)} moves")
+        result, frontier = self.evaluator.evaluate_blocks(EvalContext(inst, order, tabu, incumbent), nslice,
+                                                          time.monotonic() + deadline)
+        if not result.moves_evaluated and not self.lanes:
+            raise RuntimeError("no lane left")  # a super server whose children are all dead
+        return result, frontier
 
     def close(self):
         self.evaluator.close()
-
-
-class LocalBackend(Backend):
-    """Evaluation backend on this host's lanes: one ``LaneEvaluator`` for every problem."""
-
-    def __init__(self, lanes: int | None = None, per_move_delay: float = 0.0):
-        super().__init__(LaneEvaluator(None, lanes, per_move_delay))
-
-    @property
-    def lanes(self) -> int:
-        return self.evaluator.lanes
 
 
 class WorkerServer:
@@ -101,7 +116,7 @@ class WorkerServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, lanes: int | None = None,
                  per_move_delay: float = 0.0, backend=None, conn: socket.socket | None = None):
-        self._backend = backend if backend is not None else LocalBackend(lanes, per_move_delay)
+        self._backend = backend if backend is not None else Backend(LaneEvaluator(None, lanes, per_move_delay))
         self._wake_reader, self._wake_writer = socket.socketpair()
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._wake_reader, selectors.EVENT_READ)
@@ -271,3 +286,14 @@ class WorkerServer:
                            msg.nslice.begin, msg.nslice.end, result.moves_evaluated, complete, result.elapsed)
 
         return protocol.Error(getattr(msg, "rid", 0) or 0, f"unexpected message type {msg.TYPE}"), None
+
+
+def serve_as_super_server(host: str, port: int, children, **kwargs) -> WorkerServer:
+    """Create (unstarted) a worker server over a ``Coordinator`` of ``children``, connected to them."""
+    coordinator = Coordinator(children)
+    try:
+        coordinator.connect_all()  # before the server starts: upstream's HELLO reads the lanes
+        return WorkerServer(host, port, backend=Backend(coordinator), **kwargs)
+    except BaseException:
+        coordinator.close()
+        raise

@@ -16,7 +16,6 @@ from hfstabu.instance import generate_instance
 from hfstabu.neighborhood import NeighborhoodSlice, decode_move, neighborhood_size
 from hfstabu.parallel import LaneEvaluator
 from hfstabu.schedule import evaluate_makespan
-from hfstabu.superserver import serve_as_super_server
 from hfstabu.tabu import (
     EvalContext,
     SearchParams,
@@ -24,7 +23,7 @@ from hfstabu.tabu import (
     merge_prefix,
     run_search,
 )
-from hfstabu.worker import WorkerServer
+from hfstabu.worker import WorkerServer, serve_as_super_server
 
 from netharness import LatencyRelay, SubprocessWorker, record_cover
 from oracles import build_schedule, evaluate_slice, random_small_instance, simulate, verify_exact_cover

@@ -22,8 +22,7 @@ from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.protocol import PROTOCOL_VERSION
 from hfstabu.tabu import EvalContext, SearchParams, TabuList, run_search
 from hfstabu.schedule import evaluate_makespan
-from hfstabu.superserver import serve_as_super_server
-from hfstabu.worker import WorkerServer
+from hfstabu.worker import WorkerServer, serve_as_super_server
 
 from netharness import LatencyRelay, SubprocessWorker, record_cover
 from oracles import evaluate_slice, largest_remainder_reference, verify_exact_cover

@@ -4,9 +4,8 @@ from hfstabu import protocol
 from hfstabu.coordinator import Coordinator, CoverageError, NodeProxy
 from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
-from hfstabu.superserver import FanoutBackend, serve_as_super_server
 from hfstabu.tabu import EvalContext, SearchParams, run_search
-from hfstabu.worker import LocalBackend, WorkerServer
+from hfstabu.worker import Backend, WorkerServer, serve_as_super_server
 
 from netharness import LatencyRelay, WireClient, empty_tabu, record_cover, wait_until
 from oracles import evaluate_slice
@@ -44,6 +43,29 @@ def test_super_server_answers_like_its_children():
         w2.shutdown()
 
 
+def test_super_server_hello_reports_the_lanes_of_its_live_children():
+    w1 = WorkerServer("127.0.0.1", 0, lanes=1)
+    w2 = WorkerServer("127.0.0.1", 0, lanes=1)
+    w1.start()
+    w2.start()
+    sup = serve_as_super_server("127.0.0.1", 0, [w1.address, w2.address])
+    sup.start()
+    try:
+        with WireClient(sup.address) as client:
+            assert client.hello().lanes == 2
+            client.set_problem(INST)
+            w1.shutdown(reason="child gone")
+            # the super server learns of the exit in the next round, which w2 covers
+            reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
+            assert isinstance(reply, protocol.EvalResult) and reply.complete
+        with WireClient(sup.address) as client:
+            assert client.hello().lanes == 1
+    finally:
+        sup.shutdown()
+        w1.shutdown()
+        w2.shutdown()
+
+
 def test_paced_children_reach_their_speed_ratio_by_the_second_iteration(monkeypatch):
     # children paced at 2 and 8 ms per move: the first round, split at the nominal speed,
     # measures them, so the second iteration is planned 4:1
@@ -54,7 +76,7 @@ def test_paced_children_reach_their_speed_ratio_by_the_second_iteration(monkeypa
         child.start()
     sup = serve_as_super_server("127.0.0.1", 0, [c.address for c in children])
     sup.start()
-    _, plans = record_cover(monkeypatch, sup._backend.coordinator)
+    _, plans = record_cover(monkeypatch, sup._backend.evaluator)
     try:
         with WireClient(sup.address) as client:
             client.hello()
@@ -81,7 +103,7 @@ def test_equal_children_get_an_equal_first_split(monkeypatch):
         child.start()
     sup = serve_as_super_server("127.0.0.1", 0, [c.address for c in children])
     sup.start()
-    _, plans = record_cover(monkeypatch, sup._backend.coordinator)
+    _, plans = record_cover(monkeypatch, sup._backend.evaluator)
     try:
         with Coordinator([sup.address]) as coordinator:
             coordinator.run(inst, SearchParams(iterations=1, seed=1))
@@ -123,10 +145,10 @@ def test_super_problem_cache_eviction():
         with WireClient(sup.address) as client:
             client.hello()
             digests = [client.set_problem(generate_instance(8, 3, 3, seed=seed))
-                       for seed in range(LocalBackend.MAX_CACHED_PROBLEMS + 2)]
+                       for seed in range(Backend.MAX_CACHED_PROBLEMS + 2)]
             reply = client.eval(digests[0], ORDER, empty_tabu(), 10**6, 0, N, 10.0)
             assert isinstance(reply, protocol.Error) and "unknown problem" in reply.message
-            for digest in digests[-LocalBackend.MAX_CACHED_PROBLEMS:]:
+            for digest in digests[-Backend.MAX_CACHED_PROBLEMS:]:
                 reply = client.eval(digest, ORDER, empty_tabu(), 10**6, 0, N, 10.0)
                 assert isinstance(reply, protocol.EvalResult) and reply.complete
     finally:
@@ -255,10 +277,12 @@ def test_reconnects_keep_at_most_one_abandoned_socket(monkeypatch):
         return open_(proxy)
 
     monkeypatch.setattr(NodeProxy, "open", counted_open)
-    backend = FanoutBackend([relay.address])  # its first connection is opened here
+    coordinator = Coordinator([relay.address])
+    coordinator.connect_all()  # its first connection is opened here
+    backend = Backend(coordinator)
     try:
         backend.set_problem(INST)
-        proxy = backend.coordinator.proxies[0]
+        proxy = coordinator.proxies[0]
         for _ in range(8):
             backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 0.03)
             assert len(proxy._drained) <= 1

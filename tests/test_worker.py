@@ -13,9 +13,10 @@ from hfstabu.coordinator import NOMINAL_SPEED, Coordinator, predict
 from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.protocol import ProtocolError
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
+from hfstabu.parallel import LaneEvaluator
 from hfstabu.schedule import evaluate_makespan
 from hfstabu.tabu import EvalContext, SliceResult, initial_order, scan_slice
-from hfstabu.worker import LocalBackend, WorkerServer
+from hfstabu.worker import Backend, WorkerServer, serve_as_super_server
 
 from netharness import WireClient, empty_tabu, kill_lane_child, wait_until
 from oracles import evaluate_slice
@@ -104,15 +105,49 @@ def test_generous_deadline_completes(server):
         assert reply.speed == pytest.approx(reply.moves_evaluated / reply.elapsed, rel=1e-6)
 
 
-def test_zero_deadline_returns_everything_as_remaining(server):
+@pytest.mark.parametrize("node", ["lanes=1", "lanes=2", "super server"])
+def test_zero_deadline_returns_everything_as_remaining(node):
+    # no move fits the deadline, but lanes are left: an EVAL_RESULT with no move, not an ERROR
+    children = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(2)] if node == "super server" else []
+    for child in children:
+        child.start()
+    if children:
+        server = serve_as_super_server("127.0.0.1", 0, [c.address for c in children])
+    else:
+        server = WorkerServer("127.0.0.1", 0, lanes=int(node[-1]))
+    server.start()
+    try:
+        with WireClient(server.address) as client:
+            client.hello()
+            client.set_problem(INST)
+            reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 0.0)
+            assert isinstance(reply, protocol.EvalResult)
+            assert reply.complete is False
+            assert reply.moves_evaluated == 0
+            assert (reply.remaining.begin, reply.remaining.end) == (0, N)
+            assert reply.best_index is None
+    finally:
+        server.shutdown()
+        for child in children:
+            child.shutdown()
+
+
+@pytest.mark.parametrize("order, begin, end, field", [
+    (tuple(range(5)), 0, 20, "order"),  # a 5-job sub-problem of the 8-job problem
+    (tuple(range(9)), 0, 20, "order"),
+    (ORDER, 40, N + 1, "slice"),
+    (ORDER, 2 * N, 3 * N, "slice"),
+], ids=["shorter order", "longer permutation", "slice one past the end", "slice past the end"])
+def test_eval_that_does_not_fit_its_problem_is_refused(server, order, begin, end, field):
     with WireClient(server.address) as client:
         client.hello()
         client.set_problem(INST)
-        reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 0.0)
-        assert reply.complete is False
-        assert reply.moves_evaluated == 0
-        assert (reply.remaining.begin, reply.remaining.end) == (0, N)
-        assert reply.best_index is None
+        reply = client.eval(DIGEST, order, empty_tabu(), 10**6, begin, end, 60.0)
+        assert isinstance(reply, protocol.Error) and field in reply.message
+        # the connection keeps serving
+        reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
+        assert isinstance(reply, protocol.EvalResult) and reply.complete
+    assert server.requests_served == 1
 
 
 def test_deadline_prefix_soundness_and_equivalence():
@@ -232,7 +267,7 @@ def test_calibration_leaves_problem_cache_alone():
 
 def test_one_lane_set_serves_every_problem_and_calibration():
     known = set(multiprocessing.active_children())
-    backend = LocalBackend(lanes=2)
+    backend = Backend(LaneEvaluator(lanes=2))
     with WorkerServer("127.0.0.1", 0, backend=backend) as server:
         # what calibrate asks of a worker: a handshake, which forks no lane
         assert calibrate(server.address) == {0: NOMINAL_SPEED}
@@ -443,7 +478,8 @@ def test_request_logging(server, caplog):
             client.hello()
             client.set_problem(INST)
             client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
-    assert any("EVAL" in rec.message for rec in caplog.records)
+        # the worker logs the EVAL line after it has sent the reply
+        assert wait_until(lambda: any("EVAL" in rec.message for rec in caplog.records))
 
 
 def test_reply_is_sent_before_the_log_line(caplog):
@@ -502,7 +538,7 @@ def test_worker_recovers_from_killed_lane():
     local = evaluate_slice(INST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N))
     want = (local.best_index, local.best_makespan, N)
     known = set(multiprocessing.active_children())
-    backend = LocalBackend(lanes=2)
+    backend = Backend(LaneEvaluator(lanes=2))
     with WorkerServer("127.0.0.1", 0, backend=backend) as server:
         backend.set_problem(INST)
         result, _ = backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 60.0)
@@ -523,9 +559,9 @@ def test_worker_recovers_from_killed_lane():
 
 
 def test_problem_cache_eviction():
-    backend = LocalBackend(lanes=1)
+    backend = Backend(LaneEvaluator(lanes=1))
     digests = []
-    for seed in range(LocalBackend.MAX_CACHED_PROBLEMS + 1):
+    for seed in range(Backend.MAX_CACHED_PROBLEMS + 1):
         digests.append(backend.set_problem(generate_instance(4, 2, 2, seed=seed)))
     assert not backend.has_problem(digests[0])  # oldest evicted
     assert all(backend.has_problem(d) for d in digests[1:])
