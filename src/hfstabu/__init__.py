@@ -39,7 +39,6 @@ from .coordinator import (
     Coordinator,
     CoverageError,
     NodePerfHistory,
-    PlanningError,
     plan_partition,
     predict,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "Coordinator",
     "CoverageError",
     "NodePerfHistory",
-    "PlanningError",
     "plan_partition",
     "predict",
     "WorkerServer",

@@ -10,10 +10,11 @@ Each iteration splits the neighborhood proportionally to the predicted
 node speeds, dispatches one EVAL per node with a deadline derived from
 the prediction, and waits for the replies.
 
+A node is live (``IDLE``) or ``DEAD``, and has at most one connection.
 The coordinator talks to nodes one way, on the thread that uses it.
 ``_connect`` is the only place a connection is opened; ``handshake`` and
-evaluation pick their nodes with the same ``_ready_nodes``, so a suspect
-node gets its reconnect before either.
+evaluation pick their nodes with the same ``_ready_nodes``, which first
+reopens every live node that has no connection.
 ``_collect`` reads every node reply, HELLO included, through one
 selector: it resolves each outstanding request as a reply or a failure
 (lost connection, ERROR, EXIT_REPORT, timeout, budget cut), and alone
@@ -26,11 +27,13 @@ kind of request keeps its own failure policy on top of it:
   one ``CONNECT_TIMEOUT`` after the last connection has opened, marks
   the node dead.
 * EVAL, the first included: the slice goes back into the queue.
-  EXIT_REPORT marks the node dead, a budget cut marks it suspect (its
-  reply may still be in flight), and any other failure, an inconsistent
-  result or no move evaluated within a deadline of at least
-  ``DEADLINE_FLOOR`` is a strike: a node with one strike is suspect and
-  gets one reconnect attempt, a second strike marks it dead for the run.
+  EXIT_REPORT marks the node dead. A budget cut is no fault: the node
+  keeps its connection, its next EVAL queues behind the cut one at the
+  node, and the cut one's reply is read there as a late result. Any
+  other failure, an inconsistent result or no move evaluated within a
+  deadline of at least ``DEADLINE_FLOOR`` is a strike: it closes the
+  connection, so the node is reopened before its next round (a lane is
+  forked anew), and a second strike in a row marks it dead for the run.
   Each EVAL gets at least 50 ms from its own send and is cut 0.1 s after
   those or the budget, whichever ends later.
 
@@ -62,8 +65,6 @@ from .tabu import EvalContext, SearchParams, SearchResult, SliceResult, merge_pr
 log = logging.getLogger(__name__)
 
 IDLE = "idle"
-BUSY = "busy"
-SUSPECT = "suspect"
 DEAD = "dead"
 
 # The predicted speed, in moves/s, of a node not yet measured, about one core on 30x5: it
@@ -80,10 +81,6 @@ ERROR = "remote error"
 EXIT = "exited"
 TIMEOUT = "timed out"
 CUT = "budget cut"
-
-
-class PlanningError(RuntimeError):
-    """No live node with a positive predicted speed."""
 
 
 class CalibrationError(RuntimeError):
@@ -134,7 +131,7 @@ def plan_partition(speeds, total: int, begin: int = 0) -> list[NeighborhoodSlice
     """
     speeds = list(speeds)
     if not speeds:
-        raise PlanningError("no nodes to plan over")
+        raise ValueError("no speeds to plan over")
     if any(s <= 0 for s in speeds):
         raise ValueError(f"speeds must be positive, got {speeds}")
     if total < 0:
@@ -155,12 +152,12 @@ def plan_partition(speeds, total: int, begin: int = 0) -> list[NeighborhoodSlice
 
 
 class NodeProxy:
-    """One node: its current connection, at most one abandoned one, and its measurements.
+    """One node: its one connection, if it has one, and its measurements.
 
     ``opener(address, timeout)`` returns a new connected socket, as
-    ``socket.create_connection`` does for a TCP node. Each socket is
+    ``socket.create_connection`` does for a TCP node. The socket is
     registered on the coordinator's selector, with its read buffer, from
-    ``open`` until ``close_socket``. ``history`` holds the node's
+    ``open`` until ``disconnect``. ``history`` holds the node's
     speeds; ``moves`` and ``busy_seconds`` sum its accepted results.
     """
 
@@ -176,7 +173,6 @@ class NodeProxy:
         self.moves = 0
         self.busy_seconds = 0.0
         self._sock: socket.socket | None = None
-        self._drained: list[socket.socket] = []
         self._rid = node_id * 1_000_000  # disjoint rid ranges ease log reading
 
     def next_rid(self) -> int:
@@ -188,19 +184,12 @@ class NodeProxy:
         return self._sock is not None
 
     def open(self) -> int:
-        """Open a fresh connection, register it and send HELLO; returns the HELLO's rid.
+        """Close the node's connection, if any, open a fresh one, register it and send HELLO.
 
-        The previous connection is abandoned, not closed: a reply that is
-        still in flight on it can then be drained and its speed sample
-        recorded, even though its slice has already been re-dispatched.
-        Only that newest abandoned connection is kept; older ones are
-        closed here, so reconnecting a node over and over holds at most
-        two of its connections open.
+        Returns the HELLO's rid. Nothing is read from the old connection
+        any more: the reply to a request still served there is lost.
         """
-        for old in self._drained[:]:  # close_socket forgets each one
-            self.close_socket(old)
-        self._drained = [self._sock] if self._sock is not None else []
-        self._sock = None
+        self.disconnect()
         sock = self._open(self.address, CONNECT_TIMEOUT)
         sock.setblocking(True)
         if sock.family in (socket.AF_INET, socket.AF_INET6):  # or an EVAL right after a SET_PROBLEM waits for its ACK
@@ -212,28 +201,21 @@ class NodeProxy:
         return rid
 
     def send(self, msg):
-        """Send on the current connection; one that fails is closed, or its EOF would fail it twice."""
+        """Send on the connection; one that fails is closed, or its EOF would fail it twice."""
         if self._sock is None:
             raise ConnectionError(f"node {self.node_id} is not connected")
         try:
             self._sock.sendall(protocol.encode(msg))
         except OSError:
-            self.close_socket(self._sock)
+            self.disconnect()
             raise
 
-    def close_socket(self, sock: socket.socket):
-        """Unregister ``sock`` from the selector, then close it and forget it."""
-        if sock is self._sock:
-            self._sock = None
-        elif sock in self._drained:
-            self._drained.remove(sock)
-        self._selector.unregister(sock)
-        sock.close()
-
     def disconnect(self):
-        for sock in (*self._drained, self._sock):
-            if sock is not None:
-                self.close_socket(sock)
+        """Unregister the connection from the selector, then close it and forget it."""
+        if self._sock is not None:
+            self._selector.unregister(self._sock)
+            self._sock.close()
+            self._sock = None
 
 
 class Coordinator:
@@ -243,7 +225,7 @@ class Coordinator:
     the selector, the node proxies, the start-up check and the dispatch cycle.
     Use it from one thread at a time: it starts no thread, and reads every
     node socket on the caller's thread through its one selector. A
-    reconnect opens what ``opener`` opens: a TCP connection, or a new lane.
+    reopened node gets what ``opener`` opens: a TCP connection, or a new lane.
     """
 
     def __init__(self, addresses, opener=socket.create_connection):
@@ -269,7 +251,7 @@ class Coordinator:
             try:
                 opened.append((proxy.open(), proxy))
             except OSError as exc:
-                self._unreachable(proxy, exc)
+                self._kill(proxy, f"unreachable: {exc}")
         deadline = time.monotonic() + CONNECT_TIMEOUT
         requests = {rid: (proxy, deadline, math.inf) for rid, proxy in opened}
         for _, proxy, reply, failure in self._collect(requests):
@@ -279,15 +261,8 @@ class Coordinator:
                 proxy.lanes = reply.lanes
                 if self._problem is not None:
                     proxy.send(protocol.SetProblem(proxy.next_rid(), self._problem[0]))
-                proxy.state = IDLE
             except OSError as exc:
-                self._unreachable(proxy, exc)
-
-    def _unreachable(self, proxy: NodeProxy, why):
-        """A node whose handshake failed is dead, and its sockets are closed at once."""
-        log.warning("node %d (%s) unreachable: %s", proxy.node_id, proxy.address, why)
-        proxy.state = DEAD
-        proxy.disconnect()
+                self._kill(proxy, f"unreachable: {exc}")
 
     def connect_all(self):
         self._connect(self.live_nodes())
@@ -313,25 +288,30 @@ class Coordinator:
         return sum(p.lanes for p in self.live_nodes())
 
     def _strike(self, proxy: NodeProxy, reason: str):
+        """A failed request closes the node's connection; the second strike in a row kills it."""
         proxy.strikes += 1
-        proxy.state = DEAD if proxy.strikes >= 2 else SUSPECT
+        if proxy.strikes >= 2:
+            proxy.state = DEAD
         log.warning("node %d %s (strike %d -> %s)", proxy.node_id, reason, proxy.strikes, proxy.state)
+        proxy.disconnect()
 
-    def _drop_dead(self):
-        """Close the connections of dead nodes; a lane sees EOF and exits."""
-        for proxy in self.proxies:
-            if proxy.state == DEAD:
-                proxy.disconnect()
+    def _kill(self, proxy: NodeProxy, why):
+        """A dead node stays dead for the run, and its connection is closed at once: a lane sees EOF and exits."""
+        log.warning("node %d (%s) dead: %s", proxy.node_id, proxy.address, why)
+        proxy.state = DEAD
+        proxy.disconnect()
 
-    def _ready_nodes(self, candidates) -> list[NodeProxy]:
-        """The live, idle candidates with a usable connection; a suspect gets one reconnect.
+    def _ready_nodes(self) -> list[NodeProxy]:
+        """The live nodes with a connection, once every live node without one has been reopened.
 
-        A node lost while the handshakes were read is struck and left
-        unconnected: it is not ready now, and reconnects next round.
+        A reopened node is sent the current problem, so one whose problem
+        was evicted, or a lane forked anew, is ready for the next EVAL. A
+        node lost while the handshakes were read is struck and left
+        unconnected: it is not ready now, and is reopened next round.
         """
-        candidates = [p for p in candidates if p.state not in (DEAD, BUSY)]
-        self._connect([p for p in candidates if not p.connected or p.state == SUSPECT])
-        return [p for p in candidates if p.state != DEAD and p.connected]
+        live = self.live_nodes()
+        self._connect([p for p in live if not p.connected])
+        return [p for p in live if p.connected]
 
     # -- the request loop --------------------------------------------------------
 
@@ -350,13 +330,16 @@ class Coordinator:
         * a failure: reply None and one of LOST, ERROR, EXIT, TIMEOUT, CUT.
 
         What no request asked for is handled here, the same for every
-        caller: a late EVAL_RESULT is counted and its speed sample
-        recorded; a live node whose current connection is lost with nothing
-        outstanding gets a strike, and one whose current connection reports
-        EXIT is dead. A message is the node's own only if it arrived on the
-        node's current connection: only that one can be lost or report its
-        exit, and an abandoned connection can deliver nothing but a late
-        reply. Any other message is skipped.
+        caller: a late EVAL_RESULT, such as the reply to a cut request, is
+        counted and its speed sample recorded; a live node lost with
+        nothing outstanding gets a strike, and one that reports EXIT is
+        dead. Any other message is skipped.
+
+        The caller may close a connection while a result is yielded, by a
+        strike or a kill. That is safe because it only ever closes the
+        node being yielded, whose one socket no later key of the same
+        ``select`` batch can name, and ``disconnect`` unregisters a closed
+        socket before the next ``select``.
         """
         while requests:
             now = time.monotonic()
@@ -369,23 +352,22 @@ class Coordinator:
             wake = min(min(deadline, cutoff) for _, deadline, cutoff in requests.values())
             for key, _ in self._selector.select(wake - now):
                 proxy, buffer = key.data
-                current = key.fileobj is proxy._sock
                 messages, closed = protocol.read_frames(key.fileobj, buffer)
                 if closed is not None:  # EOF or a malformed frame: close now, or it keeps select() awake
-                    proxy.close_socket(key.fileobj)
+                    proxy.disconnect()
                     messages.append(closed)
                 for msg in messages:
                     if isinstance(msg, (Exception, protocol.ExitReport)):  # an exception says why it closed
                         failure, why = (LOST, msg) if isinstance(msg, Exception) else (EXIT, msg.reason)
                         rid = next((r for r, (p, *_) in requests.items() if p is proxy), None)
-                        if not current or (rid is None and proxy.state == DEAD):
+                        if rid is None and proxy.state == DEAD:
                             continue
                         log.info("node %d %s: %s", proxy.node_id, failure, why)
                         if rid is not None:
                             del requests[rid]
                             yield rid, proxy, None, failure
                         elif failure == EXIT:
-                            proxy.state = DEAD
+                            self._kill(proxy, why)
                         else:
                             self._strike(proxy, failure)
                     elif isinstance(msg, protocol.Error):
@@ -403,7 +385,7 @@ class Coordinator:
         digest = instance_digest(inst)
         self._problem = (inst, digest)
         for proxy in self.proxies:
-            if proxy.state == DEAD or not proxy.connected:
+            if not proxy.connected:  # a dead node has no connection
                 continue
             try:
                 proxy.send(protocol.SetProblem(proxy.next_rid(), inst))
@@ -417,7 +399,7 @@ class Coordinator:
         It sends no EVAL and records nothing: every node starts at
         ``NOMINAL_SPEED``, and the real problem's first rounds measure it.
         """
-        ready = self._ready_nodes(self.proxies)
+        ready = self._ready_nodes()
         if not ready:
             raise CalibrationError("no node reachable")
         return ready
@@ -472,7 +454,7 @@ class Coordinator:
         first_range = True
         stalled = 0
         while pending and time.monotonic() < budget_abs and stalled <= len(self.proxies) + 2:
-            ready = self._ready_nodes(self.proxies)
+            ready = self._ready_nodes()
             if not ready:
                 break
             begin, end = pending.popleft()
@@ -498,7 +480,6 @@ class Coordinator:
                     self._strike(proxy, "send failed")
                     pending.append((part.begin, part.end))
                     continue
-                proxy.state = BUSY
                 requests[rid] = (proxy, now + deadline + RESPONSE_GRACE, now + left + 0.1)
                 sent[rid] = (part, deadline)
 
@@ -514,13 +495,10 @@ class Coordinator:
                     continue
                 pending.append((part.begin, part.end))
                 if failure == EXIT:
-                    proxy.state = DEAD
-                elif failure == CUT:
-                    proxy.state = SUSPECT  # its reply may still be in flight; reconnect before reuse
-                else:
+                    self._kill(proxy, "exited")
+                elif failure != CUT:  # a cut node keeps its connection: its next EVAL queues behind the cut one
                     self._strike(proxy, failure)
             stalled = stalled + 1 if round_moves == 0 else 0
-        self._drop_dead()
         return results
 
     @staticmethod
@@ -536,7 +514,6 @@ class Coordinator:
             proxy.busy_seconds += msg.elapsed
         if not msg.complete:
             pending.append((msg.remaining.begin, msg.remaining.end))
-        proxy.state = IDLE
         proxy.strikes = 0
         return msg.moves_evaluated
 

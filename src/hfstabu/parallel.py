@@ -10,9 +10,12 @@ are never calibrated on their own: like every node, each starts from
 ``NOMINAL_SPEED`` and is measured by the rounds it serves. The lanes get
 each new instance as a SET_PROBLEM before its first round.
 
-A failed lane's range goes to the other lanes, and its reconnect forks
-a replacement; a lane that fails twice is dead. When no lane is live,
-the caller scans the rest inline; only a failing inline scan aborts.
+A failed lane's range goes to the other lanes, and the strike closes
+its socket, so it is forked anew before its next round; a lane that
+fails twice in a row is dead. A lane cut by the budget keeps its socket
+and is not replaced: its next round queues behind the cut one. When no
+lane is live, the caller scans the rest inline; only a failing inline
+scan aborts.
 
 ``multiprocessing`` is imported on the first fork, so a process that never
 forks a lane (one-lane searches, coordinators, super servers, ``--lanes 1``

@@ -3,9 +3,11 @@
 Framing: one UTF-8 JSON object per message, newline-terminated, no
 embedded newlines, at most ``MAX_FRAME_BYTES``. Every frame carries a
 ``type`` and, except for EXIT_REPORT, a ``rid`` (request id); replies
-echo the rid of the request they answer. One connection carries at most
-one outstanding EVAL at a time. Start-up is a HELLO exchange and a
-SET_PROBLEM; a node's first EVAL is an ordinary one.
+echo the rid of the request they answer. A client waits on at most one
+EVAL per connection; after a budget cut it may send the next one while
+the cut one is still served, and the worker answers them in order.
+Start-up is a HELLO exchange and a SET_PROBLEM; a node's first EVAL is
+an ordinary one.
 
 Message types and bodies
 ------------------------

@@ -288,12 +288,12 @@ class WorkerServer:
         return protocol.Error(getattr(msg, "rid", 0) or 0, f"unexpected message type {msg.TYPE}"), None
 
 
-def serve_as_super_server(host: str, port: int, children, **kwargs) -> WorkerServer:
+def serve_as_super_server(host: str, port: int, children) -> WorkerServer:
     """Create (unstarted) a worker server over a ``Coordinator`` of ``children``, connected to them."""
     coordinator = Coordinator(children)
     try:
         coordinator.connect_all()  # before the server starts: upstream's HELLO reads the lanes
-        return WorkerServer(host, port, backend=Backend(coordinator), **kwargs)
+        return WorkerServer(host, port, backend=Backend(coordinator))
     except BaseException:
         coordinator.close()
         raise

@@ -1,6 +1,7 @@
 """Test-side networking helpers: a minimal blocking wire client, a
-latency relay, subprocess worker management, a recorder of the
-coordinator's dispatch rounds, and lane process failure injection."""
+latency relay, subprocess worker management, recorders of the
+coordinator's dispatch rounds and connection opens, and lane process
+failure injection."""
 
 from __future__ import annotations
 
@@ -187,6 +188,19 @@ def record_cover(monkeypatch, coordinator):
     monkeypatch.setattr(coordinator, "cover", recording_cover)
     monkeypatch.setattr(coordinator_module, "plan_partition", recording_plan)
     return audits, plans
+
+
+def record_opens(monkeypatch):
+    """Record the node id of every ``NodeProxy.open`` call, in call order; returns that list."""
+    opens = []
+    open_ = coordinator_module.NodeProxy.open
+
+    def recording_open(proxy):
+        opens.append(proxy.node_id)
+        return open_(proxy)
+
+    monkeypatch.setattr(coordinator_module.NodeProxy, "open", recording_open)
+    return opens
 
 
 def empty_tabu():

@@ -128,6 +128,16 @@ def _hanging_in_child_scan(inst, order, entries, incumbent, begin, end, deadline
     return scan_slice(inst, order, entries, incumbent, begin, end, deadline, delay)
 
 
+_slow_scan_pids = set()  # a forked lane inherits it without its own pid
+
+
+def _slow_first_scan_in_child(inst, order, entries, incumbent, begin, end, deadline, delay):
+    if multiprocessing.parent_process() is not None and os.getpid() not in _slow_scan_pids:
+        _slow_scan_pids.add(os.getpid())
+        time.sleep(0.3)  # far past a 0.05 s round's cut
+    return scan_slice(inst, order, entries, incumbent, begin, end, deadline, delay)
+
+
 def _always_failing_scan(inst, order, entries, incumbent, begin, end, deadline, delay):
     raise RuntimeError("injected failure everywhere")
 
@@ -251,6 +261,34 @@ def test_hung_lanes_cannot_hang_a_round(monkeypatch):
         result = evaluator.evaluate(ctx)
     assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
     assert time.monotonic() - t0 < 10.0
+
+
+def test_a_cut_lane_is_not_replaced(monkeypatch):
+    # each lane overruns its first round, so that round is cut by the budget: a cut is no
+    # fault, so the lane keeps its connection, serves the next rounds once its first scan
+    # ends, and is never forked anew
+    inst = generate_instance(10, 2, 3, seed=3)
+    ctx = make_ctx(inst, seed=1)
+    whole = NeighborhoodSlice(0, neighborhood_size(10))
+    forked = []
+    start = multiprocessing.get_context("fork").Process.start
+
+    def counting_start(process):
+        forked.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", counting_start)
+    monkeypatch.setattr(hfstabu.parallel, "scan_slice", _slow_first_scan_in_child)
+    with LaneEvaluator(inst, 2) as evaluator:
+        for _ in range(4):
+            result, frontier = evaluator.evaluate_blocks(ctx, whole, time.monotonic() + 0.05)
+        assert len(forked) == 2
+        proxies = evaluator._coordinator.proxies
+        assert [(p.state, p.strikes, p.connected) for p in proxies] == [("idle", 0, True)] * 2
+        assert evaluator._coordinator.late_results >= 1
+        assert frontier > 0  # the lanes' first scans ended long before the last round
+        want = scan_slice(inst, ctx.order, ctx.tabu.entries, ctx.incumbent, 0, frontier)
+        assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
 
 
 def _sockets(pid):

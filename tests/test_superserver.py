@@ -1,13 +1,13 @@
 import pytest
 
 from hfstabu import protocol
-from hfstabu.coordinator import Coordinator, CoverageError, NodeProxy
+from hfstabu.coordinator import Coordinator, CoverageError, plan_partition, predict
 from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.tabu import EvalContext, SearchParams, run_search
 from hfstabu.worker import Backend, WorkerServer, serve_as_super_server
 
-from netharness import LatencyRelay, WireClient, empty_tabu, record_cover, wait_until
+from netharness import LatencyRelay, WireClient, empty_tabu, record_cover, record_opens
 from oracles import evaluate_slice
 
 INST = generate_instance(8, 3, 3, seed=42)
@@ -68,7 +68,7 @@ def test_super_server_hello_reports_the_lanes_of_its_live_children():
 
 def test_paced_children_reach_their_speed_ratio_by_the_second_iteration(monkeypatch):
     # children paced at 2 and 8 ms per move: the first round, split at the nominal speed,
-    # measures them, so the second iteration is planned 4:1
+    # measures them, so the second iteration is planned over speeds within 10% of 4:1
     inst = generate_instance(10, 2, 5, seed=7)
     total = neighborhood_size(10)
     children = [WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=delay) for delay in (0.002, 0.008)]
@@ -77,6 +77,7 @@ def test_paced_children_reach_their_speed_ratio_by_the_second_iteration(monkeypa
     sup = serve_as_super_server("127.0.0.1", 0, [c.address for c in children])
     sup.start()
     _, plans = record_cover(monkeypatch, sup._backend.evaluator)
+    speeds = []
     try:
         with WireClient(sup.address) as client:
             client.hello()
@@ -84,9 +85,14 @@ def test_paced_children_reach_their_speed_ratio_by_the_second_iteration(monkeypa
             for _ in range(2):
                 reply = client.eval(digest, tuple(range(10)), empty_tabu(), 10**6, 0, total, 60.0)
                 assert reply.complete and reply.moves_evaluated == total
+                if not speeds:  # the super server is idle between the two EVALs
+                    speeds = [predict(proxy.history) for proxy in sup._backend.evaluator.proxies]
         assert plans[0][0] == [total // 2, total - total // 2]  # both children at the nominal speed
-        fast, slow = plans[1][0]
-        assert abs(fast / slow / 4.0 - 1.0) <= 0.10, f"second plan {fast}:{slow} not within 10% of 4:1"
+        # one move of rounding shifts a 90-move plan's ratio by about 7%, so the plan is checked
+        # exactly against the recorded speeds, and the tolerance applies to the speeds
+        assert plans[1][0] == [len(part) for part in plan_partition(speeds, total)]
+        fast, slow = speeds
+        assert abs(fast / slow / 4.0 - 1.0) <= 0.10, f"recorded speeds {fast:.1f}:{slow:.1f} not within 10% of 4:1"
     finally:
         sup.shutdown()
         for child in children:
@@ -263,32 +269,32 @@ def test_super_with_all_children_dead_errors_upstream():
         w.shutdown()
 
 
-def test_reconnects_keep_at_most_one_abandoned_socket(monkeypatch):
+def test_a_cut_node_keeps_its_one_connection(monkeypatch):
     child = WorkerServer("127.0.0.1", 0, lanes=1)
     child.start()
-    # replies reach the backend 0.15 s late, so every 0.03 s evaluation is cut
-    # by its budget and the child is reconnected before the next one
+    # replies reach the backend 0.15 s late, so a 0.03 s evaluation is cut by its budget: the
+    # node keeps its connection, its next EVAL queues behind the cut one, and the cut one's
+    # reply is read on that connection as a late result
     relay = LatencyRelay(child.address, up_s=0.0, down_s=0.15)
-    opens = []
-    open_ = NodeProxy.open
-
-    def counted_open(proxy):
-        opens.append(proxy.node_id)
-        return open_(proxy)
-
-    monkeypatch.setattr(NodeProxy, "open", counted_open)
+    opens = record_opens(monkeypatch)
     coordinator = Coordinator([relay.address])
-    coordinator.connect_all()  # its first connection is opened here
+    coordinator.connect_all()  # its one connection is opened here
     backend = Backend(coordinator)
     try:
         backend.set_problem(INST)
-        proxy = coordinator.proxies[0]
         for _ in range(8):
             backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 0.03)
-            assert len(proxy._drained) <= 1
-        assert len(opens) >= 8
-        assert wait_until(lambda: len(child._conns) <= 2)
+        proxy = coordinator.proxies[0]
+        assert len(opens) == 1
+        assert (proxy.state, proxy.strikes, proxy.connected) == ("idle", 0, True)
+        assert coordinator.late_results >= 1
+        assert len(child._conns) == 1
     finally:
         backend.close()
         relay.close()
         child.shutdown()
+
+
+def test_super_server_takes_no_worker_options():
+    with pytest.raises(TypeError):
+        serve_as_super_server("127.0.0.1", 0, [], lanes=4)
