@@ -29,8 +29,11 @@ kind of request keeps its own failure policy on top of it:
 * EVAL, the first included: the slice goes back into the queue.
   EXIT_REPORT marks the node dead. A budget cut is no fault: the node
   keeps its connection, its next EVAL queues behind the cut one at the
-  node, and the cut one's reply is read there as a late result. Any
-  other failure, an inconsistent result or no move evaluated within a
+  node, and the cut one's reply is read there as a late result. Until
+  it comes the node is planned last, so its slice cannot hold back the
+  prefix the others cover; if it has not come by the cut request's own
+  timeout, the first round after that strikes the node. Any other
+  failure, an inconsistent result or no move evaluated within a
   deadline of at least ``DEADLINE_FLOOR`` is a strike: it closes the
   connection, so the node is reopened before its next round (a lane is
   forked anew), and a second strike in a row marks it dead for the run.
@@ -159,6 +162,8 @@ class NodeProxy:
     registered on the coordinator's selector, with its read buffer, from
     ``open`` until ``disconnect``. ``history`` holds the node's
     speeds; ``moves`` and ``busy_seconds`` sum its accepted results.
+    ``owed`` holds the cut requests the connection has not answered yet,
+    and ``overdue`` when the oldest of them is due.
     """
 
     def __init__(self, node_id: int, address, selector: selectors.BaseSelector, opener):
@@ -172,6 +177,8 @@ class NodeProxy:
         self.history = NodePerfHistory()
         self.moves = 0
         self.busy_seconds = 0.0
+        self.owed: dict[int, tuple[float, float]] = {}  # rid -> (due, seconds it may take once begun), in send order
+        self.overdue = math.inf
         self._sock: socket.socket | None = None
         self._rid = node_id * 1_000_000  # disjoint rid ranges ease log reading
 
@@ -211,11 +218,25 @@ class NodeProxy:
             raise
 
     def disconnect(self):
-        """Unregister the connection from the selector, then close it and forget it."""
+        """Unregister the connection from the selector, then close it and forget it and what it owed."""
         if self._sock is not None:
             self._selector.unregister(self._sock)
             self._sock.close()
             self._sock = None
+        self.owed.clear()
+        self.overdue = math.inf
+
+    def owe(self, rid: int, due: float, allowance: float):
+        """A cut request: its reply is due by ``due``, and ``allowance`` after the one before it is answered."""
+        if not self.owed:
+            self.overdue = due
+        self.owed[rid] = (due, allowance)
+
+    def settle(self, rid: int):
+        """A cut request was answered: the node serves its requests in order, so the next one is begun now."""
+        if self.owed.pop(rid, None) is not None:
+            due, allowance = next(iter(self.owed.values()), (math.inf, 0.0))
+            self.overdue = max(due, time.monotonic() + allowance)
 
 
 class Coordinator:
@@ -304,11 +325,20 @@ class Coordinator:
     def _ready_nodes(self) -> list[NodeProxy]:
         """The live nodes with a connection, once every live node without one has been reopened.
 
-        A reopened node is sent the current problem, so one whose problem
-        was evicted, or a lane forked anew, is ready for the next EVAL. A
-        node lost while the handshakes were read is struck and left
-        unconnected: it is not ready now, and is reopened next round.
+        A node whose cut request is overdue is struck first, once what has
+        come in since the last round is read: a node that hangs is
+        reopened, a lane forked anew. A reopened node is sent the current
+        problem, so one whose problem was evicted, or a lane forked anew,
+        is ready for the next EVAL. A node lost while the handshakes were
+        read is struck and left unconnected: it is not ready now, and is
+        reopened next round.
         """
+        if any(p.overdue <= time.monotonic() for p in self.proxies):
+            for _ in self._collect({}):  # a late reply waiting to be read settles its cut request
+                pass
+            for proxy in self.live_nodes():
+                if proxy.overdue <= time.monotonic():
+                    self._strike(proxy, "never answered a cut request")
         live = self.live_nodes()
         self._connect([p for p in live if not p.connected])
         return [p for p in live if p.connected]
@@ -322,7 +352,8 @@ class Coordinator:
         at most one per node, and is emptied; one the caller adds meanwhile
         is read too. The selector waits until the nearest deadline or
         cutoff: past its deadline a request has timed out, past its cutoff
-        it is cut.
+        it is cut. The sockets are polled at least once, so an empty
+        ``requests`` reads what has already come in.
         Yields (rid, proxy, reply, failure) for each request, one of:
 
         * a reply, whatever message carries the request's rid (HELLO or
@@ -341,15 +372,13 @@ class Coordinator:
         ``select`` batch can name, and ``disconnect`` unregisters a closed
         socket before the next ``select``.
         """
-        while requests:
+        while True:
             now = time.monotonic()
             for rid, (proxy, deadline, cutoff) in list(requests.items()):
                 if now >= min(deadline, cutoff):
                     del requests[rid]
                     yield rid, proxy, None, TIMEOUT if now >= deadline else CUT
-            if not requests:
-                return
-            wake = min(min(deadline, cutoff) for _, deadline, cutoff in requests.values())
+            wake = min((min(deadline, cutoff) for _, deadline, cutoff in requests.values()), default=now)
             for key, _ in self._selector.select(wake - now):
                 proxy, buffer = key.data
                 messages, closed = protocol.read_frames(key.fileobj, buffer)
@@ -378,6 +407,8 @@ class Coordinator:
                         yield msg.rid, proxy, msg, None
                     elif isinstance(msg, protocol.EvalResult):
                         self._record_late(proxy, msg)
+            if not requests:
+                return
 
     # -- problem transfer and start-up ------------------------------------------
 
@@ -454,7 +485,7 @@ class Coordinator:
         first_range = True
         stalled = 0
         while pending and time.monotonic() < budget_abs and stalled <= len(self.proxies) + 2:
-            ready = self._ready_nodes()
+            ready = sorted(self._ready_nodes(), key=lambda p: bool(p.owed))  # a node that owes a reply goes last
             if not ready:
                 break
             begin, end = pending.popleft()
@@ -466,7 +497,7 @@ class Coordinator:
             slices = plan_partition(speeds, end - begin, begin)
 
             requests: dict[int, tuple[NodeProxy, float, float]] = {}
-            sent: dict[int, tuple[NeighborhoodSlice, float]] = {}  # rid -> (slice, compute deadline)
+            sent: dict[int, tuple[NeighborhoodSlice, float, float]] = {}  # rid -> (slice, compute deadline, due)
             for proxy, speed, part in zip(ready, speeds, slices):
                 if not part:
                     continue
@@ -480,12 +511,13 @@ class Coordinator:
                     self._strike(proxy, "send failed")
                     pending.append((part.begin, part.end))
                     continue
-                requests[rid] = (proxy, now + deadline + RESPONSE_GRACE, now + left + 0.1)
-                sent[rid] = (part, deadline)
+                due = now + deadline + RESPONSE_GRACE
+                requests[rid] = (proxy, due, now + left + 0.1)
+                sent[rid] = (part, deadline, due)
 
             round_moves = 0
             for rid, proxy, reply, failure in self._collect(requests):
-                part, deadline = sent.pop(rid)
+                part, deadline, due = sent.pop(rid)
                 if failure is None and not self._result_consistent(reply, part):
                     failure = "inconsistent result"
                 elif failure is None and not reply.moves_evaluated and deadline >= DEADLINE_FLOOR:
@@ -496,7 +528,9 @@ class Coordinator:
                 pending.append((part.begin, part.end))
                 if failure == EXIT:
                     self._kill(proxy, "exited")
-                elif failure != CUT:  # a cut node keeps its connection: its next EVAL queues behind the cut one
+                elif failure == CUT:  # the node keeps its connection: its next EVAL queues behind the cut one
+                    proxy.owe(rid, due, deadline + RESPONSE_GRACE)
+                else:
                     self._strike(proxy, failure)
             stalled = stalled + 1 if round_moves == 0 else 0
         return results
@@ -519,6 +553,7 @@ class Coordinator:
 
     def _record_late(self, proxy: NodeProxy, msg: protocol.EvalResult):
         """A result that came after its deadline: its slice is being re-covered, keep the measurement."""
+        proxy.settle(msg.rid)
         self.late_results += 1
         if msg.moves_evaluated > 0 and msg.speed > 0:
             proxy.history.record(msg.moves_evaluated, msg.speed)

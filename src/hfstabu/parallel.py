@@ -13,7 +13,9 @@ each new instance as a SET_PROBLEM before its first round.
 A failed lane's range goes to the other lanes, and the strike closes
 its socket, so it is forked anew before its next round; a lane that
 fails twice in a row is dead. A lane cut by the budget keeps its socket
-and is not replaced: its next round queues behind the cut one. When no
+and is not replaced: its next round queues behind the cut one, and its
+slice comes after the other lanes' until the cut one is answered. A
+lane that has not answered it by its own timeout gets a strike. When no
 lane is live, the caller scans the rest inline; only a failing inline
 scan aborts.
 

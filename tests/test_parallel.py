@@ -138,6 +138,19 @@ def _slow_first_scan_in_child(inst, order, entries, incumbent, begin, end, deadl
     return scan_slice(inst, order, entries, incumbent, begin, end, deadline, delay)
 
 
+_hang_marker = None  # a path: the first lane 0 to scan creates it and hangs, later ones see it and scan
+
+
+def _first_lane_0_hangs_in_scan(inst, order, entries, incumbent, begin, end, deadline, delay):
+    if multiprocessing.current_process().name == "hfstabu-lane-0":
+        try:
+            os.close(os.open(_hang_marker, os.O_CREAT | os.O_EXCL))
+            time.sleep(60)  # far past any deadline of the run
+        except FileExistsError:
+            pass
+    return scan_slice(inst, order, entries, incumbent, begin, end, deadline, delay)
+
+
 def _always_failing_scan(inst, order, entries, incumbent, begin, end, deadline, delay):
     raise RuntimeError("injected failure everywhere")
 
@@ -288,6 +301,39 @@ def test_a_cut_lane_is_not_replaced(monkeypatch):
         assert evaluator._coordinator.late_results >= 1
         assert frontier > 0  # the lanes' first scans ended long before the last round
         want = scan_slice(inst, ctx.order, ctx.tabu.entries, ctx.incumbent, 0, frontier)
+        assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
+
+
+def test_a_lane_that_never_answers_a_cut_round_is_replaced(monkeypatch, tmp_path):
+    # lane 0 hangs in its first scan, so every round under a 0.05 s budget cuts it; lane 0,
+    # owing a reply, is planned after lane 1, whose slice then leads the prefix, and once the
+    # first cut request's own timeout (its deadline plus RESPONSE_GRACE) has passed, lane 0
+    # gets a strike and is forked anew
+    inst = generate_instance(10, 2, 3, seed=3)
+    ctx = make_ctx(inst, seed=1)
+    whole = NeighborhoodSlice(0, neighborhood_size(10))
+    forked = []
+    start = multiprocessing.get_context("fork").Process.start
+
+    def counting_start(process):
+        forked.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", counting_start)
+    monkeypatch.setattr(hfstabu.parallel, "scan_slice", _first_lane_0_hangs_in_scan)
+    monkeypatch.setitem(globals(), "_hang_marker", str(tmp_path / "hung"))
+    with LaneEvaluator(inst, 2) as evaluator:
+        frontiers = []
+        stop = time.monotonic() + 10.0
+        while time.monotonic() < stop and (len(forked) < 3 or frontiers[-1] < whole.end):
+            result, frontier = evaluator.evaluate_blocks(ctx, whole, time.monotonic() + 0.05)
+            frontiers.append(frontier)
+        assert len(forked) == 3  # lane 0 was forked anew once
+        assert frontier == whole.end  # and its replacement serves
+        assert all(f > 0 for f in frontiers[1:])  # lane 1 covered a prefix while lane 0 hung
+        proxies = evaluator._coordinator.proxies
+        assert [(p.state, p.strikes, p.connected, p.owed) for p in proxies] == [("idle", 0, True, {})] * 2
+        want = scan_slice(inst, ctx.order, ctx.tabu.entries, ctx.incumbent, 0, whole.end)
         assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
 
 
