@@ -38,9 +38,6 @@ from .coordinator import (
     CalibrationError,
     Coordinator,
     CoverageError,
-    NodePerfHistory,
-    plan_partition,
-    predict,
 )
 from .worker import WorkerServer, serve_as_super_server
 
@@ -77,9 +74,6 @@ __all__ = [
     "CalibrationError",
     "Coordinator",
     "CoverageError",
-    "NodePerfHistory",
-    "plan_partition",
-    "predict",
     "WorkerServer",
     "serve_as_super_server",
 ]

@@ -96,7 +96,7 @@ def bench_local(sizes, lane_counts, iterations: int, seed: int, machines: int = 
             best_duration = None
             result = None
             for _ in range(repeats):
-                with LaneEvaluator(inst, lanes) as evaluator:
+                with LaneEvaluator(lanes=lanes) as evaluator:
                     evaluator.evaluate(warmup)  # lanes start lazily; the trajectory is unaffected
                     t0 = time.perf_counter()
                     result = run_search(inst, params, evaluator.evaluate)
@@ -140,7 +140,6 @@ def bench_distributed(endpoints, sizes, iterations: int, seed: int, machines: in
             # iterations themselves, as speedups are computed from them
             with Coordinator(endpoints[:hosts]) as coordinator:
                 coordinator.handshake()
-                coordinator.set_problem(inst)
                 t0 = time.perf_counter()
                 result = run_search(inst, params, coordinator.evaluate)
                 duration = time.perf_counter() - t0

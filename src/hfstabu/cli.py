@@ -100,7 +100,7 @@ def cmd_solve(args) -> int:
             result = coordinator.run(inst, params, on_iteration=emit)
             nodes_summary = coordinator.node_stats()
     else:
-        with LaneEvaluator(inst, args.lanes) as evaluator:  # no --lanes: detected cores
+        with LaneEvaluator(lanes=args.lanes) as evaluator:  # no --lanes: detected cores
             result = run_search(inst, params, evaluator.evaluate, on_iteration=emit)
     wall = time.perf_counter() - t0
 
@@ -169,10 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--iterations", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--nodes", type=_parse_nodes, default=None,
-                   help="comma-separated worker endpoints; absent: solve in process")
-    p.add_argument("--lanes", type=_positive_int, default=None,
-                   help="lane count for the in-process solver (default: detected cores)")
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--nodes", type=_parse_nodes, default=None,
+                       help="comma-separated worker endpoints; absent: solve in process")
+    where.add_argument("--lanes", type=_positive_int, default=None,
+                       help="lane count for the in-process solver (default: detected cores)")
     p.add_argument("--tenure", type=_positive_int, default=7)
     p.add_argument("--diversify-after", type=_non_negative_int, default=20)
     p.add_argument("--diversify-strength", type=_non_negative_int, default=None)

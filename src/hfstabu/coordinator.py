@@ -4,8 +4,11 @@ One ``Coordinator`` plays the master's role at the top level of a
 distributed search and inside every super server, for its children, and
 every node starts the same way at every level: from ``NOMINAL_SPEED``,
 measured by the rounds it serves. A top-level run starts with
-``handshake``, then sends the problem; a node's first EVAL is an ordinary
-one, which forks a worker's lanes or reaches a super server's children.
+``handshake``; a node's first EVAL is an ordinary one, which forks a
+worker's lanes or reaches a super server's children. ``cover`` alone
+sends problems: a SET_PROBLEM goes out on a connection right before its
+first EVAL of that problem, and again only once the node would have
+forgotten it, after ``MAX_CACHED_PROBLEMS`` newer ones.
 Each iteration splits the neighborhood proportionally to the predicted
 node speeds, dispatches one EVAL per node with a deadline derived from
 the prediction, and waits for the replies.
@@ -60,9 +63,9 @@ import time
 from collections import deque
 
 from . import protocol
-from .instance import ProblemInstance, instance_digest
+from .instance import ProblemInstance
 from .neighborhood import NeighborhoodSlice, neighborhood_size
-from .protocol import PROTOCOL_VERSION
+from .protocol import MAX_CACHED_PROBLEMS, PROTOCOL_VERSION
 from .tabu import EvalContext, SearchParams, SearchResult, SliceResult, merge_prefix, run_search
 
 log = logging.getLogger(__name__)
@@ -163,7 +166,8 @@ class NodeProxy:
     ``open`` until ``disconnect``. ``history`` holds the node's
     speeds; ``moves`` and ``busy_seconds`` sum its accepted results.
     ``owed`` holds the cut requests the connection has not answered yet,
-    and ``overdue`` when the oldest of them is due.
+    and ``overdue`` when the oldest of them is due. ``problems`` holds the
+    digests sent on the connection, oldest first, as many as the node keeps.
     """
 
     def __init__(self, node_id: int, address, selector: selectors.BaseSelector, opener):
@@ -179,6 +183,7 @@ class NodeProxy:
         self.busy_seconds = 0.0
         self.owed: dict[int, tuple[float, float]] = {}  # rid -> (due, seconds it may take once begun), in send order
         self.overdue = math.inf
+        self.problems: deque[str] = deque(maxlen=MAX_CACHED_PROBLEMS)
         self._sock: socket.socket | None = None
         self._rid = node_id * 1_000_000  # disjoint rid ranges ease log reading
 
@@ -218,13 +223,14 @@ class NodeProxy:
             raise
 
     def disconnect(self):
-        """Unregister the connection from the selector, then close it and forget it and what it owed."""
+        """Unregister the connection from the selector, then close it and forget it, what it owed and held."""
         if self._sock is not None:
             self._selector.unregister(self._sock)
             self._sock.close()
             self._sock = None
         self.owed.clear()
         self.overdue = math.inf
+        self.problems.clear()
 
     def owe(self, rid: int, due: float, allowance: float):
         """A cut request: its reply is due by ``due``, and ``allowance`` after the one before it is answered."""
@@ -254,12 +260,11 @@ class Coordinator:
         self.proxies = [NodeProxy(i, addr, self._selector, opener) for i, addr in enumerate(addresses)]
         self.late_results = 0
         self.redistribution_rounds = 0
-        self._problem: tuple[ProblemInstance, str] | None = None
 
     # -- connection management ----------------------------------------------
 
     def _connect(self, proxies):
-        """(Re)connect nodes and resend the current problem; a failed handshake kills the node.
+        """(Re)connect nodes; a failed handshake kills the node.
 
         Every connection is opened and sent its HELLO before any reply is
         read, so forked lanes start up side by side, and one ``_collect``
@@ -276,14 +281,10 @@ class Coordinator:
         deadline = time.monotonic() + CONNECT_TIMEOUT
         requests = {rid: (proxy, deadline, math.inf) for rid, proxy in opened}
         for _, proxy, reply, failure in self._collect(requests):
-            try:
-                if not isinstance(reply, protocol.Hello) or reply.version[0] != PROTOCOL_VERSION[0]:
-                    raise ConnectionError(failure or f"unexpected handshake reply {reply}")
+            if isinstance(reply, protocol.Hello) and reply.version[0] == PROTOCOL_VERSION[0]:
                 proxy.lanes = reply.lanes
-                if self._problem is not None:
-                    proxy.send(protocol.SetProblem(proxy.next_rid(), self._problem[0]))
-            except OSError as exc:
-                self._kill(proxy, f"unreachable: {exc}")
+            else:
+                self._kill(proxy, f"unreachable: {failure or f'unexpected handshake reply {reply}'}")
 
     def connect_all(self):
         self._connect(self.live_nodes())
@@ -327,9 +328,7 @@ class Coordinator:
 
         A node whose cut request is overdue is struck first, once what has
         come in since the last round is read: a node that hangs is
-        reopened, a lane forked anew. A reopened node is sent the current
-        problem, so one whose problem was evicted, or a lane forked anew,
-        is ready for the next EVAL. A node lost while the handshakes were
+        reopened, a lane forked anew. A node lost while the handshakes were
         read is struck and left unconnected: it is not ready now, and is
         reopened next round.
         """
@@ -410,19 +409,14 @@ class Coordinator:
             if not requests:
                 return
 
-    # -- problem transfer and start-up ------------------------------------------
+    # -- start-up --------------------------------------------------------------
 
     def set_problem(self, inst: ProblemInstance) -> str:
-        digest = instance_digest(inst)
-        self._problem = (inst, digest)
-        for proxy in self.proxies:
-            if not proxy.connected:  # a dead node has no connection
-                continue
-            try:
-                proxy.send(protocol.SetProblem(proxy.next_rid(), inst))
-            except (OSError, ConnectionError):
-                self._strike(proxy, "send failed during problem transfer")
-        return digest
+        """The instance's digest. It sends nothing: ``cover`` sends each node the problems it evaluates.
+
+        Only perfbench's ``setup_distributed`` calls it, and it goes once that call does.
+        """
+        return inst.digest
 
     def handshake(self) -> list[NodeProxy]:
         """The start-up check: connect every node and require one; returns the ready nodes.
@@ -459,11 +453,8 @@ class Coordinator:
         The contract of ``LaneEvaluator.evaluate_blocks``: returns (result
         over the evaluated prefix, prefix end). ``deadline`` is an absolute
         time.monotonic() value, or None to dispatch until the slice is
-        covered or no node can take more of it. The context's instance is
-        sent to the nodes first when it is not the current problem.
+        covered or no node can take more of it.
         """
-        if self._problem is None or ctx.instance != self._problem[0]:
-            self.set_problem(ctx.instance)
         t0 = time.perf_counter()
         results = self.cover(ctx, nslice, math.inf if deadline is None else deadline)
         frontier, best_idx, best_ms = merge_prefix(results, nslice.begin)
@@ -472,14 +463,15 @@ class Coordinator:
     def cover(self, ctx: EvalContext, nslice: NeighborhoodSlice, budget_abs: float):
         """Dispatch rounds over ``nslice`` until it is evaluated or the budget passes.
 
-        The nodes scan ``ctx`` on the current problem. ``budget_abs`` is an
-        absolute time.monotonic() value, ``math.inf`` for no budget. Returns
-        the accepted evaluated intervals (begin, end, best_index,
+        A node is sent ``ctx.instance`` right before its EVAL unless its
+        connection holds it already. ``budget_abs`` is an absolute
+        time.monotonic() value, ``math.inf`` for no budget. Returns the
+        accepted evaluated intervals (begin, end, best_index,
         best_makespan). Never raises for want of coverage: it also stops when
         no node is ready or dispatch rounds stop making progress, and
         ``evaluate_blocks`` keeps only the contiguous prefix.
         """
-        digest = self._problem[1]
+        inst = ctx.instance
         pending = deque([(nslice.begin, nslice.end)] if nslice else [])
         results: list[tuple[int, int, int | None, int | None]] = []
         first_range = True
@@ -504,9 +496,12 @@ class Coordinator:
                 now = time.monotonic()
                 left = max(budget_abs - now, 0.05)  # every node gets 50 ms, counted from its own send
                 deadline = min(len(part) / speed * DEADLINE_SLACK + DEADLINE_FLOOR, left)
-                rid = proxy.next_rid()
                 try:
-                    proxy.send(protocol.Eval(rid, digest, ctx.order, ctx.tabu, ctx.incumbent, part, deadline))
+                    if inst.digest not in proxy.problems:
+                        proxy.send(protocol.SetProblem(proxy.next_rid(), inst))
+                        proxy.problems.append(inst.digest)
+                    rid = proxy.next_rid()
+                    proxy.send(protocol.Eval(rid, inst.digest, ctx.order, ctx.tabu, ctx.incumbent, part, deadline))
                 except (OSError, ConnectionError):
                     self._strike(proxy, "send failed")
                     pending.append((part.begin, part.end))
@@ -574,7 +569,6 @@ class Coordinator:
 
     def run(self, inst: ProblemInstance, params: SearchParams, on_iteration=None) -> SearchResult:
         self.handshake()
-        self.set_problem(inst)
         return run_search(inst, params, self.evaluate, on_iteration)
 
     def node_stats(self) -> dict[int, dict]:

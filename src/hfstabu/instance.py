@@ -126,6 +126,11 @@ class ProblemInstance:
             tails.append(tuple(map(int.__add__, tails[-1], dur)))
         return tuple(reversed(tails))
 
+    @cached_property
+    def digest(self) -> str:
+        """Hex SHA-256 of the canonical serialization, computed once per instance."""
+        return sha256(serialize_instance(self)).hexdigest()
+
     def total_work(self, job: int) -> int:
         """Sum of the job's durations across all stages."""
         return sum(self.durations[job])
@@ -221,4 +226,4 @@ def serialize_instance(inst: ProblemInstance) -> bytes:
 
 def instance_digest(inst: ProblemInstance) -> str:
     """Hex SHA-256 of the canonical serialization."""
-    return sha256(serialize_instance(inst)).hexdigest()
+    return inst.digest

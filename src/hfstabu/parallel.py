@@ -7,8 +7,10 @@ reducer. A lane is a forked process that runs the worker request loop
 (``WorkerServer`` with one lane) on one end of a socket pair, with no
 listener, until that socket closes. Lanes are forked on first use and
 are never calibrated on their own: like every node, each starts from
-``NOMINAL_SPEED`` and is measured by the rounds it serves. The lanes get
-each new instance as a SET_PROBLEM before its first round.
+``NOMINAL_SPEED`` and is measured by the rounds it serves. A lane gets
+an instance as a SET_PROBLEM right before its first round of it, and
+again only once it would have forgotten it: alternating instances
+ship only their contexts.
 
 A failed lane's range goes to the other lanes, and the strike closes
 its socket, so it is forked anew before its next round; a lane that
@@ -100,9 +102,10 @@ def _serve_lane(sock: socket.socket, per_move_delay: float, inherited: dict[int,
 class LaneEvaluator:
     """Neighborhood evaluator over ``lanes`` lanes, for contexts of any instance.
 
-    Keep one evaluator alive while there is work: the lanes keep the
-    current instance, so a round ships only its context. ``instance``, if
-    given, is sent to the lanes first. ``lanes=1`` runs inline, with no
+    Keep one evaluator alive while there is work: each lane keeps the
+    last ``protocol.MAX_CACHED_PROBLEMS`` instances it was sent, so a
+    round ships only its context. ``instance`` is unused; only perfbench
+    still passes it, by position. ``lanes=1`` runs inline, with no
     process. ``per_move_delay`` paces every scan, as a worker's does, for
     benchmarks and tests; a lane reads it when it is forked.
     """
@@ -117,8 +120,6 @@ class LaneEvaluator:
         self._coordinator = None
         if self.lanes > 1:
             self._coordinator = Coordinator([("lane", i) for i in range(self.lanes)], opener=self._fork_lane)
-            if instance is not None:
-                self._coordinator.set_problem(instance)  # sent to each lane as it connects
 
     def _fork_lane(self, address, timeout: float) -> socket.socket:
         """The opener of every lane: fork a lane process and return our end of its socket pair."""

@@ -47,7 +47,7 @@ log = logging.getLogger(__name__)
 
 
 class Backend:
-    """A worker server's evaluation: the last few problems set, by digest, over one evaluator.
+    """A worker server's evaluation: the last ``MAX_CACHED_PROBLEMS`` problems set, by digest, over one evaluator.
 
     The evaluator is a worker's ``LaneEvaluator`` or a super server's
     ``Coordinator``: both answer ``evaluate_blocks`` and report ``lanes``,
@@ -55,8 +55,6 @@ class Backend:
     is answered "unknown problem". Use it from one thread at a time: a
     worker server calls it only from its loop.
     """
-
-    MAX_CACHED_PROBLEMS = 4
 
     def __init__(self, evaluator):
         self.evaluator = evaluator
@@ -70,7 +68,7 @@ class Backend:
         digest = instance_digest(inst)
         self._problems.pop(digest, None)  # a known problem moves to the newest position
         self._problems[digest] = inst
-        if len(self._problems) > self.MAX_CACHED_PROBLEMS:
+        if len(self._problems) > protocol.MAX_CACHED_PROBLEMS:
             del self._problems[next(iter(self._problems))]
         return digest
 

@@ -1,7 +1,7 @@
 """Test-side networking helpers: a minimal blocking wire client, a
 latency relay, subprocess worker management, recorders of the
-coordinator's dispatch rounds and connection opens, and lane process
-failure injection."""
+coordinator's dispatch rounds, connection opens and sends and of a
+worker's requests, and lane process failure injection."""
 
 from __future__ import annotations
 
@@ -201,6 +201,33 @@ def record_opens(monkeypatch):
 
     monkeypatch.setattr(coordinator_module.NodeProxy, "open", recording_open)
     return opens
+
+
+def record_sends(monkeypatch):
+    """Record (node id, message type) of every ``NodeProxy.send`` call, in call order; returns that list."""
+    sends = []
+    send = coordinator_module.NodeProxy.send
+
+    def recording_send(proxy, msg):
+        sends.append((proxy.node_id, msg.TYPE))
+        return send(proxy, msg)
+
+    monkeypatch.setattr(coordinator_module.NodeProxy, "send", recording_send)
+    return sends
+
+
+def record_requests(server) -> list[tuple[str, str | None]]:
+    """Record each message the ``WorkerServer`` is asked to handle, as (type, digest of its problem or None)."""
+    seen = []
+    handle = server._handle
+
+    def recording(msg):
+        digest = instance_digest(msg.instance) if isinstance(msg, protocol.SetProblem) else getattr(msg, "digest", None)
+        seen.append((msg.TYPE, digest))
+        return handle(msg)
+
+    server._handle = recording
+    return seen
 
 
 def empty_tabu():

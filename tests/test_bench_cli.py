@@ -253,6 +253,11 @@ def test_cli_error_reporting_without_traceback(tmp_path):
         assert out.returncode == 2, extra
         assert "Traceback" not in out.stderr
         assert f"argument {extra[-2]}: expected" in out.stderr
+    # --lanes sizes the in-process solver only, so with --nodes it is refused, not ignored
+    out = run_cli(*solve, "--iterations", "1", "--nodes", "127.0.0.1:1", "--lanes", "2")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "not allowed with argument" in out.stderr
     for delay in ("inf", "nan", "-0.1"):
         out = run_cli("worker", "--bind", "127.0.0.1:0", "--per-move-delay", delay)
         assert out.returncode == 2, delay

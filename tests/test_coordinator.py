@@ -24,7 +24,7 @@ from hfstabu.tabu import EvalContext, SearchParams, TabuList, run_search
 from hfstabu.schedule import evaluate_makespan
 from hfstabu.worker import WorkerServer, serve_as_super_server
 
-from netharness import LatencyRelay, SubprocessWorker, record_cover, record_opens
+from netharness import LatencyRelay, SubprocessWorker, record_cover, record_opens, record_requests
 from oracles import evaluate_slice, largest_remainder_reference, verify_exact_cover
 
 INST = generate_instance(8, 3, 3, seed=42)
@@ -155,31 +155,15 @@ def test_calibrate_initializes_histories():
             assert coordinator.calibrate(seed=5) == {0: NOMINAL_SPEED, 1: NOMINAL_SPEED}
             for history in (p.history for p in coordinator.proxies):
                 assert history.count == 0 and predict(history) == NOMINAL_SPEED
-            coordinator.set_problem(INST)
             coordinator.evaluate(make_ctx(INST))
             assert all(p.history.count >= 1 and p.history.moves > 0 for p in coordinator.proxies)
         finally:
             coordinator.close()
 
 
-def record_requests(server: WorkerServer) -> list[tuple[str, str | None]]:
-    """Record each message ``server`` is asked to handle, as (type, digest of its problem or None)."""
-    seen = []
-    handle = server._handle
-
-    def recording(msg):
-        digest = instance_digest(msg.instance) if isinstance(msg, protocol.SetProblem) else getattr(msg, "digest", None)
-        seen.append((msg.TYPE, digest))
-        return handle(msg)
-
-    server._handle = recording
-    return seen
-
-
-def test_calibrate_costs_each_node_one_one_move_eval():
-    # the name is historical: calibrate is now the handshake alone, at every level, and the
-    # one-move warm-up EVAL it used to cost each node is gone (a node is measured by its first
-    # round of the real problem)
+def test_handshake_sends_each_node_hello_only():
+    # calibrate is the handshake alone, at every level, and the one-move warm-up EVAL it used
+    # to cost each node is gone (a node is measured by its first round of the real problem)
     flat = WorkerServer("127.0.0.1", 0, lanes=1)
     children = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(2)]
     seen = [record_requests(server) for server in (flat, *children)]
@@ -379,7 +363,6 @@ def test_node_reporting_an_infinite_speed_cannot_change_the_trajectory():
         try:
             coordinator.handshake()
             connected.append(True)
-            coordinator.set_problem(INST)
             remote = run_search(INST, params, coordinator.evaluate)
             assert remote.trace == local.trace
             # each such frame is a protocol error that closes the connection: two strikes
@@ -450,9 +433,9 @@ def test_slow_opener_leaves_earlier_handshakes_their_wait(monkeypatch):
             coordinator.close()
 
 
-def test_calibration_instance_deterministic():
-    # the name is historical: calibration sends no instance, so its result depends on nothing
-    # but which nodes answer the handshake, and a worker caches no problem for it
+def test_handshake_caches_no_problem():
+    # calibration sends no instance, so its result depends on nothing but which nodes answer
+    # the handshake, and a worker caches no problem for it
     with WorkerServer("127.0.0.1", 0, lanes=1) as worker:
         speeds = []
         for seed in (99, 99, 7):
@@ -485,7 +468,6 @@ def test_single_worker_matches_local_evaluation():
         coordinator = Coordinator([worker.address])
         try:
             coordinator.handshake()
-            coordinator.set_problem(INST)
             for seed in range(4):
                 ctx = make_ctx(INST, seed=seed)
                 got = coordinator.evaluate(ctx)
@@ -503,7 +485,6 @@ def test_evaluate_answers_for_the_context_instance():
         coordinator = Coordinator([worker.address])
         try:
             coordinator.handshake()
-            coordinator.set_problem(a)
             for inst in (b, a, b):
                 ctx = make_ctx(inst, seed=1)
                 got = coordinator.evaluate(ctx)
@@ -521,7 +502,6 @@ def test_three_workers_match_local_and_audit(monkeypatch):
     audits, _ = record_cover(monkeypatch, coordinator)
     try:
         coordinator.handshake()
-        coordinator.set_problem(INST)
         for seed in range(3):
             ctx = make_ctx(INST, seed=seed)
             got = coordinator.evaluate(ctx)
@@ -589,7 +569,6 @@ def test_timed_out_node_is_reopened_and_its_reply_never_read(monkeypatch):
     audits, _ = record_cover(monkeypatch, coordinator)
     try:
         coordinator.handshake()
-        coordinator.set_problem(INST)
 
         slow_once = {"armed": True}
         backend = servers[0]._backend
@@ -638,7 +617,6 @@ def test_slow_worker_returns_prefix_and_rest_is_redistributed(monkeypatch):
         # slow down one worker after the handshake so the nominal speed it is planned at is
         # far too high; a one-lane worker's evaluator reads the delay as each scan starts
         servers[0]._backend.evaluator.per_move_delay = 0.004
-        coordinator.set_problem(big)
         ctx = make_ctx(big, seed=5)
         got = coordinator.evaluate(ctx)
         want = evaluate_slice(big, ctx.order, ctx.tabu, ctx.incumbent, NeighborhoodSlice(0, big_n))
@@ -657,7 +635,6 @@ def test_all_workers_dying_mid_iteration_is_fatal():
     coordinator = Coordinator([s.address for s in servers])
     try:
         coordinator.handshake()
-        coordinator.set_problem(INST)
         for s in servers:
             s.shutdown(reason="gone")
         ctx = make_ctx(INST, seed=0)
@@ -677,7 +654,6 @@ def test_proportional_planning_follows_speed_ratio(monkeypatch):
     _, plans = record_cover(monkeypatch, coordinator)
     try:
         coordinator.handshake()
-        coordinator.set_problem(INST)
         ctx = make_ctx(INST, seed=2)
         for _ in range(5):
             coordinator.evaluate(ctx)
@@ -698,7 +674,6 @@ def test_coordinator_starts_no_thread():
         try:
             coordinator.handshake()
             assert threading.active_count() == threads
-            coordinator.set_problem(INST)
             ctx = make_ctx(INST, seed=1)
             for _ in range(3):
                 coordinator.evaluate(ctx)
@@ -719,7 +694,6 @@ def test_node_lost_during_another_handshake_gets_one_strike():
         coordinator = Coordinator([w0.address, w1.address])
         try:
             coordinator.handshake()
-            coordinator.set_problem(INST)
             w0.kill()  # returns once the process has exited, so its EOF is waiting
             coordinator.proxies[1].disconnect()  # the next round reopens it first
             ctx = make_ctx(INST, seed=1)
@@ -741,7 +715,6 @@ def test_dead_socket_does_not_keep_the_coordinator_busy():
         coordinator = Coordinator([w1.address, w2.address])
         try:
             coordinator.handshake()
-            coordinator.set_problem(INST)
             w2.kill()
             ctx = make_ctx(INST, seed=1)
             t0, cpu0 = time.monotonic(), time.process_time()

@@ -78,18 +78,17 @@ def loaded():
 inst = generate_instance(8, 3, 3, seed=4)
 order = initial_order(inst)
 ctx = EvalContext(inst, order, TabuList(), evaluate_makespan(inst, order))
-with LaneEvaluator(inst, lanes=1) as evaluator:
+with LaneEvaluator(lanes=1) as evaluator:
     trace_digest(run_search(inst, SearchParams(iterations=5, seed=1), evaluator.evaluate))
 with WorkerServer("127.0.0.1", 0, lanes=1) as server:
     coordinator = Coordinator([server.address])
     try:
         coordinator.handshake()
-        coordinator.set_problem(inst)
         coordinator.evaluate(ctx)
     finally:
         coordinator.close()
 without_lanes = loaded()
-with LaneEvaluator(inst, lanes=2) as evaluator:
+with LaneEvaluator(lanes=2) as evaluator:
     evaluator.evaluate(ctx)
 print(json.dumps({"without_lanes": without_lanes, "with_lanes": loaded()}))
 """

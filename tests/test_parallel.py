@@ -8,13 +8,14 @@ import time
 import pytest
 
 import hfstabu.parallel
+from hfstabu import protocol
 from hfstabu.instance import generate_instance
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.parallel import EvaluationError, LaneEvaluator
 from hfstabu.tabu import EvalContext, TabuList, scan_slice
 from hfstabu.schedule import evaluate_makespan
 
-from netharness import kill_lane_child, wait_until
+from netharness import kill_lane_child, record_opens, record_sends, wait_until
 from oracles import evaluate_slice, random_small_instance
 
 
@@ -87,6 +88,44 @@ def test_random_contexts_agree_across_lanes():
                 reference.best_index,
                 reference.best_makespan,
             )
+
+
+def test_alternating_instances_reach_each_lane_once(monkeypatch):
+    # a lane keeps the last MAX_CACHED_PROBLEMS problems it was sent, so two alternating
+    # instances are sent to each lane once, right before its first round of each
+    a = generate_instance(10, 3, 3, seed=1)
+    b = generate_instance(10, 3, 3, seed=2)
+    sends = record_sends(monkeypatch)
+    with LaneEvaluator(lanes=2) as evaluator:
+        for i in range(20):
+            inst = (a, b)[i % 2]
+            ctx = make_ctx(inst, seed=i)
+            got = evaluator.evaluate(ctx)
+            assert (got.best_index, got.best_makespan, got.moves_evaluated) == _full_scan(inst, ctx)
+    assert sorted(node for node, kind in sends if kind == "SET_PROBLEM") == [0, 0, 1, 1]
+
+
+def test_a_rotation_past_the_lanes_cache_resends_what_they_forgot(monkeypatch):
+    # one problem more than a lane keeps: each comes back after the lane has forgotten it, so
+    # it is sent again before its EVAL, and no lane answers "unknown problem", which would be
+    # a strike and a fork
+    insts = [generate_instance(8, 3, 3, seed=seed) for seed in range(protocol.MAX_CACHED_PROBLEMS + 1)]
+    opens = record_opens(monkeypatch)
+    strikes = []
+    with LaneEvaluator(lanes=2) as evaluator:
+        strike = evaluator._coordinator._strike
+
+        def recording_strike(proxy, reason):
+            strikes.append((proxy.node_id, reason))
+            strike(proxy, reason)
+
+        monkeypatch.setattr(evaluator._coordinator, "_strike", recording_strike)
+        for inst in insts * 2:
+            ctx = make_ctx(inst)
+            got = evaluator.evaluate(ctx)
+            assert (got.best_index, got.best_makespan, got.moves_evaluated) == _full_scan(inst, ctx)
+    assert strikes == []
+    assert opens == [0, 1]  # each lane was forked once
 
 
 # -- lane scheduling ----------------------------------------------------------------

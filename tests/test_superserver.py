@@ -7,7 +7,7 @@ from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.tabu import EvalContext, SearchParams, run_search
 from hfstabu.worker import Backend, WorkerServer, serve_as_super_server
 
-from netharness import LatencyRelay, WireClient, empty_tabu, record_cover, record_opens
+from netharness import LatencyRelay, WireClient, empty_tabu, record_cover, record_opens, record_requests
 from oracles import evaluate_slice
 
 INST = generate_instance(8, 3, 3, seed=42)
@@ -133,7 +133,6 @@ def test_super_calibration_errors_without_a_live_child():
         with Coordinator([sup.address]) as coordinator:
             coordinator.handshake()  # the super server's children are connected already
             w.shutdown(reason="gone")
-            coordinator.set_problem(INST)
             with pytest.raises(CoverageError):
                 coordinator.evaluate(EvalContext(INST, ORDER, empty_tabu(), 10**6))
             assert coordinator.proxies[0].state == "dead" and coordinator.proxies[0].strikes == 2
@@ -151,15 +150,45 @@ def test_super_problem_cache_eviction():
         with WireClient(sup.address) as client:
             client.hello()
             digests = [client.set_problem(generate_instance(8, 3, 3, seed=seed))
-                       for seed in range(Backend.MAX_CACHED_PROBLEMS + 2)]
+                       for seed in range(protocol.MAX_CACHED_PROBLEMS + 2)]
             reply = client.eval(digests[0], ORDER, empty_tabu(), 10**6, 0, N, 10.0)
             assert isinstance(reply, protocol.Error) and "unknown problem" in reply.message
-            for digest in digests[-Backend.MAX_CACHED_PROBLEMS:]:
+            for digest in digests[-protocol.MAX_CACHED_PROBLEMS:]:
                 reply = client.eval(digest, ORDER, empty_tabu(), 10**6, 0, N, 10.0)
                 assert isinstance(reply, protocol.EvalResult) and reply.complete
     finally:
         sup.shutdown()
         w.shutdown()
+
+
+def test_super_server_forwards_each_problem_to_each_child_once():
+    # a child keeps the last MAX_CACHED_PROBLEMS problems the super server sent it, so a
+    # client that alternates two problems has each reach each child once
+    a, b = generate_instance(8, 3, 3, seed=1), generate_instance(8, 3, 3, seed=2)
+    children = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(2)]
+    seen = [record_requests(child) for child in children]
+    for child in children:
+        child.start()
+    sup = serve_as_super_server("127.0.0.1", 0, [c.address for c in children])
+    sup.start()
+    try:
+        with WireClient(sup.address) as client:
+            client.hello()
+            client.set_problem(a)
+            client.set_problem(b)
+            for inst in (a, b) * 4:
+                reply = client.eval(inst.digest, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
+                want = evaluate_slice(inst, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N))
+                assert (reply.best_index, reply.best_makespan, reply.complete) == (
+                    want.best_index, want.best_makespan, True)
+        for requests in seen:
+            assert [r for r in requests if r[0] == "SET_PROBLEM"] == [("SET_PROBLEM", a.digest),
+                                                                       ("SET_PROBLEM", b.digest)]
+            assert requests.count(("EVAL", a.digest)) >= 1 and requests.count(("EVAL", b.digest)) >= 1
+    finally:
+        sup.shutdown()
+        for child in children:
+            child.shutdown()
 
 
 def test_super_over_single_worker_is_passthrough():

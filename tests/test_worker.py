@@ -38,7 +38,6 @@ def first_round_speed(address, inst) -> float:
     order = initial_order(inst)
     with Coordinator([address]) as coordinator:
         coordinator.handshake()
-        coordinator.set_problem(inst)
         coordinator.evaluate(EvalContext(inst, order, empty_tabu(), evaluate_makespan(inst, order)))
         return predict(coordinator.proxies[0].history)
 
@@ -205,7 +204,7 @@ def _round_speed(inst, per_move_delay):
     return moves / (time.monotonic() - t0)
 
 
-def test_calibrate_takes_one_timed_round():
+def test_first_round_measures_the_whole_round_speed():
     # delay-dominated worker: the real problem's first round is the one timed round, and it
     # measures the speed of the worker's whole rounds
     reference = _round_speed(INST, 0.002)
@@ -236,7 +235,6 @@ def test_calibration_times_its_round_with_the_lanes_started():
     with WorkerServer("127.0.0.1", 0, lanes=2) as server, Coordinator([server.address]) as coordinator:
         coordinator.handshake()
         assert not set(multiprocessing.active_children()) - known  # the handshake forks no lane
-        coordinator.set_problem(INST)
         got = coordinator.evaluate(EvalContext(INST, ORDER, empty_tabu(), 10**6))
         want = evaluate_slice(INST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N))
         assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
@@ -561,7 +559,7 @@ def test_worker_recovers_from_killed_lane():
 def test_problem_cache_eviction():
     backend = Backend(LaneEvaluator(lanes=1))
     digests = []
-    for seed in range(Backend.MAX_CACHED_PROBLEMS + 1):
+    for seed in range(protocol.MAX_CACHED_PROBLEMS + 1):
         digests.append(backend.set_problem(generate_instance(4, 2, 2, seed=seed)))
     assert not backend.has_problem(digests[0])  # oldest evicted
     assert all(backend.has_problem(d) for d in digests[1:])
