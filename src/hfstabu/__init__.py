@@ -33,7 +33,7 @@ from .tabu import (
     run_search,
     tabu_push,
 )
-from .parallel import EvaluationError, LaneEvaluator
+from .parallel import LaneEvaluator
 from .coordinator import (
     CalibrationError,
     Coordinator,
@@ -69,7 +69,6 @@ __all__ = [
     "initial_order",
     "run_search",
     "tabu_push",
-    "EvaluationError",
     "LaneEvaluator",
     "CalibrationError",
     "Coordinator",

@@ -17,7 +17,8 @@ A node is live (``IDLE``) or ``DEAD``, and has at most one connection.
 The coordinator talks to nodes one way, on the thread that uses it.
 ``_connect`` is the only place a connection is opened; ``handshake`` and
 evaluation pick their nodes with the same ``_ready_nodes``, which first
-reopens every live node that has no connection.
+reopens every live node that has no connection. A round that opens
+nothing and owes no overdue cut reply reads nothing before it plans.
 ``_collect`` reads every node reply, HELLO included, through one
 selector: it resolves each outstanding request as a reply or a failure
 (lost connection, ERROR, EXIT_REPORT, timeout, budget cut), and alone
@@ -51,6 +52,14 @@ reducer (``tabu.merge_prefix``): the chosen move is the argmin by
 (makespan, move index) over the contiguous prefix of the slice, so any
 topology and any failure schedule that leaves one live node produces
 exactly the single-machine result.
+
+One constructor argument, ``inline_delay``, turns on the inline scan:
+``evaluate_blocks`` then scans on the caller what no node covered, when
+no node is live or there is no deadline, and only a failing scan raises
+(``CoverageError``). ``parallel.LaneEvaluator``, this class over forked
+lanes, turns it on, so a one-lane evaluator is a coordinator with no
+nodes. The top level and super servers leave it off: a super server
+with no live child answers ERROR, and its parent re-plans.
 """
 
 from __future__ import annotations
@@ -66,7 +75,7 @@ from . import protocol
 from .instance import ProblemInstance
 from .neighborhood import NeighborhoodSlice, neighborhood_size
 from .protocol import MAX_CACHED_PROBLEMS, PROTOCOL_VERSION
-from .tabu import EvalContext, SearchParams, SearchResult, SliceResult, merge_prefix, run_search
+from .tabu import EvalContext, SearchParams, SearchResult, SliceResult, merge_prefix, run_search, scan_slice
 
 log = logging.getLogger(__name__)
 
@@ -94,7 +103,7 @@ class CalibrationError(RuntimeError):
 
 
 class CoverageError(RuntimeError):
-    """The neighborhood could not be fully covered."""
+    """The neighborhood could not be fully covered, or the inline scan of what no node covered failed."""
 
 
 class NodePerfHistory:
@@ -248,16 +257,20 @@ class NodeProxy:
 class Coordinator:
     """Fans neighborhood evaluation out over a fixed set of nodes.
 
-    One class serves the top-level search and every super server: it owns
-    the selector, the node proxies, the start-up check and the dispatch cycle.
+    One class serves the top-level search, every super server and, as
+    ``LaneEvaluator``, every set of lanes: it owns the selector, the node
+    proxies, the start-up check and the dispatch cycle.
     Use it from one thread at a time: it starts no thread, and reads every
     node socket on the caller's thread through its one selector. A
     reopened node gets what ``opener`` opens: a TCP connection, or a new lane.
+    ``inline_delay``, the per-move delay of an inline scan (0.0: unpaced),
+    turns the inline scan on, as ``LaneEvaluator`` does; None leaves it off.
     """
 
-    def __init__(self, addresses, opener=socket.create_connection):
+    def __init__(self, addresses, opener=socket.create_connection, inline_delay: float | None = None):
         self._selector = selectors.DefaultSelector()
         self.proxies = [NodeProxy(i, addr, self._selector, opener) for i, addr in enumerate(addresses)]
+        self.inline_delay = inline_delay
         self.late_results = 0
         self.redistribution_rounds = 0
 
@@ -270,7 +283,8 @@ class Coordinator:
         read, so forked lanes start up side by side, and one ``_collect``
         reads every reply: silent peers cost one CONNECT_TIMEOUT together.
         That wait starts once the last opener has returned, so a slow
-        opener cannot use up the wait of a node opened before it.
+        opener cannot use up the wait of a node opened before it. When
+        nothing was opened nothing is read.
         """
         opened = []
         for proxy in proxies:
@@ -278,6 +292,8 @@ class Coordinator:
                 opened.append((proxy.open(), proxy))
             except OSError as exc:
                 self._kill(proxy, f"unreachable: {exc}")
+        if not opened:
+            return
         deadline = time.monotonic() + CONNECT_TIMEOUT
         requests = {rid: (proxy, deadline, math.inf) for rid, proxy in opened}
         for _, proxy, reply, failure in self._collect(requests):
@@ -421,11 +437,12 @@ class Coordinator:
     def handshake(self) -> list[NodeProxy]:
         """The start-up check: connect every node and require one; returns the ready nodes.
 
-        It sends no EVAL and records nothing: every node starts at
-        ``NOMINAL_SPEED``, and the real problem's first rounds measure it.
+        With the inline scan on, no node is required. It sends no EVAL
+        and records nothing: every node starts at ``NOMINAL_SPEED``, and
+        the real problem's first rounds measure it.
         """
         ready = self._ready_nodes()
-        if not ready:
+        if not ready and self.inline_delay is None:
             raise CalibrationError("no node reachable")
         return ready
 
@@ -450,14 +467,25 @@ class Coordinator:
                         deadline: float | None) -> tuple[SliceResult, int]:
         """Evaluate as much of ``nslice`` as the nodes cover by ``deadline``.
 
-        The contract of ``LaneEvaluator.evaluate_blocks``: returns (result
-        over the evaluated prefix, prefix end). ``deadline`` is an absolute
+        Returns (result over the evaluated prefix, prefix end); the prefix
+        is contiguous from ``nslice.begin``. ``deadline`` is an absolute
         time.monotonic() value, or None to dispatch until the slice is
-        covered or no node can take more of it.
+        covered or no node can take more of it. With the inline scan on,
+        what the nodes left is scanned here, on the caller, when no node
+        is live or there is no deadline; CoverageError only if that scan
+        fails. The result's elapsed time covers the nodes and that scan.
         """
         t0 = time.perf_counter()
         results = self.cover(ctx, nslice, math.inf if deadline is None else deadline)
         frontier, best_idx, best_ms = merge_prefix(results, nslice.begin)
+        if self.inline_delay is not None and frontier < nslice.end and (deadline is None or not self.live_nodes()):
+            try:
+                idx, ms, evaluated = scan_slice(ctx.instance, ctx.order, ctx.tabu.entries, ctx.incumbent,
+                                                frontier, nslice.end, deadline, self.inline_delay)
+            except Exception as exc:
+                raise CoverageError(f"no node covered [{frontier}, {nslice.end}) and the inline scan failed") from exc
+            frontier, best_idx, best_ms = merge_prefix(
+                [(nslice.begin, frontier, best_idx, best_ms), (frontier, frontier + evaluated, idx, ms)], nslice.begin)
         return SliceResult(best_idx, best_ms, frontier - nslice.begin, time.perf_counter() - t0), frontier
 
     def cover(self, ctx: EvalContext, nslice: NeighborhoodSlice, budget_abs: float):

@@ -49,9 +49,10 @@ log = logging.getLogger(__name__)
 class Backend:
     """A worker server's evaluation: the last ``MAX_CACHED_PROBLEMS`` problems set, by digest, over one evaluator.
 
-    The evaluator is a worker's ``LaneEvaluator`` or a super server's
-    ``Coordinator``: both answer ``evaluate_blocks`` and report ``lanes``,
-    a coordinator those of its live nodes. An EVAL for an evicted problem
+    The evaluator is a ``Coordinator``: a worker's ``LaneEvaluator``,
+    which reports its configured lanes and scans inline what its lanes
+    leave, or a super server's, which reports the lanes of its live
+    nodes and scans nothing itself. An EVAL for an evicted problem
     is answered "unknown problem". Use it from one thread at a time: a
     worker server calls it only from its loop.
     """

@@ -19,6 +19,7 @@ from hfstabu.coordinator import (
 )
 from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
+from hfstabu.parallel import LaneEvaluator
 from hfstabu.protocol import PROTOCOL_VERSION
 from hfstabu.tabu import EvalContext, SearchParams, TabuList, run_search
 from hfstabu.schedule import evaluate_makespan
@@ -616,7 +617,7 @@ def test_slow_worker_returns_prefix_and_rest_is_redistributed(monkeypatch):
         coordinator.handshake()
         # slow down one worker after the handshake so the nominal speed it is planned at is
         # far too high; a one-lane worker's evaluator reads the delay as each scan starts
-        servers[0]._backend.evaluator.per_move_delay = 0.004
+        servers[0]._backend.evaluator.inline_delay = 0.004
         ctx = make_ctx(big, seed=5)
         got = coordinator.evaluate(ctx)
         want = evaluate_slice(big, ctx.order, ctx.tabu, ctx.incumbent, NeighborhoodSlice(0, big_n))
@@ -687,6 +688,34 @@ def test_coordinator_starts_no_thread():
             assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
         finally:
             coordinator.close()
+
+
+def _zero_timeout_selects(monkeypatch, evaluator, ctx, evaluations=5) -> int:
+    """How many selects with a zero timeout ``evaluator`` makes over ``evaluations`` evaluations of ``ctx``."""
+    polls = []
+    select = evaluator._selector.select
+
+    def recording_select(timeout=None):
+        if timeout is not None and timeout <= 0:
+            polls.append(timeout)
+        return select(timeout)
+
+    monkeypatch.setattr(evaluator._selector, "select", recording_select)
+    for _ in range(evaluations):
+        evaluator.evaluate(ctx)
+    return len(polls)
+
+
+def test_steady_rounds_make_no_empty_poll(monkeypatch):
+    # a round that opens no connection and owes no cut reply reads nothing before it plans
+    ctx = make_ctx(INST, seed=1)
+    with WorkerServer("127.0.0.1", 0, lanes=1) as w1, WorkerServer("127.0.0.1", 0, lanes=1) as w2:
+        with Coordinator([w1.address, w2.address]) as coordinator:
+            coordinator.handshake()
+            assert _zero_timeout_selects(monkeypatch, coordinator, ctx) == 0
+            assert [p.connected for p in coordinator.proxies] == [True, True]
+    with LaneEvaluator(lanes=1) as evaluator:
+        assert _zero_timeout_selects(monkeypatch, evaluator, ctx) == 0
 
 
 def test_node_lost_during_another_handshake_gets_one_strike():

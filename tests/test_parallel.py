@@ -7,12 +7,14 @@ import time
 
 import pytest
 
+import hfstabu.coordinator
 import hfstabu.parallel
 from hfstabu import protocol
 from hfstabu.instance import generate_instance
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
-from hfstabu.parallel import EvaluationError, LaneEvaluator
-from hfstabu.tabu import EvalContext, TabuList, scan_slice
+from hfstabu.coordinator import CoverageError
+from hfstabu.parallel import LaneEvaluator
+from hfstabu.tabu import EvalContext, SearchParams, TabuList, run_search, scan_slice
 from hfstabu.schedule import evaluate_makespan
 
 from netharness import kill_lane_child, record_opens, record_sends, wait_until
@@ -113,13 +115,13 @@ def test_a_rotation_past_the_lanes_cache_resends_what_they_forgot(monkeypatch):
     opens = record_opens(monkeypatch)
     strikes = []
     with LaneEvaluator(lanes=2) as evaluator:
-        strike = evaluator._coordinator._strike
+        strike = evaluator._strike
 
         def recording_strike(proxy, reason):
             strikes.append((proxy.node_id, reason))
             strike(proxy, reason)
 
-        monkeypatch.setattr(evaluator._coordinator, "_strike", recording_strike)
+        monkeypatch.setattr(evaluator, "_strike", recording_strike)
         for inst in insts * 2:
             ctx = make_ctx(inst)
             got = evaluator.evaluate(ctx)
@@ -143,9 +145,21 @@ def test_more_lanes_than_moves():
         LaneEvaluator(inst, 0)
 
 
+def test_a_one_lane_evaluator_is_a_coordinator_with_no_nodes():
+    # what it inherits works with no node: the handshake passes, and a run scans inline
+    inst = generate_instance(8, 2, 3, seed=4)
+    params = SearchParams(iterations=5, seed=1)
+    with LaneEvaluator(lanes=1) as evaluator:
+        assert evaluator.lanes == 1 and evaluator.handshake() == []
+        got = evaluator.run(inst, params)
+        assert evaluator.node_stats() == {}
+    assert got.trace == run_search(inst, params, lambda ctx: evaluate_slice(
+        inst, ctx.order, ctx.tabu, ctx.incumbent, NeighborhoodSlice(0, neighborhood_size(8)))).trace
+
+
 # -- lane failure -------------------------------------------------------------------
 #
-# The scans below replace hfstabu.parallel.scan_slice before the lanes fork, so
+# The scans below replace hfstabu.coordinator.scan_slice before the lanes fork, so
 # the lanes inherit them; multiprocessing.parent_process() tells a lane from the caller.
 
 
@@ -199,7 +213,7 @@ def test_lane_failure_retries_on_caller(monkeypatch):
     ctx = make_ctx(inst)
     whole = NeighborhoodSlice(0, neighborhood_size(6))
     reference = LaneEvaluator(inst, 1).evaluate(ctx)
-    monkeypatch.setattr(hfstabu.parallel, "scan_slice", _failing_in_child_scan)
+    monkeypatch.setattr(hfstabu.coordinator, "scan_slice", _failing_in_child_scan)
     with LaneEvaluator(inst, 2) as evaluator:
         result = evaluator.evaluate(ctx)
         assert (result.best_index, result.best_makespan) == (reference.best_index, reference.best_makespan)
@@ -214,11 +228,11 @@ def test_unrecoverable_failure_raises(monkeypatch):
     inst = generate_instance(5, 1, 2, seed=1)
     ctx = make_ctx(inst)
     whole = NeighborhoodSlice(0, neighborhood_size(5))
-    monkeypatch.setattr(hfstabu.parallel, "scan_slice", _always_failing_scan)
+    monkeypatch.setattr(hfstabu.coordinator, "scan_slice", _always_failing_scan)
     with LaneEvaluator(inst, 2) as evaluator:
-        with pytest.raises(EvaluationError):
+        with pytest.raises(CoverageError):
             evaluator.evaluate(ctx)
-        with pytest.raises(EvaluationError):
+        with pytest.raises(CoverageError):
             evaluator.evaluate_blocks(ctx, whole, time.monotonic() + 60.0)
 
 
@@ -250,7 +264,7 @@ def test_killed_lane_process_is_replaced(monkeypatch):
         # the failed send closed the dead lane's socket, so its EOF was no second strike:
         # the lane was replaced, and its node is back in service
         assert len(forked) == 3
-        assert [(p.state, p.strikes) for p in evaluator._coordinator.proxies] == [("idle", 0)] * 2
+        assert [(p.state, p.strikes) for p in evaluator.proxies] == [("idle", 0)] * 2
 
 
 def test_lanes_that_keep_dying_fall_back_inline(monkeypatch):
@@ -266,7 +280,7 @@ def test_lanes_that_keep_dying_fall_back_inline(monkeypatch):
         start(process)
 
     monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", counting_start)
-    monkeypatch.setattr(hfstabu.parallel, "scan_slice", _dying_in_child_scan)
+    monkeypatch.setattr(hfstabu.coordinator, "scan_slice", _dying_in_child_scan)
     with LaneEvaluator(inst, 2) as evaluator:
         # the lanes and their replacements all die mid-round; then the caller scans alone
         for _ in range(3):
@@ -306,7 +320,7 @@ def test_hung_lanes_cannot_hang_a_round(monkeypatch):
     inst = generate_instance(6, 2, 2, seed=12)
     ctx = make_ctx(inst)
     want = _full_scan(inst, ctx)
-    monkeypatch.setattr(hfstabu.parallel, "scan_slice", _hanging_in_child_scan)
+    monkeypatch.setattr(hfstabu.coordinator, "scan_slice", _hanging_in_child_scan)
     t0 = time.monotonic()
     # the lanes time out, their replacements hang too, and the caller scans alone
     with LaneEvaluator(inst, 2) as evaluator:
@@ -330,14 +344,14 @@ def test_a_cut_lane_is_not_replaced(monkeypatch):
         start(process)
 
     monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", counting_start)
-    monkeypatch.setattr(hfstabu.parallel, "scan_slice", _slow_first_scan_in_child)
+    monkeypatch.setattr(hfstabu.coordinator, "scan_slice", _slow_first_scan_in_child)
     with LaneEvaluator(inst, 2) as evaluator:
         for _ in range(4):
             result, frontier = evaluator.evaluate_blocks(ctx, whole, time.monotonic() + 0.05)
         assert len(forked) == 2
-        proxies = evaluator._coordinator.proxies
+        proxies = evaluator.proxies
         assert [(p.state, p.strikes, p.connected) for p in proxies] == [("idle", 0, True)] * 2
-        assert evaluator._coordinator.late_results >= 1
+        assert evaluator.late_results >= 1
         assert frontier > 0  # the lanes' first scans ended long before the last round
         want = scan_slice(inst, ctx.order, ctx.tabu.entries, ctx.incumbent, 0, frontier)
         assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
@@ -359,7 +373,7 @@ def test_a_lane_that_never_answers_a_cut_round_is_replaced(monkeypatch, tmp_path
         start(process)
 
     monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", counting_start)
-    monkeypatch.setattr(hfstabu.parallel, "scan_slice", _first_lane_0_hangs_in_scan)
+    monkeypatch.setattr(hfstabu.coordinator, "scan_slice", _first_lane_0_hangs_in_scan)
     monkeypatch.setitem(globals(), "_hang_marker", str(tmp_path / "hung"))
     with LaneEvaluator(inst, 2) as evaluator:
         frontiers = []
@@ -370,7 +384,7 @@ def test_a_lane_that_never_answers_a_cut_round_is_replaced(monkeypatch, tmp_path
         assert len(forked) == 3  # lane 0 was forked anew once
         assert frontier == whole.end  # and its replacement serves
         assert all(f > 0 for f in frontiers[1:])  # lane 1 covered a prefix while lane 0 hung
-        proxies = evaluator._coordinator.proxies
+        proxies = evaluator.proxies
         assert [(p.state, p.strikes, p.connected, p.owed) for p in proxies] == [("idle", 0, True, {})] * 2
         want = scan_slice(inst, ctx.order, ctx.tabu.entries, ctx.incumbent, 0, whole.end)
         assert (result.best_index, result.best_makespan, result.moves_evaluated) == want

@@ -121,7 +121,7 @@ def test_equal_children_get_an_equal_first_split(monkeypatch):
             child.shutdown()
 
 
-def test_super_calibration_errors_without_a_live_child():
+def test_super_first_round_errors_without_a_live_child():
     # a node is calibrated by its first round of the real problem; a super server whose only
     # child has gone answers that EVAL with ERROR, a strike like any failed EVAL, and the
     # reconnect's second ERROR kills it

@@ -179,13 +179,13 @@ def test_deadline_compliance():
             assert wall < deadline + 0.15
 
 
-def test_calibrate_positive_speed(server):
+def test_a_handshake_plans_the_worker_at_nominal_speed_and_serves_nothing(server):
     # calibrate is the handshake: the worker is planned at the nominal speed, and serves nothing
     assert calibrate(server.address) == {0: NOMINAL_SPEED}
     assert server.requests_served == 0 and not server._backend._problems
 
 
-def test_calibrate_speed_stability():
+def test_first_rounds_of_two_runs_measure_the_same_speed():
     # delay-dominated worker: the first rounds of two runs measure it within 25% of each other
     with WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002) as server:
         a = first_round_speed(server.address, INST)
@@ -217,7 +217,7 @@ def test_first_round_measures_the_whole_round_speed():
     assert abs(speed - reference) / reference < 0.25
 
 
-def test_paced_worker_answers_calibrate_within_one_round():
+def test_paced_worker_answers_the_handshake_within_one_round():
     # paced at 2 ms per move, a full round of a 10-job neighborhood (81 moves) takes at least
     # 162 ms; calibrate, the handshake, takes less
     with WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=0.002) as server:
@@ -227,7 +227,7 @@ def test_paced_worker_answers_calibrate_within_one_round():
     assert wall < 0.15
 
 
-def test_calibration_times_its_round_with_the_lanes_started():
+def test_first_round_is_timed_with_the_lanes_started():
     # a node is calibrated by its first round of the real problem: a two-lane worker forks its
     # lanes while it serves that EVAL, before it plans its lanes' round, so the round completes
     # with no redistribution round at either level
@@ -241,10 +241,10 @@ def test_calibration_times_its_round_with_the_lanes_started():
         assert len(set(multiprocessing.active_children()) - known) == 2
         assert server.requests_served == 1 and server.moves_evaluated == N
         assert coordinator.redistribution_rounds == 0
-        assert server._backend.evaluator._coordinator.redistribution_rounds == 0
+        assert server._backend.evaluator.redistribution_rounds == 0
 
 
-def test_calibration_leaves_problem_cache_alone():
+def test_a_handshake_leaves_the_problem_cache_alone():
     # calibrate is the handshake: it sends no problem, so the problem set before it stays the
     # only one cached, on the same lanes
     known = set(multiprocessing.active_children())
@@ -263,7 +263,7 @@ def test_calibration_leaves_problem_cache_alone():
         assert reply.complete and reply.moves_evaluated == N
 
 
-def test_one_lane_set_serves_every_problem_and_calibration():
+def test_one_lane_set_serves_every_problem_and_the_handshake():
     known = set(multiprocessing.active_children())
     backend = Backend(LaneEvaluator(lanes=2))
     with WorkerServer("127.0.0.1", 0, backend=backend) as server:
@@ -530,6 +530,19 @@ def test_multi_lane_worker_matches_single_lane():
             local = evaluate_slice(INST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N))
             assert (reply.best_index, reply.best_makespan) == (local.best_index, local.best_makespan)
             assert reply.complete
+
+
+def test_a_lane_worker_reports_its_configured_lanes_before_any_fork():
+    # a --lanes 3 worker's HELLO reports its 3 lanes before an EVAL has forked one, and a super
+    # server over it and a --lanes 1 worker reports the sum
+    known = set(multiprocessing.active_children())
+    with WorkerServer("127.0.0.1", 0, lanes=3) as three, WorkerServer("127.0.0.1", 0, lanes=1) as one:
+        with WireClient(three.address) as client:
+            assert client.hello().lanes == 3
+        with serve_as_super_server("127.0.0.1", 0, [three.address, one.address]) as sup:
+            with WireClient(sup.address) as client:
+                assert client.hello().lanes == 4
+        assert not set(multiprocessing.active_children()) - known  # no lane was forked
 
 
 def test_worker_recovers_from_killed_lane():
