@@ -35,9 +35,9 @@ from .tabu import (
 )
 from .parallel import LaneEvaluator
 from .coordinator import (
-    CalibrationError,
     Coordinator,
     CoverageError,
+    HandshakeError,
 )
 from .worker import WorkerServer, serve_as_super_server
 
@@ -70,9 +70,9 @@ __all__ = [
     "run_search",
     "tabu_push",
     "LaneEvaluator",
-    "CalibrationError",
     "Coordinator",
     "CoverageError",
+    "HandshakeError",
     "WorkerServer",
     "serve_as_super_server",
 ]

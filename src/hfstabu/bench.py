@@ -115,7 +115,7 @@ def bench_distributed(endpoints, sizes, iterations: int, seed: int, machines: in
 
     Per cell the meta records per-node utilization (accepted moves and
     mean speed) and the number of redistribution rounds. Unreachable
-    endpoints surface as CalibrationError from ``Coordinator.handshake``.
+    endpoints surface as HandshakeError from ``Coordinator.handshake``.
     """
     endpoints = list(endpoints)
     if host_counts is None:

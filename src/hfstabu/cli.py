@@ -11,7 +11,7 @@ import sys
 import time
 
 from .bench import DESK_GRID, bench_distributed, bench_local, full_grid, write_csv
-from .coordinator import CalibrationError, Coordinator, CoverageError
+from .coordinator import Coordinator, CoverageError, HandshakeError
 from .instance import InstanceError, generate_instance, parse_instance, serialize_instance
 from .parallel import LaneEvaluator, detected_lane_count
 from .tabu import SearchError, SearchParams, run_search
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
     try:
         return args.func(args)
-    except (InstanceError, SearchError, CalibrationError, CoverageError, OSError) as exc:
+    except (InstanceError, SearchError, HandshakeError, CoverageError, OSError) as exc:
         log.error("%s", exc)
         return 1
 

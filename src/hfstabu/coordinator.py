@@ -98,7 +98,7 @@ TIMEOUT = "timed out"
 CUT = "budget cut"
 
 
-class CalibrationError(RuntimeError):
+class HandshakeError(RuntimeError):
     """No node answered the handshake."""
 
 
@@ -443,7 +443,7 @@ class Coordinator:
         """
         ready = self._ready_nodes()
         if not ready and self.inline_delay is None:
-            raise CalibrationError("no node reachable")
+            raise HandshakeError("no node reachable")
         return ready
 
     def calibrate(self, seed: int) -> dict[int, float]:

@@ -10,32 +10,33 @@ broken by the lowest processor index. No backfilling: a task is never
 placed before an earlier-dispatched one releases enough capacity.
 
 The decoder is a pure function of (instance, permutation), so schedules
-are reproducible bit for bit. There are two implementations of it, one
-per purpose; the tests hold a third, ``build_schedule``, which reports
-the whole schedule, processor ids included, as their reference:
+are reproducible bit for bit. It has one implementation,
+``insertion_decoder``; the tests hold a second, ``build_schedule``, which
+reports the whole schedule, processor ids included, as their reference.
 
-- ``evaluate_makespan`` computes only the makespan of one permutation.
-  It keeps each stage's availability times as a sorted multiset. The
-  q-th smallest time is where a task of width q can start, and the q
-  smallest are replaced by its completion time. This is exact because
-  the processors of a stage are identical: which ones a task occupies
-  never affects a later start time, only the multiset of their
-  availability times does. So it gives the completion times of a
-  decoder that picks processors by (availability, index).
-- ``insertion_decoder`` computes the makespans of an insertion
-  neighbourhood, the inner loop of the search. It decodes the
-  permutation without the moved job once, with the same sorted
-  multisets, and resumes each insertion from the schedule prefix it
-  shares with that reference. At stage 0 it also stops dispatching at
-  the first task after the insertion point that takes every processor:
-  from there on both schedules have all processors free at one time,
-  so the later stage-0 completions are the reference's, shifted. It
-  stops an insertion once a lower bound on its makespan reaches a given
-  bound.
+``insertion_decoder`` computes the makespans of an insertion
+neighbourhood, the inner loop of the search. It keeps each stage's
+availability times as a sorted multiset. The q-th smallest time is where
+a task of width q can start, and the q smallest are replaced by its
+completion time. This is exact because the processors of a stage are
+identical: which ones a task occupies never affects a later start time,
+only the multiset of their availability times does. So it gives the
+completion times of a decoder that picks processors by (availability,
+index). It decodes the permutation without the moved job once and
+resumes each insertion from the schedule prefix it shares with that
+reference. At stage 0 it also stops dispatching at the first task after
+the insertion point that takes every processor: from there on both
+schedules have all processors free at one time, so the later stage-0
+completions are the reference's, shifted. It stops an insertion once a
+lower bound on its makespan reaches a given bound.
+
+``evaluate_makespan``, the makespan of one permutation, is the no-op
+move of that decoder: the last job taken out and put back in its place.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import itemgetter
@@ -46,35 +47,14 @@ from .instance import ProblemInstance
 def evaluate_makespan(inst: ProblemInstance, order) -> int:
     """Makespan of the decoded schedule, without building the schedule.
 
-    The caller must supply a valid permutation.
-
-    Between stages a job is the single integer ``ready * n + position``,
-    so sorting these keys gives the next stage's dispatch order; stage 0
-    starts from each job's position alone. A stage's processors are the
-    sorted list of their availability times: a task needing q of them
-    starts at max(ready, avail[q - 1]) and replaces the q smallest
-    entries with q copies of its completion time.
+    The caller must supply a valid permutation. This is the no-op move of
+    ``insertion_decoder``: the last job taken out and put back in its
+    place, also when it is the only job. It first decodes the order
+    without that job, so it costs about two plain decodes; a search calls
+    it once, never inside the scan.
     """
     n = len(order)
-    keys = list(range(n))
-    for mi, dur, width in inst.stage_columns:
-        avail = [0] * mi
-        done_keys = []
-        for key in keys:
-            ready, p = divmod(key, n)
-            j = order[p]
-            q = width[j]
-            t = avail[q - 1]
-            if ready > t:
-                t = ready
-            t += dur[j]
-            del avail[:q]
-            at = bisect_right(avail, t)
-            avail[at:at] = [t] * q
-            done_keys.append(t * n + p)
-        done_keys.sort()
-        keys = done_keys
-    return keys[-1] // n
+    return insertion_decoder(inst, order, n - 1)(n - 1, math.inf)
 
 
 def insertion_decoder(inst: ProblemInstance, order, from_pos: int):
@@ -86,6 +66,8 @@ def insertion_decoder(inst: ProblemInstance, order, from_pos: int):
     ``order`` with the job moved to ``to_pos``, or None once that
     makespan is known to be >= ``bound`` (``math.inf`` for no bound).
     When it returns a number, that number is the exact makespan.
+    ``to_pos == from_pos`` is the no-op move, which gives ``order``
+    itself, and a single job (n == 1) is decoded as that move.
 
     Keys are ``ready * w + slot``, with w the smallest power of two above
     2n - 1, so a shift and a mask split a key. The reference job of rank
@@ -111,6 +93,8 @@ def insertion_decoder(inst: ProblemInstance, order, from_pos: int):
     makespan from below; the candidate stops once that reaches ``bound``.
     The shifted stage-0 tasks go unchecked, but their jobs lie outside
     every shared prefix, so each later stage recomputes and checks them.
+    When no rank follows b there is nothing to shift; with n == 1 the
+    reference is empty and so has no completion of b to shift from.
     """
     n = len(order)
     bits = (2 * n - 1).bit_length()
@@ -189,7 +173,7 @@ def insertion_decoder(inst: ProblemInstance, order, from_pos: int):
                     at = bisect_right(avail, t)
                     avail[at:at] = [t] * q
                 redone.append(t * width + slot)
-            if prev_done is None:
+            if prev_done is None and last < n - 2:
                 # after rank `last` every processor is free at one time in both
                 # schedules, so the later ranks complete as in the reference, shifted
                 shift = redone[-1] - ref_done[last]

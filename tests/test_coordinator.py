@@ -10,9 +10,9 @@ from hfstabu import coordinator as coordinator_module
 from hfstabu import protocol
 from hfstabu.coordinator import (
     NOMINAL_SPEED,
-    CalibrationError,
     Coordinator,
     CoverageError,
+    HandshakeError,
     NodePerfHistory,
     plan_partition,
     predict,
@@ -144,10 +144,10 @@ def test_verify_exact_cover():
         verify_exact_cover([(0, 5, None, None), (4, 9, None, None)], 0, 9)
 
 
-# -- calibration -------------------------------------------------------------------
+# -- handshake and first rounds ----------------------------------------------------
 
 
-def test_calibrate_initializes_histories():
+def test_handshake_leaves_histories_empty_until_the_first_round():
     # calibration records nothing: every node starts at the nominal speed, and the real
     # problem's first round measures it
     with WorkerServer("127.0.0.1", 0, lanes=1) as w1, WorkerServer("127.0.0.1", 0, lanes=1) as w2:
@@ -213,7 +213,7 @@ def test_a_run_sends_each_node_its_handshake_the_problem_and_evals_only():
             server.shutdown()
 
 
-def test_calibrate_marks_unreachable_node_dead():
+def test_handshake_marks_unreachable_node_dead():
     with WorkerServer("127.0.0.1", 0, lanes=1) as w1:
         # second address points at a closed port
         probe = WorkerServer("127.0.0.1", 0, lanes=1)
@@ -299,7 +299,7 @@ class FaultyNode:
 
 
 @pytest.mark.parametrize("fault", ["error", "drop", "exit", "silent", "zero speed"])
-def test_calibration_failure_marks_node_dead(fault, monkeypatch):
+def test_first_round_failure_marks_node_dead(fault, monkeypatch):
     # a node is calibrated by its first round of the real problem, and a fault there follows the
     # ordinary EVAL policy: a strike, a reconnect, and dead on the second strike. "zero speed"
     # evaluates no move in a deadline of at least DEADLINE_FLOOR, which is a strike too
@@ -455,7 +455,7 @@ def test_all_nodes_unreachable_raises():
     probe.shutdown()
     coordinator = Coordinator([addr])
     try:
-        with pytest.raises(CalibrationError, match="no node reachable"):
+        with pytest.raises(HandshakeError, match="no node reachable"):
             coordinator.calibrate(seed=1)
     finally:
         coordinator.close()

@@ -115,9 +115,9 @@ def test_insertion_decoder_matches_full_decodes():
             job, rest = order[from_pos], order[:from_pos] + order[from_pos + 1:]
             before = build_schedule(inst, rest + (job,))
             for to_pos in range(n):
-                if to_pos == from_pos:
-                    continue
-                after = build_schedule(inst, apply_move(order, Move(from_pos, to_pos)))
+                # to_pos == from_pos is the no-op move, which apply_move refuses: the order itself
+                moved = order if to_pos == from_pos else apply_move(order, Move(from_pos, to_pos))
+                after = build_schedule(inst, moved)
                 seen |= _stage0_cases(inst, job, rest[to_pos:], before, after)
                 exact = after.makespan
                 assert makespan_below(to_pos, math.inf) == exact

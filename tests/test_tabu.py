@@ -79,7 +79,7 @@ def test_two_job_instance_picks_better_move():
     order = (0, 1)
     res = evaluate_slice(inst, order, TabuList(), 10**9, full_slice(2))
     expected = min(
-        ((evaluate_makespan(inst, apply_move(order, decode_move(k, 2))), k) for k in range(2))
+        ((build_schedule(inst, apply_move(order, decode_move(k, 2))).makespan, k) for k in range(2))
     )
     assert (res.best_makespan, res.best_index) == expected
     assert res.moves_evaluated == 2
