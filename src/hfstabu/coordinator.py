@@ -8,7 +8,9 @@ measured by the rounds it serves. A top-level run starts with
 worker's lanes or reaches a super server's children. ``cover`` alone
 sends problems: a SET_PROBLEM goes out on a connection right before its
 first EVAL of that problem, and again only once the node would have
-forgotten it, after ``MAX_CACHED_PROBLEMS`` newer ones.
+forgotten it, after ``MAX_CACHED_PROBLEMS`` newer ones. A node keeps
+each connection's problems apart, so a proxy's ``problems`` is exactly
+what the node holds for its connection.
 Each iteration splits the neighborhood proportionally to the predicted
 node speeds, dispatches one EVAL per node with a deadline derived from
 the prediction, and waits for the replies.

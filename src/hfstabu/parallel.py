@@ -10,8 +10,10 @@ socket pair, with no listener, until that socket closes. Lanes are
 forked on first use and are never calibrated on their own: like every
 node, each starts from ``NOMINAL_SPEED`` and is measured by the rounds
 it serves. A lane gets an instance as a SET_PROBLEM right before its
-first round of it, and again only once it would have forgotten it:
-alternating instances ship only their contexts.
+first round of it, and again only once it would have forgotten it; its
+one socket is its one connection, so it holds exactly the instances the
+evaluator sent it last, and alternating instances ship only their
+contexts.
 
 A failed lane's range goes to the other lanes, and the strike closes
 its socket, so it is forked anew before its next round; a lane that

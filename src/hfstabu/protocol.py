@@ -8,8 +8,9 @@ EVAL per connection; after a budget cut it may send the next one while
 the cut one is still served, and the worker answers them in order.
 Start-up is a HELLO exchange; a problem goes out as a SET_PROBLEM right
 before a connection's first EVAL of it, and again only once the node
-would have forgotten it (``MAX_CACHED_PROBLEMS``). A node's first EVAL
-is an ordinary one.
+would have forgotten it (``MAX_CACHED_PROBLEMS``). A node keeps problems
+per connection: a digest names a problem only on the connection that
+sent it. A node's first EVAL is an ordinary one.
 
 Message types and bodies
 ------------------------
@@ -42,7 +43,7 @@ from .tabu import TabuList
 PROTOCOL_VERSION = (2, 0)
 READ_SIZE = 65536
 MAX_FRAME_BYTES = 64 << 20  # a partial frame longer than this closes the connection
-MAX_CACHED_PROBLEMS = 4  # a node keeps the problems of its last this many SET_PROBLEMs
+MAX_CACHED_PROBLEMS = 4  # a node keeps the problems of each connection's last this many SET_PROBLEMs
 
 
 class ProtocolError(Exception):

@@ -14,6 +14,12 @@ being served is. On graceful shutdown that request is answered first;
 then every open connection receives an EXIT_REPORT before the socket
 closes.
 
+A problem belongs to the connection that sent it: each connection keeps
+the problems of its last ``MAX_CACHED_PROBLEMS`` SET_PROBLEMs and frees
+them when it closes, so no client can evict another's, and an EVAL is
+answered "unknown problem" only for a digest never sent on its
+connection or forgotten after newer ones there.
+
 ``per_move_delay`` paces every scan: move k of a scan waits until k + 1
 delays after the scan started, so a throttled worker runs at a steady
 1/delay moves per second, for benchmarks and tests.
@@ -37,64 +43,13 @@ import time
 
 from . import protocol
 from .coordinator import Coordinator
-from .instance import ProblemInstance, instance_digest
+from .instance import ProblemInstance
 from .neighborhood import NeighborhoodSlice, neighborhood_size
 from .parallel import LaneEvaluator
 from .protocol import PROTOCOL_VERSION
-from .tabu import EvalContext, SliceResult, TabuList
+from .tabu import EvalContext
 
 log = logging.getLogger(__name__)
-
-
-class Backend:
-    """A worker server's evaluation: the last ``MAX_CACHED_PROBLEMS`` problems set, by digest, over one evaluator.
-
-    The evaluator is a ``Coordinator``: a worker's ``LaneEvaluator``,
-    which reports its configured lanes and scans inline what its lanes
-    leave, or a super server's, which reports the lanes of its live
-    nodes and scans nothing itself. An EVAL for an evicted problem
-    is answered "unknown problem". Use it from one thread at a time: a
-    worker server calls it only from its loop.
-    """
-
-    def __init__(self, evaluator):
-        self.evaluator = evaluator
-        self._problems: dict[str, ProblemInstance] = {}
-
-    @property
-    def lanes(self) -> int:
-        return self.evaluator.lanes
-
-    def set_problem(self, inst: ProblemInstance) -> str:
-        digest = instance_digest(inst)
-        self._problems.pop(digest, None)  # a known problem moves to the newest position
-        self._problems[digest] = inst
-        if len(self._problems) > protocol.MAX_CACHED_PROBLEMS:
-            del self._problems[next(iter(self._problems))]
-        return digest
-
-    def has_problem(self, digest: str) -> bool:
-        return digest in self._problems
-
-    def evaluate(self, digest, order, tabu: TabuList, incumbent, nslice, deadline) -> tuple[SliceResult, int]:
-        """Evaluate as much of ``nslice`` as ``deadline`` seconds allow: (result, prefix end).
-
-        Raises for an order or a slice that does not fit the problem, and
-        when no move was evaluated and no lane is left.
-        """
-        inst = self._problems[digest]
-        if len(order) != inst.num_jobs:
-            raise ValueError(f"order has {len(order)} jobs, the problem {inst.num_jobs}")
-        if nslice.end > neighborhood_size(inst.num_jobs):
-            raise ValueError(f"slice ends at {nslice.end}, past the problem's {neighborhood_size(inst.num_jobs)} moves")
-        result, frontier = self.evaluator.evaluate_blocks(EvalContext(inst, order, tabu, incumbent), nslice,
-                                                          time.monotonic() + deadline)
-        if not result.moves_evaluated and not self.lanes:
-            raise RuntimeError("no lane left")  # a super server whose children are all dead
-        return result, frontier
-
-    def close(self):
-        self.evaluator.close()
 
 
 class WorkerServer:
@@ -102,11 +57,15 @@ class WorkerServer:
 
     The listener, every connection and a wake-up socket share one
     selector. Requests are served inline, one at a time in arrival order,
-    so the backend and the counters are only ever touched by the loop.
-    ``serve_forever`` runs the loop on the calling thread; ``start`` runs it
-    on one thread of its own. ``shutdown`` lets the request being served
-    finish and be answered; then every open connection gets an EXIT_REPORT,
-    and the listener and the backend are closed.
+    so the evaluator, the connections' problems and the counters are only
+    ever touched by the loop. ``evaluator`` is a ``Coordinator``: by
+    default a ``LaneEvaluator`` over ``lanes`` lanes, which reports its
+    configured lanes and scans inline what its lanes leave, or a super
+    server's, which reports the lanes of its live nodes and scans nothing
+    itself. ``serve_forever`` runs the loop on the calling thread; ``start``
+    runs it on one thread of its own. ``shutdown`` lets the request being
+    served finish and be answered; then every open connection gets an
+    EXIT_REPORT, and the listener and the evaluator are closed.
 
     Given ``conn``, a connected socket, the server has no listener and no
     port: it serves that one connection and stops when it closes. That is
@@ -114,12 +73,13 @@ class WorkerServer:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, lanes: int | None = None,
-                 per_move_delay: float = 0.0, backend=None, conn: socket.socket | None = None):
-        self._backend = backend if backend is not None else Backend(LaneEvaluator(None, lanes, per_move_delay))
+                 per_move_delay: float = 0.0, evaluator=None, conn: socket.socket | None = None):
+        self._evaluator = evaluator if evaluator is not None else LaneEvaluator(None, lanes, per_move_delay)
         self._wake_reader, self._wake_writer = socket.socketpair()
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._wake_reader, selectors.EVENT_READ)
-        self._conns: dict[socket.socket, bytearray] = {}  # open connection -> its read buffer
+        # open connection -> (its read buffer, its problems by digest, oldest first)
+        self._conns: dict[socket.socket, tuple[bytearray, dict[str, ProblemInstance]]] = {}
         self._listener = socket.create_server((host, port)) if conn is None else None
         self.address: tuple[str, int] | None = None
         if conn is not None:
@@ -137,7 +97,7 @@ class WorkerServer:
 
     @property
     def lanes(self) -> int:
-        return self._backend.lanes
+        return self._evaluator.lanes
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -202,15 +162,16 @@ class WorkerServer:
         self._add(conn, addr)
 
     def _add(self, conn: socket.socket, addr):
-        self._conns[conn] = bytearray()
+        self._conns[conn] = (bytearray(), {})
         self._selector.register(conn, selectors.EVENT_READ, addr)
 
     def _receive(self, conn: socket.socket, addr):
-        messages, closed = protocol.read_frames(conn, self._conns[conn])
+        buffer, problems = self._conns[conn]
+        messages, closed = protocol.read_frames(conn, buffer)
         for msg in messages:
             if self._exit_reason is not None:
                 return  # the connection stays open for its EXIT_REPORT
-            reply, note = self._handle(msg)
+            reply, note = self._handle(msg, problems)
             if reply is not None:
                 try:
                     conn.sendall(protocol.encode(reply))
@@ -249,31 +210,44 @@ class WorkerServer:
         for sock in (self._listener, self._wake_reader, self._wake_writer):
             if sock is not None:
                 sock.close()
-        self._backend.close()
+        self._evaluator.close()
         self._closed.set()
 
-    def _handle(self, msg):
-        """Serve one request: (the reply to send or None, the INFO line to log once it is sent or None)."""
+    def _handle(self, msg, problems: dict[str, ProblemInstance]):
+        """Serve one request of a connection that holds ``problems``.
+
+        Returns (the reply to send or None, the INFO line to log once it
+        is sent or None).
+        """
         if isinstance(msg, protocol.Hello):
             if msg.version[0] != PROTOCOL_VERSION[0]:
                 return protocol.Error(msg.rid, f"unsupported protocol version {msg.version[0]}.{msg.version[1]}"), None
             return protocol.Hello(msg.rid, PROTOCOL_VERSION, self.lanes), None
 
         if isinstance(msg, protocol.SetProblem):
-            try:
-                digest = self._backend.set_problem(msg.instance)
-            except Exception as exc:
-                return protocol.Error(msg.rid, f"set_problem failed: {exc}"), None
-            return None, ("SET_PROBLEM %s n=%d m=%d", digest[:12], msg.instance.num_jobs, msg.instance.num_stages)
+            inst = msg.instance
+            problems.pop(inst.digest, None)  # a known problem moves to the newest position
+            problems[inst.digest] = inst
+            if len(problems) > protocol.MAX_CACHED_PROBLEMS:
+                del problems[next(iter(problems))]
+            return None, ("SET_PROBLEM %s n=%d m=%d", inst.digest[:12], inst.num_jobs, inst.num_stages)
 
         if isinstance(msg, protocol.Eval):
-            if not self._backend.has_problem(msg.digest):
+            inst = problems.get(msg.digest)
+            if inst is None:
                 return protocol.Error(msg.rid, "unknown problem"), None
+            if len(msg.order) != inst.num_jobs:
+                return protocol.Error(msg.rid, f"order has {len(msg.order)} jobs, the problem {inst.num_jobs}"), None
+            if msg.nslice.end > neighborhood_size(inst.num_jobs):
+                return protocol.Error(msg.rid, f"slice ends at {msg.nslice.end}, "
+                                               f"past the problem's {neighborhood_size(inst.num_jobs)} moves"), None
             try:
-                result, frontier = self._backend.evaluate(msg.digest, msg.order, msg.tabu, msg.incumbent,
-                                                          msg.nslice, msg.deadline)
+                result, frontier = self._evaluator.evaluate_blocks(
+                    EvalContext(inst, msg.order, msg.tabu, msg.incumbent), msg.nslice, time.monotonic() + msg.deadline)
             except Exception as exc:
                 return protocol.Error(msg.rid, f"evaluation failed: {exc}"), None
+            if not result.moves_evaluated and not self.lanes:
+                return protocol.Error(msg.rid, "no lane left"), None  # a super server whose children are all dead
             self.requests_served += 1
             self.moves_evaluated += result.moves_evaluated
             complete = frontier >= msg.nslice.end
@@ -292,7 +266,7 @@ def serve_as_super_server(host: str, port: int, children) -> WorkerServer:
     coordinator = Coordinator(children)
     try:
         coordinator.connect_all()  # before the server starts: upstream's HELLO reads the lanes
-        return WorkerServer(host, port, backend=Backend(coordinator))
+        return WorkerServer(host, port, evaluator=coordinator)
     except BaseException:
         coordinator.close()
         raise

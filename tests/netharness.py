@@ -221,10 +221,10 @@ def record_requests(server) -> list[tuple[str, str | None]]:
     seen = []
     handle = server._handle
 
-    def recording(msg):
+    def recording(msg, problems):
         digest = instance_digest(msg.instance) if isinstance(msg, protocol.SetProblem) else getattr(msg, "digest", None)
         seen.append((msg.TYPE, digest))
-        return handle(msg)
+        return handle(msg, problems)
 
     server._handle = recording
     return seen

@@ -148,7 +148,7 @@ def test_verify_exact_cover():
 
 
 def test_handshake_leaves_histories_empty_until_the_first_round():
-    # calibration records nothing: every node starts at the nominal speed, and the real
+    # the handshake measures nothing: every node starts at the nominal speed, and the real
     # problem's first round measures it
     with WorkerServer("127.0.0.1", 0, lanes=1) as w1, WorkerServer("127.0.0.1", 0, lanes=1) as w2:
         coordinator = Coordinator([w1.address, w2.address])
@@ -180,7 +180,6 @@ def test_handshake_sends_each_node_hello_only():
             assert requests == [("HELLO", None)]
         for server in (flat, sup, *children):
             assert server.requests_served == 0 and server.moves_evaluated == 0
-            assert not server._backend._problems
     finally:
         sup.shutdown()
         for server in (flat, *children):
@@ -189,7 +188,7 @@ def test_handshake_sends_each_node_hello_only():
 
 def test_a_run_sends_each_node_its_handshake_the_problem_and_evals_only():
     # the handshake is the whole set-up, at every level: each node gets HELLO, one SET_PROBLEM
-    # of the real problem and EVALs of it, and caches no other problem
+    # of the real problem and EVALs of it, and is sent no other problem
     flat = WorkerServer("127.0.0.1", 0, lanes=1)
     children = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(2)]
     seen = [record_requests(server) for server in (flat, *children)]
@@ -205,8 +204,6 @@ def test_a_run_sends_each_node_its_handshake_the_problem_and_evals_only():
         for requests in seen:
             assert requests[:2] == [("HELLO", None), ("SET_PROBLEM", digest)]
             assert requests[2:] and set(requests[2:]) == {("EVAL", digest)}
-        for server in (flat, sup, *children):
-            assert list(server._backend._problems) == [digest]
     finally:
         sup.shutdown()
         for server in (flat, *children):
@@ -300,7 +297,7 @@ class FaultyNode:
 
 @pytest.mark.parametrize("fault", ["error", "drop", "exit", "silent", "zero speed"])
 def test_first_round_failure_marks_node_dead(fault, monkeypatch):
-    # a node is calibrated by its first round of the real problem, and a fault there follows the
+    # a node is first measured by its first round of the real problem, and a fault there follows the
     # ordinary EVAL policy: a strike, a reconnect, and dead on the second strike. "zero speed"
     # evaluates no move in a deadline of at least DEADLINE_FLOOR, which is a strike too
     monkeypatch.setattr(coordinator_module, "RESPONSE_GRACE", 0.2)  # "silent" answers nothing
@@ -435,18 +432,19 @@ def test_slow_opener_leaves_earlier_handshakes_their_wait(monkeypatch):
 
 
 def test_handshake_caches_no_problem():
-    # calibration sends no instance, so its result depends on nothing but which nodes answer
-    # the handshake, and a worker caches no problem for it
+    # the handshake sends no instance, so its result depends on nothing but which nodes answer
+    # the handshake, and a worker is sent no problem for it
     with WorkerServer("127.0.0.1", 0, lanes=1) as worker:
+        seen = record_requests(worker)
         speeds = []
         for seed in (99, 99, 7):
             with Coordinator([worker.address]) as coordinator:
                 speeds.append(coordinator.calibrate(seed=seed))
         assert speeds == [{0: NOMINAL_SPEED}] * 3
-        assert not worker._backend._problems
+        assert seen == [("HELLO", None)] * 3
         with Coordinator([worker.address]) as coordinator:
             coordinator.run(INST, SearchParams(iterations=1, seed=99))
-        assert list(worker._backend._problems) == [instance_digest(INST)]
+        assert [request for request in seen if request[0] == "SET_PROBLEM"] == [("SET_PROBLEM", instance_digest(INST))]
 
 
 def test_all_nodes_unreachable_raises():
@@ -572,15 +570,15 @@ def test_timed_out_node_is_reopened_and_its_reply_never_read(monkeypatch):
         coordinator.handshake()
 
         slow_once = {"armed": True}
-        backend = servers[0]._backend
-        original = backend.evaluate
+        evaluator = servers[0]._evaluator
+        original = evaluator.evaluate_blocks
 
         def delayed(*args, **kwargs):
             if slow_once.pop("armed", False):
                 time.sleep(0.9)
             return original(*args, **kwargs)
 
-        backend.evaluate = delayed
+        evaluator.evaluate_blocks = delayed
         ctx = make_ctx(INST, seed=1)
         want = sequential_reference(ctx)
         got = coordinator.evaluate(ctx)
@@ -617,7 +615,7 @@ def test_slow_worker_returns_prefix_and_rest_is_redistributed(monkeypatch):
         coordinator.handshake()
         # slow down one worker after the handshake so the nominal speed it is planned at is
         # far too high; a one-lane worker's evaluator reads the delay as each scan starts
-        servers[0]._backend.evaluator.inline_delay = 0.004
+        servers[0]._evaluator.inline_delay = 0.004
         ctx = make_ctx(big, seed=5)
         got = coordinator.evaluate(ctx)
         want = evaluate_slice(big, ctx.order, ctx.tabu, ctx.incumbent, NeighborhoodSlice(0, big_n))

@@ -59,7 +59,8 @@ def test_decoder_matches_simulator_and_audits():
         assert sched.completion == tuple(tuple(row) for row in sim_completion)
 
 
-def test_lean_twin_agrees_with_full_decoder():
+def test_no_op_move_matches_build_schedule():
+    # evaluate_makespan is the insertion decoder's no-op move of the last job
     rng = random.Random(88)
     for _ in range(150):
         inst = random_small_instance(rng, max_jobs=8, max_stages=4, max_machines=4)
@@ -69,7 +70,7 @@ def test_lean_twin_agrees_with_full_decoder():
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-def test_lean_twin_agrees_on_30x5(seed):
+def test_no_op_move_matches_build_schedule_on_30x5(seed):
     inst = generate_instance(30, 5, 5, seed)
     rng = random.Random(seed)
     for _ in range(200):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from hfstabu import protocol
@@ -5,7 +7,7 @@ from hfstabu.coordinator import Coordinator, CoverageError, plan_partition, pred
 from hfstabu.instance import generate_instance, instance_digest
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.tabu import EvalContext, SearchParams, run_search
-from hfstabu.worker import Backend, WorkerServer, serve_as_super_server
+from hfstabu.worker import WorkerServer, serve_as_super_server
 
 from netharness import LatencyRelay, WireClient, empty_tabu, record_cover, record_opens, record_requests
 from oracles import evaluate_slice
@@ -76,7 +78,7 @@ def test_paced_children_reach_their_speed_ratio_by_the_second_iteration(monkeypa
         child.start()
     sup = serve_as_super_server("127.0.0.1", 0, [c.address for c in children])
     sup.start()
-    _, plans = record_cover(monkeypatch, sup._backend.evaluator)
+    _, plans = record_cover(monkeypatch, sup._evaluator)
     speeds = []
     try:
         with WireClient(sup.address) as client:
@@ -86,7 +88,7 @@ def test_paced_children_reach_their_speed_ratio_by_the_second_iteration(monkeypa
                 reply = client.eval(digest, tuple(range(10)), empty_tabu(), 10**6, 0, total, 60.0)
                 assert reply.complete and reply.moves_evaluated == total
                 if not speeds:  # the super server is idle between the two EVALs
-                    speeds = [predict(proxy.history) for proxy in sup._backend.evaluator.proxies]
+                    speeds = [predict(proxy.history) for proxy in sup._evaluator.proxies]
         assert plans[0][0] == [total // 2, total - total // 2]  # both children at the nominal speed
         # one move of rounding shifts a 90-move plan's ratio by about 7%, so the plan is checked
         # exactly against the recorded speeds, and the tolerance applies to the speeds
@@ -109,7 +111,7 @@ def test_equal_children_get_an_equal_first_split(monkeypatch):
         child.start()
     sup = serve_as_super_server("127.0.0.1", 0, [c.address for c in children])
     sup.start()
-    _, plans = record_cover(monkeypatch, sup._backend.evaluator)
+    _, plans = record_cover(monkeypatch, sup._evaluator)
     try:
         with Coordinator([sup.address]) as coordinator:
             coordinator.run(inst, SearchParams(iterations=1, seed=1))
@@ -122,7 +124,7 @@ def test_equal_children_get_an_equal_first_split(monkeypatch):
 
 
 def test_super_first_round_errors_without_a_live_child():
-    # a node is calibrated by its first round of the real problem; a super server whose only
+    # a node is first measured by its first round of the real problem; a super server whose only
     # child has gone answers that EVAL with ERROR, a strike like any failed EVAL, and the
     # reconnect's second ERROR kills it
     w = WorkerServer("127.0.0.1", 0, lanes=1)
@@ -290,8 +292,6 @@ def test_super_with_all_children_dead_errors_upstream():
             client.set_problem(INST)
             w.shutdown(reason="gone")
             reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 10.0)
-            from hfstabu import protocol
-
             assert isinstance(reply, protocol.Error)
     finally:
         sup.shutdown()
@@ -301,25 +301,24 @@ def test_super_with_all_children_dead_errors_upstream():
 def test_a_cut_node_keeps_its_one_connection(monkeypatch):
     child = WorkerServer("127.0.0.1", 0, lanes=1)
     child.start()
-    # replies reach the backend 0.15 s late, so a 0.03 s evaluation is cut by its budget: the
+    # replies reach the coordinator 0.15 s late, so a 0.03 s evaluation is cut by its budget: the
     # node keeps its connection, its next EVAL queues behind the cut one, and the cut one's
     # reply is read on that connection as a late result
     relay = LatencyRelay(child.address, up_s=0.0, down_s=0.15)
     opens = record_opens(monkeypatch)
     coordinator = Coordinator([relay.address])
     coordinator.connect_all()  # its one connection is opened here
-    backend = Backend(coordinator)
+    ctx = EvalContext(INST, ORDER, empty_tabu(), 10**6)
     try:
-        backend.set_problem(INST)
         for _ in range(8):
-            backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 0.03)
+            coordinator.evaluate_blocks(ctx, NeighborhoodSlice(0, N), time.monotonic() + 0.03)
         proxy = coordinator.proxies[0]
         assert len(opens) == 1
         assert (proxy.state, proxy.strikes, proxy.connected) == ("idle", 0, True)
         assert coordinator.late_results >= 1
         assert len(child._conns) == 1
     finally:
-        backend.close()
+        coordinator.close()
         relay.close()
         child.shutdown()
 

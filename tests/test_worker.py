@@ -2,6 +2,7 @@ import json
 import logging
 import multiprocessing
 import random
+import re
 import socket
 import threading
 import time
@@ -16,9 +17,10 @@ from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.parallel import LaneEvaluator
 from hfstabu.schedule import evaluate_makespan
 from hfstabu.tabu import EvalContext, SliceResult, initial_order, scan_slice
-from hfstabu.worker import Backend, WorkerServer, serve_as_super_server
+from hfstabu.worker import WorkerServer, serve_as_super_server
 
-from netharness import WireClient, empty_tabu, kill_lane_child, wait_until
+from netharness import (WireClient, empty_tabu, kill_lane_child, record_opens, record_requests, record_sends,
+                        wait_until)
 from oracles import evaluate_slice
 
 INST = generate_instance(8, 3, 3, seed=42)
@@ -180,9 +182,11 @@ def test_deadline_compliance():
 
 
 def test_a_handshake_plans_the_worker_at_nominal_speed_and_serves_nothing(server):
-    # calibrate is the handshake: the worker is planned at the nominal speed, and serves nothing
+    # calibrate is the handshake: the worker is planned at the nominal speed, and is sent
+    # nothing but HELLO
+    seen = record_requests(server)
     assert calibrate(server.address) == {0: NOMINAL_SPEED}
-    assert server.requests_served == 0 and not server._backend._problems
+    assert server.requests_served == 0 and seen == [("HELLO", None)]
 
 
 def test_first_rounds_of_two_runs_measure_the_same_speed():
@@ -228,7 +232,7 @@ def test_paced_worker_answers_the_handshake_within_one_round():
 
 
 def test_first_round_is_timed_with_the_lanes_started():
-    # a node is calibrated by its first round of the real problem: a two-lane worker forks its
+    # a node is measured by its first round of the real problem: a two-lane worker forks its
     # lanes while it serves that EVAL, before it plans its lanes' round, so the round completes
     # with no redistribution round at either level
     known = set(multiprocessing.active_children())
@@ -241,14 +245,15 @@ def test_first_round_is_timed_with_the_lanes_started():
         assert len(set(multiprocessing.active_children()) - known) == 2
         assert server.requests_served == 1 and server.moves_evaluated == N
         assert coordinator.redistribution_rounds == 0
-        assert server._backend.evaluator.redistribution_rounds == 0
+        assert server._evaluator.redistribution_rounds == 0
 
 
 def test_a_handshake_leaves_the_problem_cache_alone():
-    # calibrate is the handshake: it sends no problem, so the problem set before it stays the
-    # only one cached, on the same lanes
+    # calibrate is the handshake: it sends no problem, so the problem set before it is the
+    # only one ever sent, and it is served on the same lanes
     known = set(multiprocessing.active_children())
     with WorkerServer("127.0.0.1", 0, lanes=2) as server, WireClient(server.address) as client:
+        seen = record_requests(server)
         client.hello()
         client.set_problem(INST)
         assert client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0).complete
@@ -256,7 +261,7 @@ def test_a_handshake_leaves_the_problem_cache_alone():
         assert len(lanes) == 2
         for _ in range(2):
             assert calibrate(server.address) == {0: NOMINAL_SPEED}
-            assert list(server._backend._problems) == [DIGEST]
+            assert [request for request in seen if request[0] == "SET_PROBLEM"] == [("SET_PROBLEM", DIGEST)]
             # none was forked or lost
             assert {p.pid for p in multiprocessing.active_children() if p not in known} == lanes
         reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
@@ -265,19 +270,19 @@ def test_a_handshake_leaves_the_problem_cache_alone():
 
 def test_one_lane_set_serves_every_problem_and_the_handshake():
     known = set(multiprocessing.active_children())
-    backend = Backend(LaneEvaluator(lanes=2))
-    with WorkerServer("127.0.0.1", 0, backend=backend) as server:
+    with WorkerServer("127.0.0.1", 0, lanes=2) as server, WireClient(server.address) as client:
         # what calibrate asks of a worker: a handshake, which forks no lane
         assert calibrate(server.address) == {0: NOMINAL_SPEED}
         assert not [p for p in multiprocessing.active_children() if p not in known]
+        client.hello()
         for seed in range(6):
             inst = generate_instance(8, 3, 3, seed=100 + seed)
-            digest = backend.set_problem(inst)
+            digest = client.set_problem(inst)
             want = evaluate_slice(inst, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N))
-            result, frontier = backend.evaluate(digest, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 60.0)
-            assert (result.best_index, result.best_makespan, result.moves_evaluated) == (
+            reply = client.eval(digest, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
+            assert (reply.best_index, reply.best_makespan, reply.moves_evaluated) == (
                 want.best_index, want.best_makespan, N)
-            assert frontier == N
+            assert reply.complete
         assert len([p for p in multiprocessing.active_children() if p not in known]) == 2
     assert not [p for p in multiprocessing.active_children() if p not in known]
 
@@ -340,28 +345,20 @@ def test_protocol_error_closes_only_that_connection(server):
         good.close()
 
 
-class OverlapBackend:
-    """A backend whose evaluation takes 0.3 s and which notes a SET_PROBLEM during one."""
+class SlowEvaluator:
+    """A one-lane evaluator whose evaluation takes 0.3 s; it appends "begin" and "end" of each to ``log``."""
 
     lanes = 1
 
     def __init__(self):
         self.evaluating = False
-        self.overlapped = False
-        self.problems = set()
+        self.log = []
 
-    def set_problem(self, inst):
-        if self.evaluating:
-            self.overlapped = True
-        self.problems.add(instance_digest(inst))
-        return instance_digest(inst)
-
-    def has_problem(self, digest):
-        return digest in self.problems
-
-    def evaluate(self, digest, order, tabu, incumbent, nslice, deadline):
+    def evaluate_blocks(self, ctx, nslice, deadline):
         self.evaluating = True
+        self.log.append("begin")
         time.sleep(0.3)
+        self.log.append("end")
         self.evaluating = False
         return SliceResult(None, None, len(nslice), 0.3), nslice.end
 
@@ -370,25 +367,27 @@ class OverlapBackend:
 
 
 def test_set_problem_waits_for_a_running_evaluation():
-    backend = OverlapBackend()
-    with WorkerServer("127.0.0.1", 0, backend=backend) as server, \
+    evaluator = SlowEvaluator()
+    other = generate_instance(6, 2, 2, seed=3)
+    with WorkerServer("127.0.0.1", 0, evaluator=evaluator) as server, \
             WireClient(server.address) as first, WireClient(server.address) as second:
+        evaluator.log = record_requests(server)  # the requests and the evaluation in the order they were served
         first.hello()
         second.hello()
         first.set_problem(INST)
         first.send(protocol.Eval(first.next_rid(), DIGEST, ORDER, empty_tabu(), 10**6,
                                  NeighborhoodSlice(0, N), 10.0))
-        assert wait_until(lambda: backend.evaluating, timeout=5.0)
-        other = generate_instance(6, 2, 2, seed=3)
+        assert wait_until(lambda: evaluator.evaluating, timeout=5.0)
         second.set_problem(other)
         assert isinstance(first.recv(), protocol.EvalResult)
-        assert wait_until(lambda: backend.has_problem(instance_digest(other)), timeout=5.0)
-        assert not backend.overlapped
+        assert wait_until(lambda: len(evaluator.log) == 7, timeout=5.0)
+    assert evaluator.log == [("HELLO", None), ("HELLO", None), ("SET_PROBLEM", DIGEST), ("EVAL", DIGEST),
+                             "begin", "end", ("SET_PROBLEM", other.digest)]
 
 
 def test_shutdown_answers_the_running_request_first():
-    backend = OverlapBackend()
-    server = WorkerServer("127.0.0.1", 0, backend=backend)
+    evaluator = SlowEvaluator()
+    server = WorkerServer("127.0.0.1", 0, evaluator=evaluator)
     server.start()
     stopper = threading.Thread(target=server.shutdown, kwargs={"reason": "test stop"})
     try:
@@ -397,7 +396,7 @@ def test_shutdown_answers_the_running_request_first():
             client.set_problem(INST)
             rid = client.next_rid()
             client.send(protocol.Eval(rid, DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 10.0))
-            assert wait_until(lambda: backend.evaluating, timeout=5.0)
+            assert wait_until(lambda: evaluator.evaluating, timeout=5.0)
             stopper.start()
             reply = client.recv()
             assert isinstance(reply, protocol.EvalResult) and reply.rid == rid
@@ -470,6 +469,10 @@ def test_finished_connections_are_pruned(server):
     assert wait_until(lambda: not server._conns, timeout=5.0)
 
 
+# copied from ``_EVAL_LINE`` in perfbench/nodes.py, which reads a traced node's busy time from this line
+EVAL_LINE = re.compile(r"EVAL \[\d+,\d+\) moves=(\d+) complete=\w+ ([0-9.]+)s")
+
+
 def test_request_logging(server, caplog):
     with caplog.at_level("INFO", logger="hfstabu.worker"):
         with WireClient(server.address) as client:
@@ -477,7 +480,11 @@ def test_request_logging(server, caplog):
             client.set_problem(INST)
             client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
         # the worker logs the EVAL line after it has sent the reply
-        assert wait_until(lambda: any("EVAL" in rec.message for rec in caplog.records))
+        assert wait_until(lambda: any(rec.message.startswith("EVAL") for rec in caplog.records))
+    line = next(rec.message for rec in caplog.records if rec.message.startswith("EVAL"))
+    match = EVAL_LINE.fullmatch(line)
+    assert match, f"{line!r} does not match perfbench's pattern"
+    assert int(match.group(1)) == N and float(match.group(2)) >= 0
 
 
 def test_reply_is_sent_before_the_log_line(caplog):
@@ -549,17 +556,18 @@ def test_worker_recovers_from_killed_lane():
     local = evaluate_slice(INST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N))
     want = (local.best_index, local.best_makespan, N)
     known = set(multiprocessing.active_children())
-    backend = Backend(LaneEvaluator(lanes=2))
-    with WorkerServer("127.0.0.1", 0, backend=backend) as server:
-        backend.set_problem(INST)
-        result, _ = backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 60.0)
+    evaluator = LaneEvaluator(lanes=2)
+    ctx = EvalContext(INST, ORDER, empty_tabu(), 10**6)
+    with WorkerServer("127.0.0.1", 0, evaluator=evaluator) as server:
+        result, _ = evaluator.evaluate_blocks(ctx, NeighborhoodSlice(0, N), time.monotonic() + 60.0)
         assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
         kill_lane_child(known)
-        result, frontier = backend.evaluate(DIGEST, ORDER, empty_tabu(), 10**6, NeighborhoodSlice(0, N), 60.0)
+        result, frontier = evaluator.evaluate_blocks(ctx, NeighborhoodSlice(0, N), time.monotonic() + 60.0)
         assert (result.best_index, result.best_makespan, result.moves_evaluated) == want
         assert frontier == N
         with WireClient(server.address) as client:
             client.hello()
+            client.set_problem(INST)
             for kill_after in (True, False):
                 reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
                 assert isinstance(reply, protocol.EvalResult)
@@ -569,11 +577,43 @@ def test_worker_recovers_from_killed_lane():
                     kill_lane_child(known)
 
 
-def test_problem_cache_eviction():
-    backend = Backend(LaneEvaluator(lanes=1))
-    digests = []
-    for seed in range(protocol.MAX_CACHED_PROBLEMS + 1):
-        digests.append(backend.set_problem(generate_instance(4, 2, 2, seed=seed)))
-    assert not backend.has_problem(digests[0])  # oldest evicted
-    assert all(backend.has_problem(d) for d in digests[1:])
-    backend.close()
+def test_problem_cache_eviction(server):
+    with WireClient(server.address) as client:
+        client.hello()
+        digests = [client.set_problem(generate_instance(4, 2, 2, seed=seed))
+                   for seed in range(protocol.MAX_CACHED_PROBLEMS + 1)]
+        reply = client.eval(digests[0], (0, 1, 2, 3), empty_tabu(), 10**6, 0, 12, 60.0)
+        assert isinstance(reply, protocol.Error) and "unknown problem" in reply.message  # oldest evicted
+        for digest in digests[1:]:
+            reply = client.eval(digest, (0, 1, 2, 3), empty_tabu(), 10**6, 0, 12, 60.0)
+            assert isinstance(reply, protocol.EvalResult) and reply.complete
+
+
+def test_another_clients_problems_evict_none_of_a_coordinators(monkeypatch):
+    # coordinator A's problem is kept on A's connection while coordinator B sends the same
+    # worker MAX_CACHED_PROBLEMS others, so A evaluates it again on that connection without
+    # sending it again: no "unknown problem", strike or reopen
+    a = generate_instance(8, 3, 3, seed=200)
+    others = [generate_instance(8, 3, 3, seed=201 + k) for k in range(protocol.MAX_CACHED_PROBLEMS)]
+    opens = record_opens(monkeypatch)
+    sends = record_sends(monkeypatch)
+
+    def check(coordinator, inst):
+        order = initial_order(inst)
+        incumbent = evaluate_makespan(inst, order)
+        got = coordinator.evaluate(EvalContext(inst, order, empty_tabu(), incumbent))
+        want = scan_slice(inst, order, (), incumbent, 0, N)
+        assert (got.best_index, got.best_makespan, got.moves_evaluated) == want
+
+    with WorkerServer("127.0.0.1", 0, lanes=1) as server, \
+            Coordinator([server.address]) as first, Coordinator([server.address]) as second:
+        check(first, a)
+        first_opens, first_sends = opens[:], sends[:]
+        for inst in others:
+            check(second, inst)
+        assert opens[len(first_opens):] == [0]  # the second coordinator's one connection
+        del opens[:], sends[:]
+        check(first, a)
+        assert first_opens + opens == [0]
+        assert [msg_type for _, msg_type in first_sends + sends] == ["HELLO", "SET_PROBLEM", "EVAL", "EVAL"]
+        assert (first.proxies[0].strikes, first.redistribution_rounds) == (0, 0)
