@@ -11,9 +11,9 @@ first EVAL of that problem, and again only once the node would have
 forgotten it, after ``MAX_CACHED_PROBLEMS`` newer ones. A node keeps
 each connection's problems apart, so a proxy's ``problems`` is exactly
 what the node holds for its connection.
-Each iteration splits the neighborhood proportionally to the predicted
-node speeds, dispatches one EVAL per node with a deadline derived from
-the prediction, and waits for the replies.
+Each evaluated iteration splits the neighborhood proportionally to the
+predicted node speeds, dispatches one EVAL per node with a deadline
+derived from the prediction, and waits for the replies.
 
 A node is live (``IDLE``) or ``DEAD``, and has at most one connection.
 The coordinator talks to nodes one way, on the thread that uses it.

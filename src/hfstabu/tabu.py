@@ -1,12 +1,15 @@
 """Tabu search engine: tabu list, slice evaluation, and the iteration loop.
 
 The engine is deliberately split from the evaluation backend. Each
-iteration hands an immutable EvalContext to a pluggable evaluator that
-must return what one ``scan_slice`` over the full neighborhood returns; the
-sequential evaluator, the multi-lane evaluator, and the distributed
-coordinator are all drop-in backends. Ties between equally good moves
-always resolve to the smallest move index, which is what makes runs
-bit-reproducible no matter how the neighborhood was partitioned.
+iteration builds an immutable EvalContext and hands it to a pluggable
+evaluator that must return what one ``scan_slice`` over the full
+neighborhood returns; the sequential evaluator, the multi-lane evaluator,
+and the distributed coordinator are all drop-in backends. That result is
+a pure function of the context, so an iteration whose context equals the
+one of two iterations back reuses that iteration's result and calls no
+evaluator. Ties between equally good moves always resolve to the smallest
+move index, which is what makes runs bit-reproducible no matter how the
+neighborhood was partitioned.
 """
 
 from __future__ import annotations
@@ -218,11 +221,21 @@ def initial_order(inst: ProblemInstance) -> tuple[int, ...]:
 def run_search(inst: ProblemInstance, params: SearchParams, evaluator, on_iteration=None) -> SearchResult:
     """Run the tabu search loop.
 
-    ``evaluator`` is called once per iteration with an EvalContext and
-    must return the SliceResult of the full neighborhood. The globally
-    best admissible move is applied even when non-improving; after
-    ``diversify_after`` consecutive iterations without improving the
-    incumbent, the current solution is perturbed with random moves.
+    ``evaluator`` is called with an EvalContext and must return the
+    SliceResult of the full neighborhood. It is called once per
+    iteration, except when the context equals the one of two iterations
+    back; that iteration's result is then reused. This happens often:
+    the tabu attribute (job, origin position) stops a job from going
+    back, but not its neighbour from stepping across it, which restores
+    the order, and once the tabu list alternates the two attributes the
+    context repeats every two iterations until diversification. The
+    reuse is exact because only ``best_index`` and ``best_makespan`` are
+    read, and they depend on the context alone.
+
+    The globally best admissible move is applied even when
+    non-improving; after ``diversify_after`` consecutive iterations
+    without improving the incumbent, the current solution is perturbed
+    with random moves.
     ``on_iteration``, when given, receives each IterationRecord as it is
     produced (used for streaming traces).
     """
@@ -239,13 +252,18 @@ def run_search(inst: ProblemInstance, params: SearchParams, evaluator, on_iterat
     tabu = TabuList((), params.tenure)
     trace: list[IterationRecord] = []
     stalled = 0
+    older = newer = (None, None)  # (context, result) of the iterations two back and one back
 
     for it in range(params.iterations):
         ctx = EvalContext(inst, order, tabu, incumbent)
-        try:
-            result = evaluator(ctx)
-        except Exception as exc:
-            raise SearchError(f"evaluator failed at iteration {it}: {exc}", best_order, incumbent, trace) from exc
+        if ctx == older[0]:
+            result = older[1]
+        else:
+            try:
+                result = evaluator(ctx)
+            except Exception as exc:
+                raise SearchError(f"evaluator failed at iteration {it}: {exc}", best_order, incumbent, trace) from exc
+        older, newer = newer, (ctx, result)
 
         if result.best_index is None:
             record = IterationRecord(it, None, None, incumbent)

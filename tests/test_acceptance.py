@@ -257,27 +257,36 @@ def test_criterion_8_fault_tolerance():
         workers = [SubprocessWorker(lanes=1) for _ in range(3)]
         coordinator = Coordinator([w.address for w in workers])
         try:
-            killed = []
+            calls = []
+            killed = []  # the evaluator calls made before the kill
 
             def maybe_kill(record):
                 if kill_at is not None and record.iteration == kill_at - 1 and not killed:
                     workers[1].kill()
-                    killed.append(True)
+                    killed.append(len(calls))
+
+            def counting(ctx, evaluate=coordinator.evaluate):
+                calls.append(ctx)
+                return evaluate(ctx)
 
             with pytest.MonkeyPatch.context() as monkeypatch:
                 audits, _ = record_cover(monkeypatch, coordinator)
+                monkeypatch.setattr(coordinator, "evaluate", counting)
                 result = coordinator.run(inst, params, on_iteration=maybe_kill)
             states = [p.state for p in coordinator.proxies]
-            return result, audits, states
+            return result, audits, states, len(calls), killed
         finally:
             coordinator.close()
             for w in workers:
                 w.kill()
 
-    baseline, base_audits, _ = run_with_workers(kill_at=None)
-    failed, audits, states = run_with_workers(kill_at=50)
+    baseline, base_audits, _, _, _ = run_with_workers(kill_at=None)
+    failed, audits, states, calls, killed = run_with_workers(kill_at=50)
 
-    assert len(audits) == 100
+    # an iteration that repeats the context of two iterations back reuses its result and
+    # sends nothing, so there is one cover per evaluator call, and some follow the kill
+    assert len(audits) == calls
+    assert calls > killed[0]
     for audit in audits:
         verify_exact_cover([(b, e, None, None) for b, e in audit], 0, total)
     assert states[1] == "dead"

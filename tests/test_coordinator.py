@@ -538,18 +538,27 @@ def test_graceful_worker_exit_mid_run_redistributes(monkeypatch):
         s.start()
     coordinator = Coordinator([s.address for s in servers])
     audits, _ = record_cover(monkeypatch, coordinator)
+    calls = []
+
+    def counting(ctx, evaluate=coordinator.evaluate):
+        calls.append(ctx)
+        return evaluate(ctx)
+
+    monkeypatch.setattr(coordinator, "evaluate", counting)
     try:
-        stopped = []
+        stopped = []  # the evaluator calls made before the exit
 
         def stop_one(record):
             if record.iteration == 9 and not stopped:
                 servers[1].shutdown(reason="maintenance")
-                stopped.append(True)
+                stopped.append(len(calls))
 
         result = coordinator.run(INST, params, on_iteration=stop_one)
         assert result.trace == local.trace
         assert coordinator.proxies[1].state == "dead"
-        assert len(audits) == 24
+        # one cover per evaluator call: a repeated context reuses its result and sends nothing
+        assert len(audits) == len(calls)
+        assert len(calls) > stopped[0]
     finally:
         coordinator.close()
         for s in servers:

@@ -10,6 +10,7 @@ import pytest
 import hfstabu.coordinator
 import hfstabu.parallel
 from hfstabu import protocol
+from hfstabu.bench import trace_digest
 from hfstabu.instance import generate_instance
 from hfstabu.neighborhood import NeighborhoodSlice, neighborhood_size
 from hfstabu.coordinator import CoverageError
@@ -55,6 +56,12 @@ def test_lane_counts_agree():
             reference.best_makespan,
         )
         assert result.moves_evaluated == reference.moves_evaluated
+    # a whole search, which reuses many results of two iterations back, gives the one-lane
+    # digest that test_tabu.py pins
+    inst = generate_instance(10, 5, 5, seed=1)
+    with LaneEvaluator(inst, 2) as evaluator:
+        result = run_search(inst, SearchParams(iterations=300, seed=1), evaluator.evaluate)
+    assert (trace_digest(result), result.best_makespan) == ("ad99b0515af4ab61", 669)
 
 
 @pytest.mark.parametrize("lanes", [1, 2])

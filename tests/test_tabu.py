@@ -12,6 +12,7 @@ from hfstabu.tabu import (
     EvalContext,
     SearchError,
     SearchParams,
+    SliceResult,
     TabuList,
     diversify,
     initial_order,
@@ -219,6 +220,27 @@ def test_benchmark_trajectory_is_pinned(seed, digest, best):
     # --iterations 10 --seed 1` gives this digest on 3.10 to 3.13
     result, _ = _benchmark_trajectory(seed)
     assert (trace_digest(result), result.best_makespan) == (digest, best)
+
+
+@pytest.mark.parametrize("seed, digest, best", [(1, "ad99b0515af4ab61", 669), (7, "8326640fd475c6cc", 530)])
+def test_search_reuses_the_result_of_two_iterations_back(seed, digest, best):
+    # a neighbour stepping back across the job that just moved restores the order, and the
+    # tabu list alternates the two attributes, so the context often repeats two iterations
+    # later; the digests are those of commit 03637c5, which evaluated every iteration
+    inst = generate_instance(10, 5, 5, seed)
+    records = []
+    calls = []  # (iteration, context) of each evaluator call
+
+    def counting(ctx):
+        calls.append((len(records), ctx))
+        return SliceResult(*scan_slice(inst, ctx.order, ctx.tabu.entries, ctx.incumbent, 0, neighborhood_size(10)),
+                           0.0)
+
+    result = run_search(inst, SearchParams(iterations=300, seed=seed), counting, records.append)
+    assert (trace_digest(result), result.best_makespan) == (digest, best)
+    assert len(calls) < 300
+    evaluated = dict(calls)
+    assert all(evaluated.get(it - 2) != ctx for it, ctx in calls)
 
 
 def test_scan_cut_by_deadline_is_a_prefix():
