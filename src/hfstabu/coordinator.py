@@ -3,7 +3,7 @@
 One ``Coordinator`` plays the master's role at the top level of a
 distributed search and inside every super server, for its children, and
 every node starts the same way at every level: from ``NOMINAL_SPEED``,
-measured by the rounds it serves. A top-level run starts with
+measured by the EVALs it serves. A top-level run starts with
 ``handshake``; a node's first EVAL is an ordinary one, which forks a
 worker's lanes or reaches a super server's children. ``cover`` alone
 sends problems: a SET_PROBLEM goes out on a connection right before its
@@ -12,43 +12,46 @@ forgotten it, after ``MAX_CACHED_PROBLEMS`` newer ones. A node keeps
 each connection's problems apart, so a proxy's ``problems`` is exactly
 what the node holds for its connection.
 Each evaluated iteration splits the neighborhood proportionally to the
-predicted node speeds, dispatches one EVAL per node with a deadline
-derived from the prediction, and waits for the replies.
+predicted node speeds, sends one EVAL per node with a deadline derived
+from the prediction, and reads the replies.
 
 A node is live (``IDLE``) or ``DEAD``, and has at most one connection.
-The coordinator talks to nodes one way, on the thread that uses it.
-``_connect`` is the only place a connection is opened; ``handshake`` and
-evaluation pick their nodes with the same ``_ready_nodes``, which first
-reopens every live node that has no connection. A round that opens
-nothing and owes no overdue cut reply reads nothing before it plans.
-``_collect`` reads every node reply, HELLO included, through one
-selector: it resolves each outstanding request as a reply or a failure
-(lost connection, ERROR, EXIT_REPORT, timeout, budget cut), and alone
-handles what no request asked for: a late EVAL_RESULT is discarded but
-its speed measurement recorded, a live node lost with nothing
-outstanding gets a strike, and one that reports its exit is dead. Each
-kind of request keeps its own failure policy on top of it:
+The coordinator talks to nodes one way, on the thread that uses it:
+``cover`` is one request loop over ``_collect``, and the handshake
+(``connect_all``) is its cover of an empty slice, so there is one
+connect path. Before each plan it opens every live node that has no
+connection, and a HELLO is a request like an EVAL; a pending range is
+planned over the idle nodes whenever no HELLO is outstanding, as soon as
+a reply leaves it pending. A cover that opens nothing and owes no
+overdue cut reply reads nothing before its first plan. ``_collect``
+reads every node reply through one selector: it resolves each
+outstanding request as a reply or a failure (lost connection, ERROR,
+EXIT_REPORT, timeout, budget cut), and alone handles what no request
+asked for: a late EVAL_RESULT is discarded but its speed measurement
+recorded, a live node lost with nothing outstanding gets a strike, and
+one that reports its exit is dead. Each kind of request keeps its own
+failure policy on top of it:
 
 * HELLO: anything but a HELLO reply of the same major version, within
-  one ``CONNECT_TIMEOUT`` after the last connection has opened, marks
-  the node dead.
+  one ``CONNECT_TIMEOUT`` after the last connection of its batch has
+  opened, marks the node dead.
 * EVAL, the first included: the slice goes back into the queue.
   EXIT_REPORT marks the node dead. A budget cut is no fault: the node
   keeps its connection, its next EVAL queues behind the cut one at the
   node, and the cut one's reply is read there as a late result. Until
   it comes the node is planned last, so its slice cannot hold back the
   prefix the others cover; if it has not come by the cut request's own
-  timeout, the first round after that strikes the node. Any other
-  failure, an inconsistent result or no move evaluated within a
-  deadline of at least ``DEADLINE_FLOOR`` is a strike: it closes the
-  connection, so the node is reopened before its next round (a lane is
-  forked anew), and a second strike in a row marks it dead for the run.
+  timeout, the next cover strikes the node. Any other failure, an
+  inconsistent result or no move evaluated within a deadline of at
+  least ``DEADLINE_FLOOR`` is a strike: it closes the connection, so the
+  node is reopened (a lane is forked anew) and planned again, and a
+  second strike in a row marks it dead for the run. A node that
+  evaluated no move in a shorter deadline takes no more of the slice.
   Each EVAL gets at least 50 ms from its own send and is cut 0.1 s after
   those or the budget, whichever ends later.
 
-Failed and incomplete slices are fed into extra dispatch rounds over the
-remaining live nodes until the slice is covered, no node is ready, the
-rounds stop making progress, or the caller's budget runs out.
+A slice is planned again until it is covered, no node can take more of
+it, or the caller's budget runs out.
 ``evaluate_blocks`` reduces the accepted intervals with the shared prefix
 reducer (``tabu.merge_prefix``): the chosen move is the argmin by
 (makespan, move index) over the contiguous prefix of the slice, so any
@@ -85,7 +88,7 @@ IDLE = "idle"
 DEAD = "dead"
 
 # The predicted speed, in moves/s, of a node not yet measured, about one core on 30x5: it
-# splits a node's first round and sets its deadline (a slower node answers with a prefix).
+# splits a node's first EVAL and sets its deadline (a slower node answers with a prefix).
 NOMINAL_SPEED = 10_000.0
 CONNECT_TIMEOUT = 5.0  # seconds a node's opener may take to connect, and then its HELLO reply
 DEADLINE_SLACK = 2.0  # an EVAL's compute deadline is its predicted duration x slack + floor, in seconds
@@ -261,7 +264,7 @@ class Coordinator:
 
     One class serves the top-level search, every super server and, as
     ``LaneEvaluator``, every set of lanes: it owns the selector, the node
-    proxies, the start-up check and the dispatch cycle.
+    proxies, the start-up check and the request loop.
     Use it from one thread at a time: it starts no thread, and reads every
     node socket on the caller's thread through its one selector. A
     reopened node gets what ``opener`` opens: a TCP connection, or a new lane.
@@ -278,34 +281,9 @@ class Coordinator:
 
     # -- connection management ----------------------------------------------
 
-    def _connect(self, proxies):
-        """(Re)connect nodes; a failed handshake kills the node.
-
-        Every connection is opened and sent its HELLO before any reply is
-        read, so forked lanes start up side by side, and one ``_collect``
-        reads every reply: silent peers cost one CONNECT_TIMEOUT together.
-        That wait starts once the last opener has returned, so a slow
-        opener cannot use up the wait of a node opened before it. When
-        nothing was opened nothing is read.
-        """
-        opened = []
-        for proxy in proxies:
-            try:
-                opened.append((proxy.open(), proxy))
-            except OSError as exc:
-                self._kill(proxy, f"unreachable: {exc}")
-        if not opened:
-            return
-        deadline = time.monotonic() + CONNECT_TIMEOUT
-        requests = {rid: (proxy, deadline, math.inf) for rid, proxy in opened}
-        for _, proxy, reply, failure in self._collect(requests):
-            if isinstance(reply, protocol.Hello) and reply.version[0] == PROTOCOL_VERSION[0]:
-                proxy.lanes = reply.lanes
-            else:
-                self._kill(proxy, f"unreachable: {failure or f'unexpected handshake reply {reply}'}")
-
     def connect_all(self):
-        self._connect(self.live_nodes())
+        """Open every live node without a connection and read its HELLO: ``cover`` of an empty slice."""
+        self.cover(None, NeighborhoodSlice(0, 0), math.inf)
 
     def close(self):
         for proxy in self.proxies:
@@ -341,37 +319,19 @@ class Coordinator:
         proxy.state = DEAD
         proxy.disconnect()
 
-    def _ready_nodes(self) -> list[NodeProxy]:
-        """The live nodes with a connection, once every live node without one has been reopened.
-
-        A node whose cut request is overdue is struck first, once what has
-        come in since the last round is read: a node that hangs is
-        reopened, a lane forked anew. A node lost while the handshakes were
-        read is struck and left unconnected: it is not ready now, and is
-        reopened next round.
-        """
-        if any(p.overdue <= time.monotonic() for p in self.proxies):
-            for _ in self._collect({}):  # a late reply waiting to be read settles its cut request
-                pass
-            for proxy in self.live_nodes():
-                if proxy.overdue <= time.monotonic():
-                    self._strike(proxy, "never answered a cut request")
-        live = self.live_nodes()
-        self._connect([p for p in live if not p.connected])
-        return [p for p in live if p.connected]
-
     # -- the request loop --------------------------------------------------------
 
-    def _collect(self, requests: dict[int, tuple[NodeProxy, float, float]]):
+    def _collect(self, requests: dict[int, tuple]):
         """Read the node sockets until every request in ``requests`` is resolved.
 
-        ``requests`` maps rid -> (proxy, absolute deadline, absolute cutoff),
-        at most one per node, and is emptied; one the caller adds meanwhile
-        is read too. The selector waits until the nearest deadline or
-        cutoff: past its deadline a request has timed out, past its cutoff
-        it is cut. The sockets are polled at least once, so an empty
+        ``requests`` maps rid -> (proxy, absolute deadline, absolute cutoff,
+        slice, compute deadline), the slice and compute deadline None for a
+        HELLO, at most one per node, and is emptied; one the caller adds
+        meanwhile is read too. The selector waits until the nearest deadline
+        or cutoff: past its deadline a request has timed out, past its
+        cutoff it is cut. The sockets are polled at least once, so an empty
         ``requests`` reads what has already come in.
-        Yields (rid, proxy, reply, failure) for each request, one of:
+        Yields (rid, its popped entry, reply, failure) for each request, one of:
 
         * a reply, whatever message carries the request's rid (HELLO or
           EVAL_RESULT), failure None; the caller checks its type;
@@ -383,45 +343,47 @@ class Coordinator:
         nothing outstanding gets a strike, and one that reports EXIT is
         dead. Any other message is skipped.
 
-        The caller may close a connection while a result is yielded, by a
-        strike or a kill. That is safe because it only ever closes the
-        node being yielded, whose one socket no later key of the same
-        ``select`` batch can name, and ``disconnect`` unregisters a closed
-        socket before the next ``select``.
+        The caller may close or reopen any node's connection while a result
+        is yielded. What was read from a connection closed since is stale:
+        a key of the same ``select`` batch whose socket is no longer its
+        node's is skipped, and so is the rest of a read once it is, so one
+        failed connection fails one request, or gives one strike.
         """
         while True:
             now = time.monotonic()
-            for rid, (proxy, deadline, cutoff) in list(requests.items()):
-                if now >= min(deadline, cutoff):
+            for rid, entry in list(requests.items()):
+                if now >= min(entry[1], entry[2]):
                     del requests[rid]
-                    yield rid, proxy, None, TIMEOUT if now >= deadline else CUT
-            wake = min((min(deadline, cutoff) for _, deadline, cutoff in requests.values()), default=now)
+                    yield rid, entry, None, TIMEOUT if now >= entry[1] else CUT
+            wake = min((min(deadline, cutoff) for _, deadline, cutoff, *_ in requests.values()), default=now)
             for key, _ in self._selector.select(wake - now):
                 proxy, buffer = key.data
+                if proxy._sock is not key.fileobj:
+                    continue  # closed while an earlier key of this batch was yielded
                 messages, closed = protocol.read_frames(key.fileobj, buffer)
-                if closed is not None:  # EOF or a malformed frame: close now, or it keeps select() awake
-                    proxy.disconnect()
+                if closed is not None:
                     messages.append(closed)
                 for msg in messages:
+                    if proxy._sock is not key.fileobj:
+                        break  # the caller closed or reopened it while a message before was yielded
                     if isinstance(msg, (Exception, protocol.ExitReport)):  # an exception says why it closed
+                        if isinstance(msg, Exception):
+                            proxy.disconnect()  # now, or it keeps select() awake
                         failure, why = (LOST, msg) if isinstance(msg, Exception) else (EXIT, msg.reason)
                         rid = next((r for r, (p, *_) in requests.items() if p is proxy), None)
-                        if rid is None and proxy.state == DEAD:
-                            continue
                         log.info("node %d %s: %s", proxy.node_id, failure, why)
                         if rid is not None:
-                            del requests[rid]
-                            yield rid, proxy, None, failure
+                            yield rid, requests.pop(rid), None, failure
                         elif failure == EXIT:
                             self._kill(proxy, why)
                         else:
                             self._strike(proxy, failure)
                     elif isinstance(msg, protocol.Error):
-                        if requests.pop(msg.rid, None) is not None:
+                        if msg.rid in requests:
                             log.info("node %d %s: %s", proxy.node_id, ERROR, msg.message)
-                            yield msg.rid, proxy, None, ERROR
-                    elif requests.pop(msg.rid, None) is not None:
-                        yield msg.rid, proxy, msg, None
+                            yield msg.rid, requests.pop(msg.rid), None, ERROR
+                    elif msg.rid in requests:
+                        yield msg.rid, requests.pop(msg.rid), msg, None
                     elif isinstance(msg, protocol.EvalResult):
                         self._record_late(proxy, msg)
             if not requests:
@@ -437,13 +399,14 @@ class Coordinator:
         return inst.digest
 
     def handshake(self) -> list[NodeProxy]:
-        """The start-up check: connect every node and require one; returns the ready nodes.
+        """The start-up check: connect every node and require one; returns the connected live nodes.
 
         With the inline scan on, no node is required. It sends no EVAL
         and records nothing: every node starts at ``NOMINAL_SPEED``, and
-        the real problem's first rounds measure it.
+        the real problem's first EVALs measure it.
         """
-        ready = self._ready_nodes()
+        self.connect_all()
+        ready = [p for p in self.live_nodes() if p.connected]
         if not ready and self.inline_delay is None:
             raise HandshakeError("no node reachable")
         return ready
@@ -490,74 +453,106 @@ class Coordinator:
                 [(nslice.begin, frontier, best_idx, best_ms), (frontier, frontier + evaluated, idx, ms)], nslice.begin)
         return SliceResult(best_idx, best_ms, frontier - nslice.begin, time.perf_counter() - t0), frontier
 
-    def cover(self, ctx: EvalContext, nslice: NeighborhoodSlice, budget_abs: float):
-        """Dispatch rounds over ``nslice`` until it is evaluated or the budget passes.
+    def cover(self, ctx: EvalContext | None, nslice: NeighborhoodSlice, budget_abs: float):
+        """Evaluate ``nslice`` over the nodes until it is covered or the budget passes.
 
-        A node is sent ``ctx.instance`` right before its EVAL unless its
-        connection holds it already. ``budget_abs`` is an absolute
-        time.monotonic() value, ``math.inf`` for no budget. Returns the
-        accepted evaluated intervals (begin, end, best_index,
-        best_makespan). Never raises for want of coverage: it also stops when
-        no node is ready or dispatch rounds stop making progress, and
+        One ``_collect`` loop serves it. Every live node without a
+        connection is opened first, and its HELLO is one more request: the
+        node is ready once it is answered, and dead if it fails. While no
+        HELLO is outstanding, a pending range is planned over the idle nodes
+        (live, connected, no request outstanding; one that owes a cut reply
+        last) as soon as a reply leaves it pending, so a failed slice does
+        not wait for the slowest node. A struck node is reopened and planned
+        again; one whose accepted reply evaluated no move takes no more of
+        the slice. A node is sent ``ctx.instance`` right before its EVAL
+        unless its connection holds it already. ``budget_abs`` is an absolute
+        time.monotonic() value, ``math.inf`` for no budget: nothing is done
+        if it has passed, the first plan goes out even if the opening used it
+        up, and later plans only before it ends. An empty slice connects the
+        nodes and plans nothing. Returns the accepted evaluated intervals
+        (begin, end, best_index, best_makespan). Never raises for want of
+        coverage: it also stops when no node can take more of the slice, and
         ``evaluate_blocks`` keeps only the contiguous prefix.
         """
-        inst = ctx.instance
+        if time.monotonic() >= budget_abs:
+            return []
+        if any(p.overdue <= time.monotonic() for p in self.proxies):
+            for _ in self._collect({}):  # a late reply waiting to be read settles its cut request
+                pass
+            for proxy in self.live_nodes():
+                if proxy.overdue <= time.monotonic():
+                    self._strike(proxy, "never answered a cut request")
         pending = deque([(nslice.begin, nslice.end)] if nslice else [])
         results: list[tuple[int, int, int | None, int | None]] = []
-        first_range = True
-        stalled = 0
-        while pending and time.monotonic() < budget_abs and stalled <= len(self.proxies) + 2:
-            ready = sorted(self._ready_nodes(), key=lambda p: bool(p.owed))  # a node that owes a reply goes last
-            if not ready:
-                break
-            begin, end = pending.popleft()
-            if not first_range:
-                self.redistribution_rounds += 1
-            first_range = False
+        requests: dict[int, tuple] = {}
+        spent: set[NodeProxy] = set()  # nodes that take no more of the slice
+        plans = 0
 
-            speeds = [predict(p.history) for p in ready]
-            slices = plan_partition(speeds, end - begin, begin)
+        def dispatch():
+            """Open every live node without a connection; then, with no HELLO outstanding, plan what is pending."""
+            nonlocal plans
+            while not plans or pending and time.monotonic() < budget_abs:
+                opened = []
+                for proxy in self.live_nodes():
+                    if not proxy.connected:
+                        try:
+                            opened.append((proxy.open(), proxy))
+                        except OSError as exc:
+                            self._kill(proxy, f"unreachable: {exc}")
+                due = time.monotonic() + CONNECT_TIMEOUT  # from the last opener's return, for every HELLO it sent
+                requests.update((rid, (proxy, due, math.inf, None, None)) for rid, proxy in opened)
+                taken = spent | {entry[0] for entry in requests.values()}
+                ready = sorted((p for p in self.live_nodes() if p.connected and p not in taken),
+                               key=lambda p: bool(p.owed))  # a node that owes a reply goes last
+                if not pending or not ready or any(entry[3] is None for entry in requests.values()):
+                    return
+                plans += 1
+                inst = ctx.instance
+                begin, end = pending.popleft()
+                speeds = [predict(p.history) for p in ready]
+                for proxy, speed, part in zip(ready, speeds, plan_partition(speeds, end - begin, begin)):
+                    if not part:
+                        continue
+                    now = time.monotonic()
+                    left = max(budget_abs - now, 0.05)  # every node gets 50 ms, counted from its own send
+                    deadline = min(len(part) / speed * DEADLINE_SLACK + DEADLINE_FLOOR, left)
+                    try:
+                        if inst.digest not in proxy.problems:
+                            proxy.send(protocol.SetProblem(proxy.next_rid(), inst))
+                            proxy.problems.append(inst.digest)
+                        rid = proxy.next_rid()
+                        proxy.send(protocol.Eval(rid, inst.digest, ctx.order, ctx.tabu, ctx.incumbent, part, deadline))
+                    except (OSError, ConnectionError):
+                        self._strike(proxy, "send failed")  # the next pass reopens it
+                        pending.append((part.begin, part.end))
+                        continue
+                    requests[rid] = (proxy, now + deadline + RESPONSE_GRACE, now + left + 0.1, part, deadline)
 
-            requests: dict[int, tuple[NodeProxy, float, float]] = {}
-            sent: dict[int, tuple[NeighborhoodSlice, float, float]] = {}  # rid -> (slice, compute deadline, due)
-            for proxy, speed, part in zip(ready, speeds, slices):
-                if not part:
-                    continue
-                now = time.monotonic()
-                left = max(budget_abs - now, 0.05)  # every node gets 50 ms, counted from its own send
-                deadline = min(len(part) / speed * DEADLINE_SLACK + DEADLINE_FLOOR, left)
-                try:
-                    if inst.digest not in proxy.problems:
-                        proxy.send(protocol.SetProblem(proxy.next_rid(), inst))
-                        proxy.problems.append(inst.digest)
-                    rid = proxy.next_rid()
-                    proxy.send(protocol.Eval(rid, inst.digest, ctx.order, ctx.tabu, ctx.incumbent, part, deadline))
-                except (OSError, ConnectionError):
-                    self._strike(proxy, "send failed")
-                    pending.append((part.begin, part.end))
-                    continue
-                due = now + deadline + RESPONSE_GRACE
-                requests[rid] = (proxy, due, now + left + 0.1)
-                sent[rid] = (part, deadline, due)
-
-            round_moves = 0
-            for rid, proxy, reply, failure in self._collect(requests):
-                part, deadline, due = sent.pop(rid)
+        dispatch()
+        for rid, (proxy, due, _, part, deadline), reply, failure in self._collect(requests) if requests else ():
+            if part is None:  # a HELLO
+                if isinstance(reply, protocol.Hello) and reply.version[0] == PROTOCOL_VERSION[0]:
+                    proxy.lanes = reply.lanes
+                else:
+                    self._kill(proxy, f"unreachable: {failure or f'unexpected handshake reply {reply}'}")
+            else:
                 if failure is None and not self._result_consistent(reply, part):
                     failure = "inconsistent result"
                 elif failure is None and not reply.moves_evaluated and deadline >= DEADLINE_FLOOR:
                     failure = "no move evaluated"  # in a deadline that fits many: a broken node
                 if failure is None:
-                    round_moves += self._accept(proxy, reply, part, results, pending)
-                    continue
-                pending.append((part.begin, part.end))
-                if failure == EXIT:
-                    self._kill(proxy, "exited")
-                elif failure == CUT:  # the node keeps its connection: its next EVAL queues behind the cut one
-                    proxy.owe(rid, due, deadline + RESPONSE_GRACE)
+                    if not self._accept(proxy, reply, part, results, pending):
+                        spent.add(proxy)  # its deadline fits no move, and would not next time
                 else:
-                    self._strike(proxy, failure)
-            stalled = stalled + 1 if round_moves == 0 else 0
+                    pending.append((part.begin, part.end))
+                    if failure == EXIT:
+                        self._kill(proxy, "exited")
+                    elif failure == CUT:  # the node keeps its connection: its next EVAL queues behind the cut one
+                        proxy.owe(rid, due, deadline + RESPONSE_GRACE)
+                    else:
+                        self._strike(proxy, failure)
+            dispatch()
+        self.redistribution_rounds += max(plans - 1, 0)
         return results
 
     @staticmethod

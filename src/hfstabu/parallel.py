@@ -8,18 +8,19 @@ the reaping of lane processes. A lane is a forked process that runs the
 worker request loop (``WorkerServer`` with one lane) on one end of a
 socket pair, with no listener, until that socket closes. Lanes are
 forked on first use and are never calibrated on their own: like every
-node, each starts from ``NOMINAL_SPEED`` and is measured by the rounds
+node, each starts from ``NOMINAL_SPEED`` and is measured by the EVALs
 it serves. A lane gets an instance as a SET_PROBLEM right before its
-first round of it, and again only once it would have forgotten it; its
+first EVAL of it, and again only once it would have forgotten it; its
 one socket is its one connection, so it holds exactly the instances the
 evaluator sent it last, and alternating instances ship only their
 contexts.
 
-A failed lane's range goes to the other lanes, and the strike closes
-its socket, so it is forked anew before its next round; a lane that
-fails twice in a row is dead. A lane cut by the budget keeps its socket
-and is not replaced: its next round queues behind the cut one, and its
-slice comes after the other lanes' until the cut one is answered. A
+A failed lane's range is planned again at once, over the lanes idle
+then, and the strike closes its socket, so the lane is forked anew and
+planned again; a lane that fails twice in a row is dead. A lane cut by
+the budget keeps its socket and is not replaced: its next EVAL queues
+behind the cut one, and its slice comes after the other lanes' until the
+cut one is answered. A
 lane that has not answered it by its own timeout gets a strike. When no
 lane is live, or there is no deadline, the caller scans inline what the
 lanes left; only a failing inline scan aborts, with ``CoverageError``.
@@ -101,8 +102,8 @@ class LaneEvaluator(Coordinator):
     """A ``Coordinator`` over ``lanes`` forked lanes that scans inline what they leave.
 
     Keep one evaluator alive while there is work: each lane keeps the
-    last ``protocol.MAX_CACHED_PROBLEMS`` instances it was sent, so a
-    round ships only its context. ``instance`` is unused; only perfbench
+    last ``protocol.MAX_CACHED_PROBLEMS`` instances it was sent, so an
+    EVAL ships only its context. ``instance`` is unused; only perfbench
     still passes it, by position. ``lanes=1`` is a coordinator with no
     nodes, which scans every slice inline. ``per_move_delay``, kept as
     ``inline_delay``, paces every scan, as a worker's does, for

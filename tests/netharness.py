@@ -1,6 +1,6 @@
 """Test-side networking helpers: a minimal blocking wire client, a
 latency relay, subprocess worker management, recorders of the
-coordinator's dispatch rounds, connection opens and sends and of a
+coordinator's plans, connection opens and sends and of a
 worker's requests, and lane process failure injection."""
 
 from __future__ import annotations
@@ -157,23 +157,26 @@ def _shut(*sockets):
 
 
 def record_cover(monkeypatch, coordinator):
-    """Record what each ``coordinator.cover`` call dispatched and accepted.
+    """Record what each ``coordinator.cover`` call of a non-empty slice planned and accepted.
 
-    Returns (audits, plans), each with one entry per call: the sorted
+    Returns (audits, plans), each with one entry per such call: the sorted
     (begin, end) intervals it accepted, and the move counts of each of its
-    dispatch rounds in ready-node order. A plan is recorded only on a
-    thread inside that ``cover``, so the other coordinators of the process
-    (a super server's, or the one that drives it) do not mix in.
+    plans, in the order they were made, each in ready-node order. A cover
+    of an empty slice (the handshake) is not recorded. A plan is recorded
+    only on a thread inside a recorded ``cover``, so the other coordinators
+    of the process (a super server's, or the one that drives it) do not mix in.
     """
     audits, plans = [], []
     covering = set()  # the threads inside the recorded cover
     cover, plan_partition = coordinator.cover, coordinator_module.plan_partition
 
-    def recording_cover(*args, **kwargs):
+    def recording_cover(ctx, nslice, budget_abs):
+        if not nslice:
+            return cover(ctx, nslice, budget_abs)
         plans.append([])
         covering.add(threading.get_ident())
         try:
-            results = cover(*args, **kwargs)
+            results = cover(ctx, nslice, budget_abs)
         finally:
             covering.discard(threading.get_ident())
         audits.append(sorted((begin, end) for begin, end, _, _ in results))

@@ -234,7 +234,7 @@ def test_criterion_7_proportional_balancing(monkeypatch):
     _, plans = record_cover(monkeypatch, coordinator)
     try:
         coordinator.run(inst, SearchParams(iterations=11, seed=7))
-        plan = plans[10][0]  # first dispatch round of iteration 10, in node order
+        plan = plans[10][0]  # first plan of iteration 10, in node order
         ratio = plan[0] / plan[1]
         assert abs(ratio / 4.0 - 1.0) <= 0.10, f"plan ratio {ratio:.2f} not within 10% of 4:1"
         report(7, "proportional balancing",

@@ -25,7 +25,7 @@ from hfstabu.tabu import EvalContext, SearchParams, TabuList, run_search
 from hfstabu.schedule import evaluate_makespan
 from hfstabu.worker import WorkerServer, serve_as_super_server
 
-from netharness import LatencyRelay, SubprocessWorker, record_cover, record_opens, record_requests
+from netharness import LatencyRelay, SubprocessWorker, record_cover, record_opens, record_requests, record_sends
 from oracles import evaluate_slice, largest_remainder_reference, verify_exact_cover
 
 INST = generate_instance(8, 3, 3, seed=42)
@@ -229,13 +229,16 @@ class FaultyNode:
 
     It accepts any number of connections and fails the same way on each.
     A fault named "hello ..." hits the handshake; any other hits the
-    first EVAL of the connection. SET_PROBLEM is ignored. "zero speed"
+    first EVAL of the connection. SET_PROBLEM is ignored. "error garbage"
+    follows its ERROR with a malformed frame, in one write. "zero speed"
     answers that EVAL, and every later one, with no move evaluated.
+    ``failed`` holds one entry per connection that reached its fault.
     """
 
     def __init__(self, fault: str):
         self.fault = fault
         self.release = threading.Event()
+        self.failed = []
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.address = self._listener.getsockname()[:2]
         self.threads = [threading.Thread(target=self._accept_loop, daemon=True)]
@@ -262,9 +265,11 @@ class FaultyNode:
                     break
             else:
                 return  # closed before the faulty request
+            self.failed.append(msg.TYPE)
             fault = self.fault.removeprefix("hello ")
-            if fault == "error":
-                conn.sendall(protocol.encode(protocol.Error(msg.rid, f"{msg.TYPE} failed: boom")))
+            if fault.startswith("error"):
+                error = protocol.encode(protocol.Error(msg.rid, f"{msg.TYPE} failed: boom"))
+                conn.sendall(error + b"garbage\n" if fault == "error garbage" else error)
             elif fault == "version 2":  # the name is historical: any major but ours
                 conn.sendall(protocol.encode(protocol.Hello(msg.rid, (PROTOCOL_VERSION[0] + 1, 0), 1)))
                 self.release.wait(timeout=30)
@@ -295,11 +300,13 @@ class FaultyNode:
         return any(thread.is_alive() for thread in self.threads)
 
 
-@pytest.mark.parametrize("fault", ["error", "drop", "exit", "silent", "zero speed"])
+@pytest.mark.parametrize("fault", ["error", "error garbage", "drop", "exit", "silent", "zero speed"])
 def test_first_round_failure_marks_node_dead(fault, monkeypatch):
     # a node is first measured by its first round of the real problem, and a fault there follows the
     # ordinary EVAL policy: a strike, a reconnect, and dead on the second strike. "zero speed"
-    # evaluates no move in a deadline of at least DEADLINE_FLOOR, which is a strike too
+    # evaluates no move in a deadline of at least DEADLINE_FLOOR, which is a strike too. Each failed
+    # connection is one strike, so the node is dead on its second, or on its first exit report;
+    # "error garbage" checks that a malformed frame read with the ERROR adds no second strike
     monkeypatch.setattr(coordinator_module, "RESPONSE_GRACE", 0.2)  # "silent" answers nothing
     params = SearchParams(iterations=6, seed=11, diversify_after=3)
     local = run_search(INST, params, sequential_reference)
@@ -311,12 +318,31 @@ def test_first_round_failure_marks_node_dead(fault, monkeypatch):
             result = coordinator.run(INST, params, on_iteration=lambda _: states.append(coordinator.proxies[1].state))
             assert result.trace == local.trace
             assert states[1] == "dead", f"faulty node {states[:2]} after 2 iterations"
+            assert len(faulty.failed) == (1 if fault == "exit" else 2), f"dead after {faulty.failed}"
+            assert coordinator.proxies[1].strikes == (0 if fault == "exit" else 2)
             assert coordinator.proxies[0].state == "idle" and coordinator.proxies[0].strikes == 0
             assert not coordinator.proxies[1].history.count and not coordinator.proxies[1].moves
         finally:
             coordinator.close()
             faulty.close()
     assert not faulty.alive()
+
+
+def test_a_node_that_evaluates_no_move_in_a_short_deadline_takes_no_more_of_the_slice(monkeypatch):
+    # a deadline under DEADLINE_FLOOR may fit no move, which is no fault: the node keeps its
+    # connection and is sent nothing more of the slice, not the same range again until the budget ends
+    faulty = FaultyNode("zero speed")
+    sends = record_sends(monkeypatch)
+    coordinator = Coordinator([faulty.address])
+    try:
+        coordinator.handshake()
+        result, frontier = coordinator.evaluate_blocks(make_ctx(INST), NeighborhoodSlice(0, N), time.monotonic() + 0.2)
+        assert (frontier, result.moves_evaluated) == (0, 0)
+        assert [msg_type for _, msg_type in sends] == ["HELLO", "SET_PROBLEM", "EVAL"]
+        assert (coordinator.proxies[0].strikes, coordinator.proxies[0].connected) == (0, True)
+    finally:
+        coordinator.close()
+        faulty.close()
 
 
 def test_a_worker_shared_by_two_coordinators_is_struck_out_by_neither():
@@ -636,6 +662,32 @@ def test_slow_worker_returns_prefix_and_rest_is_redistributed(monkeypatch):
             s.shutdown()
 
 
+def test_a_failed_slice_does_not_wait_for_the_slowest_node():
+    # each worker takes about 0.15 s for half the neighborhood. Node 0's EVAL fails at once, and its
+    # slice is planned again as soon as the ERROR is read, over the nodes idle then: node 0, once
+    # reopened. So node 1 serves its own slice only, and no plan waits for its reply
+    delay = 0.15 / (N // 2)
+    with WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=delay) as w0, \
+            WorkerServer("127.0.0.1", 0, lanes=1, per_move_delay=delay) as w1, \
+            Coordinator([w0.address, w1.address]) as coordinator:
+        ctx = make_ctx(INST, seed=1)
+        coordinator.handshake()
+        coordinator.evaluate(ctx)  # measures both nodes, so each is planned about half
+        evaluate_blocks = w0._evaluator.evaluate_blocks
+
+        def fail_once(*args):
+            w0._evaluator.evaluate_blocks = evaluate_blocks
+            raise RuntimeError("lane lost")
+
+        w0._evaluator.evaluate_blocks = fail_once
+        served = w1.requests_served
+        got = coordinator.evaluate(ctx)
+        want = sequential_reference(ctx)
+        assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
+        assert w1.requests_served - served == 1
+        assert coordinator.proxies[0].strikes == 0 and coordinator.proxies[0].state == "idle"
+
+
 def test_all_workers_dying_mid_iteration_is_fatal():
     servers = [WorkerServer("127.0.0.1", 0, lanes=1) for _ in range(2)]
     for s in servers:
@@ -665,7 +717,7 @@ def test_proportional_planning_follows_speed_ratio(monkeypatch):
         ctx = make_ctx(INST, seed=2)
         for _ in range(5):
             coordinator.evaluate(ctx)
-        sizes = plans[-1][0]  # first dispatch round of the last evaluation, in node order
+        sizes = plans[-1][0]  # first plan of the last evaluation, in node order
         assert sizes[0] > sizes[1] > 0
         ratio = sizes[0] / sizes[1]
         assert 1.8 < ratio < 5.0
@@ -725,20 +777,24 @@ def test_steady_rounds_make_no_empty_poll(monkeypatch):
         assert _zero_timeout_selects(monkeypatch, evaluator, ctx) == 0
 
 
-def test_node_lost_during_another_handshake_gets_one_strike():
+def test_node_lost_during_another_handshake_gets_one_strike(monkeypatch):
     with SubprocessWorker(lanes=1) as w0, SubprocessWorker(lanes=1) as w1:
         coordinator = Coordinator([w0.address, w1.address])
         try:
             coordinator.handshake()
             w0.kill()  # returns once the process has exited, so its EOF is waiting
-            coordinator.proxies[1].disconnect()  # the next round reopens it first
+            coordinator.proxies[1].disconnect()  # reopened before the plan, which waits for its HELLO
+            sends = record_sends(monkeypatch)
             ctx = make_ctx(INST, seed=1)
             got = coordinator.evaluate(ctx)
             want = sequential_reference(ctx)
             assert (got.best_index, got.best_makespan) == (want.best_index, want.best_makespan)
-            # node 0's loss was read during node 1's handshake: one strike, and no send to a closed socket
+            # node 0's loss was read during node 1's handshake: one strike, and no send to a closed
+            # socket. It is reopened before the plan too, and its worker is gone, so the refused
+            # reopen kills it, which is no strike
             assert coordinator.proxies[0].strikes == 1
-            assert coordinator.proxies[0].state != "dead"
+            assert coordinator.proxies[0].state == "dead"
+            assert {node for node, _ in sends} == {1}
         finally:
             coordinator.close()
 

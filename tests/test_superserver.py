@@ -57,7 +57,7 @@ def test_super_server_hello_reports_the_lanes_of_its_live_children():
             assert client.hello().lanes == 2
             client.set_problem(INST)
             w1.shutdown(reason="child gone")
-            # the super server learns of the exit in the next round, which w2 covers
+            # the super server learns of the exit when it reads w1's exit report, and w2 covers w1's slice
             reply = client.eval(DIGEST, ORDER, empty_tabu(), 10**6, 0, N, 60.0)
             assert isinstance(reply, protocol.EvalResult) and reply.complete
         with WireClient(sup.address) as client:
